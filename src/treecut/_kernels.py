@@ -1,82 +1,76 @@
-"""Hot numeric kernels with two interchangeable backends.
+"""Numeric kernels: the two tree primitives and the dense helpers.
 
-Every kernel here is a pure function of numpy arrays and ships in two
-implementations:
+Every linear tree pass in the package is one of two sums, or a
+composition of them:
 
-* a ``numba`` ``@njit`` version compiled on first use (cached on disk), and
-* a pure-numpy fallback that processes vertices level-by-level so the
-  inner work stays vectorized.
+``subtree_sum(tree, x)[v]``    sum of ``x`` over the subtree of ``v``
+                               (``v`` included);
+``ancestor_sum(tree, x)[v]``   sum of ``x`` over the root path of ``v``,
+                               ``v`` included and the root excluded, so
+                               each non-root vertex stands for the edge to
+                               its parent and the root always gets 0.
 
-The backend is chosen once at import time: set ``TREECUT_NUMBA=0`` to force
-the numpy fallback, anything else (or unset) selects numba whenever it is
-importable.  ``python -m treecut.bench`` times the two side by side.
-
-Array conventions shared by all kernels:
-
-``parent``     int64[n], parent index per vertex, -1 at the root.
-``order``      int64[n], breadth-first order, root first (parents precede
-               children).
-``level_ptr``  int64[h+2], ``order[level_ptr[k]:level_ptr[k+1]]`` are the
-               vertices at depth k.  Only the numpy backend needs it; the
-               numba kernels take it for signature parity and ignore it.
+Subtree sizes are ``subtree_sum(1)``, depths ``ancestor_sum(1)``, path
+loads ``ancestor_sum(subtree_sum(1))``; the Dirichlet solve of the tree
+Laplacian is ``ancestor_sum(subtree_sum(b))``.  Both primitives process
+the vertices level by level (``tree.order`` split at ``tree.level_ptr``),
+so each costs O(height) vectorized numpy calls.  Integer input is summed
+in int64 and stays exact; any other input is summed in float64.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-__all__ = ["BACKEND", "HAS_NUMBA", "IMPLS", "size_and_load", "tree_solve",
+__all__ = ["BACKEND", "subtree_sum", "ancestor_sum", "tree_solve",
            "laplacian_matvec", "tv_from_kernel"]
 
+BACKEND = "numpy"
 
-# ---------------------------------------------------------------------------
-# numpy backend: level-synchronous passes
-# ---------------------------------------------------------------------------
 
-def _size_and_load_numpy(parent, order, level_ptr):
-    """Subtree sizes and path loads in one sweep down, one sweep up.
+def _nonroot_levels(tree):
+    """Vertex arrays per depth from depth 1 down; parents precede children."""
+    order, ptr = tree.order, tree.level_ptr
+    return [order[ptr[k]:ptr[k + 1]] for k in range(1, len(ptr) - 1)]
 
-    path_load[v] = path_load[parent[v]] + subtree_size[v], path_load[root]=0.
+
+def _as_sum_array(x) -> np.ndarray:
+    x = np.asarray(x)
+    kind = np.int64 if x.dtype.kind in "biu" else np.float64
+    return x.astype(kind)  # always a fresh copy
+
+
+def subtree_sum(tree, x) -> np.ndarray:
+    """G[v] = sum of x over the subtree below and including v."""
+    G = _as_sum_array(x)
+    parent = tree.parent
+    for verts in reversed(_nonroot_levels(tree)):
+        np.add.at(G, parent[verts], G[verts])
+    return G
+
+
+def ancestor_sum(tree, x) -> np.ndarray:
+    """S[v] = sum of x over the root path of v, v included, root excluded."""
+    x = _as_sum_array(x)
+    S = np.zeros_like(x)
+    parent = tree.parent
+    for verts in _nonroot_levels(tree):
+        S[verts] = S[parent[verts]] + x[verts]
+    return S
+
+
+def tree_solve(tree, b) -> np.ndarray:
+    """Solve (D - A) x = b on a tree with x pinned to 0 at the root.
+
+    The root row is discarded, so the system acts on the non-root vertices
+    with a Dirichlet condition at the root.  Child-to-parent elimination
+    leaves every pivot exactly 1, so the solve is the subtree sums of b
+    accumulated down the root paths.
     """
-    n = parent.shape[0]
-    size = np.ones(n, dtype=np.int64)
-    load = np.zeros(n, dtype=np.int64)
-    nlevels = level_ptr.shape[0] - 1
-    for lev in range(nlevels - 1, 0, -1):
-        verts = order[level_ptr[lev]:level_ptr[lev + 1]]
-        np.add.at(size, parent[verts], size[verts])
-    for lev in range(1, nlevels):
-        verts = order[level_ptr[lev]:level_ptr[lev + 1]]
-        load[verts] = load[parent[verts]] + size[verts]
-    return size, load
+    return ancestor_sum(tree, subtree_sum(tree, np.asarray(b, dtype=np.float64)))
 
 
-def _tree_solve_numpy(parent, order, level_ptr, deg, b):
-    """Solve (D - A) x = b on a tree with x pinned to 0 at order[0].
-
-    Child-to-parent Gaussian elimination; no fill-in on a tree.  The root
-    row is discarded, so the system acts on the non-root vertices with a
-    Dirichlet condition at the root.  Pivots stay positive because every
-    eliminated vertex keeps its edge to the parent.
-    """
-    dd = deg.astype(np.float64).copy()
-    bb = b.astype(np.float64).copy()
-    x = np.zeros(parent.shape[0], dtype=np.float64)
-    nlevels = level_ptr.shape[0] - 1
-    for lev in range(nlevels - 1, 0, -1):
-        verts = order[level_ptr[lev]:level_ptr[lev + 1]]
-        inv = 1.0 / dd[verts]
-        np.add.at(dd, parent[verts], -inv)
-        np.add.at(bb, parent[verts], bb[verts] * inv)
-    for lev in range(1, nlevels):
-        verts = order[level_ptr[lev]:level_ptr[lev + 1]]
-        x[verts] = (bb[verts] + x[parent[verts]]) / dd[verts]
-    return x
-
-
-def _laplacian_matvec_numpy(parent, deg, x):
+def laplacian_matvec(parent, deg, x):
     """y = (D - A) x using only the parent array."""
     y = deg.astype(np.float64) * x
     nonroot = np.nonzero(parent >= 0)[0]
@@ -86,104 +80,6 @@ def _laplacian_matvec_numpy(parent, deg, x):
     return y
 
 
-def _tv_from_kernel_numpy(P, pi_val):
+def tv_from_kernel(P, pi_val):
     """max over rows of the total-variation distance to the flat measure."""
     return 0.5 * float(np.abs(P - pi_val).sum(axis=1).max())
-
-
-_NUMPY_IMPL = {
-    "size_and_load": _size_and_load_numpy,
-    "tree_solve": _tree_solve_numpy,
-    "laplacian_matvec": _laplacian_matvec_numpy,
-    "tv_from_kernel": _tv_from_kernel_numpy,
-}
-
-
-# ---------------------------------------------------------------------------
-# numba backend: plain loops over the BFS order
-# ---------------------------------------------------------------------------
-
-HAS_NUMBA = False
-_NUMBA_IMPL = {}
-
-if os.environ.get("TREECUT_NUMBA", "1") != "0":
-    try:
-        import numba
-
-        HAS_NUMBA = True
-    except ImportError:
-        HAS_NUMBA = False
-
-if HAS_NUMBA:
-
-    @numba.njit(cache=True)
-    def _size_and_load_numba(parent, order, level_ptr):
-        n = parent.shape[0]
-        size = np.ones(n, dtype=np.int64)
-        load = np.zeros(n, dtype=np.int64)
-        for i in range(n - 1, 0, -1):
-            v = order[i]
-            size[parent[v]] += size[v]
-        for i in range(1, n):
-            v = order[i]
-            load[v] = load[parent[v]] + size[v]
-        return size, load
-
-    @numba.njit(cache=True)
-    def _tree_solve_numba(parent, order, level_ptr, deg, b):
-        n = parent.shape[0]
-        dd = deg.astype(np.float64)
-        bb = b.astype(np.float64)
-        x = np.zeros(n, dtype=np.float64)
-        for i in range(n - 1, 0, -1):
-            v = order[i]
-            p = parent[v]
-            inv = 1.0 / dd[v]
-            dd[p] -= inv
-            bb[p] += bb[v] * inv
-        for i in range(1, n):
-            v = order[i]
-            x[v] = (bb[v] + x[parent[v]]) / dd[v]
-        return x
-
-    @numba.njit(cache=True)
-    def _laplacian_matvec_numba(parent, deg, x):
-        n = parent.shape[0]
-        y = np.empty(n, dtype=np.float64)
-        for v in range(n):
-            y[v] = deg[v] * x[v]
-        for v in range(n):
-            p = parent[v]
-            if p >= 0:
-                y[v] -= x[p]
-                y[p] -= x[v]
-        return y
-
-    @numba.njit(cache=True, parallel=True)
-    def _tv_from_kernel_numba(P, pi_val):
-        n = P.shape[0]
-        sums = np.empty(n, dtype=np.float64)
-        for i in numba.prange(n):
-            acc = 0.0
-            for j in range(P.shape[1]):
-                acc += abs(P[i, j] - pi_val)
-            sums[i] = acc
-        return 0.5 * float(sums.max())
-
-    _NUMBA_IMPL = {
-        "size_and_load": _size_and_load_numba,
-        "tree_solve": _tree_solve_numba,
-        "laplacian_matvec": _laplacian_matvec_numba,
-        "tv_from_kernel": _tv_from_kernel_numba,
-    }
-
-IMPLS = {"numpy": _NUMPY_IMPL}
-if HAS_NUMBA:
-    IMPLS["numba"] = _NUMBA_IMPL
-
-BACKEND = "numba" if HAS_NUMBA else "numpy"
-
-size_and_load = IMPLS[BACKEND]["size_and_load"]
-tree_solve = IMPLS[BACKEND]["tree_solve"]
-laplacian_matvec = IMPLS[BACKEND]["laplacian_matvec"]
-tv_from_kernel = IMPLS[BACKEND]["tv_from_kernel"]

@@ -205,13 +205,13 @@ def lift(tree: RootedTree, chain: BDChain, f: np.ndarray) -> LiftResult:
     x1, x2 = int(kids[0]), int(kids[1])
 
     depth = compute_metrics(tree).depth
+    mark = np.zeros(tree.n, dtype=np.int64)
+    mark[[x1, x2]] = [1, 2]
+    side = _kernels.ancestor_sum(tree, mark)
     F = np.zeros(tree.n)
-    for anchor, sign_offset in ((x1, -1), (x2, +1)):
-        stack = [anchor]
-        while stack:
-            v = stack.pop()
-            F[v] = f[n + sign_offset * depth[v] - 1]
-            stack.extend(int(c) for c in tree.children(v))
+    for m, sign_offset in ((1, -1), (2, +1)):
+        below = side == m
+        F[below] = f[n + sign_offset * depth[below] - 1]
 
     gap = bd_spectrum(chain).gap
     QF = _kernels.laplacian_matvec(tree.parent, tree.degrees(), F)

@@ -20,6 +20,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
+from . import _kernels
 from .errors import ValidationError
 from .generate import (OffspringDistribution, binary_of_size, cor15_tree,
                        gw_conditioned_size, gw_survival_truncated, gw_tree,
@@ -253,20 +254,20 @@ def retraction_alpha(tree: RootedTree, spine: Sequence[int]) -> float:
             raise ValidationError("spine must follow parent-child edges")
     on_spine = set(spine)
     metrics = compute_metrics(tree)
-    best = 1.0
-    for u in spine:
-        for c in tree.children(u):
-            if int(c) in on_spine:
-                continue
-            stack = [int(c)]
-            local_max = 0.0
-            while stack:
-                v = stack.pop()
-                local_max = max(local_max,
-                                float(metrics.path_load[v] - metrics.path_load[u]))
-                stack.extend(int(x) for x in tree.children(v))
-            best = max(best, local_max / float(metrics.subtree_size[c]))
-    return best
+    hanging = [int(c) for u in spine for c in tree.children(u)
+               if int(c) not in on_spine]
+    if not hanging:
+        return 1.0
+    # the hanging subtrees are disjoint: one ancestor_sum labels them all
+    label = np.zeros(tree.n, dtype=np.int64)
+    label[hanging] = np.arange(1, len(hanging) + 1)
+    label = _kernels.ancestor_sum(tree, label)
+    inside = label > 0
+    top = np.zeros(len(hanging) + 1, dtype=np.int64)
+    np.maximum.at(top, label[inside], metrics.path_load[inside])
+    c = np.array(hanging)
+    local_max = top[1:] - metrics.path_load[tree.parent[c]]
+    return max(1.0, float((local_max / metrics.subtree_size[c]).max()))
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +362,7 @@ def sweep(family: str, sizes: Sequence[int], epsilon: float = 0.25,
               derive_seed(seed, size, rep) if seed is not None else 0, offspring)
              for size in sizes for rep in range(reps)]
     if jobs > 1:
-        # spawn context: forking is unsafe once the numba/OpenMP runtime
+        # spawn context: forking is unsafe once the OpenBLAS thread pool
         # has started in this process
         import multiprocessing as mp
         from concurrent.futures import ProcessPoolExecutor

@@ -71,6 +71,8 @@ class OffspringDistribution:
     def poisson(lam: float) -> "OffspringDistribution":
         if lam < 0:
             raise ValidationError(f"poisson rate must be >= 0, got {lam}")
+        if math.exp(-lam) == 0.0:
+            raise ValidationError(f"poisson rate {lam} too large: exp(-rate) underflows to 0")
         return OffspringDistribution("poisson", (lam,), lam, lam)
 
     @staticmethod

@@ -7,10 +7,11 @@ total-variation distance d(t) = max over starts of the TV distance to the
 uniform measure is non-increasing, so the epsilon-mixing time comes from a
 bisection on d.
 
-Expected hitting times solve the tree-structured linear system
-(D - A) h = 1 away from the target in O(n); hitting the root from v takes
-exactly the sum of subtree sizes along the root path of v (the path load),
-which the test suite verifies against the linear solve.
+Expected hitting times come from the paper's identity: hitting the root
+from v takes exactly the sum of subtree sizes along the root path of v
+(the path load), so hitting a target is the path load of the tree
+re-rooted there, an exact integer from two O(n) tree passes.  The test
+suite verifies the identity against a dense solve of (D - A) h = 1.
 """
 
 from __future__ import annotations
@@ -161,19 +162,15 @@ class HittingProfile:
 
 
 def hitting_profile(tree: RootedTree, target: int) -> HittingProfile:
-    """Exact expected hitting times of ``target`` by one O(n) tree solve.
+    """Exact expected hitting times of ``target``: the path loads of the
+    tree re-rooted at the target.
 
-    The system (D - A) h = 1 on the complement of the target (h = 0 there)
-    is solved by child-to-parent elimination after re-orienting the tree
-    toward the target.
+    These solve (D - A) h = 1 on the complement of the target (h = 0
+    there); the values are integers, returned as float64.
     """
     if not 0 <= target < tree.n:
         raise ValidationError(f"target vertex {target} out of range")
-    base = reroot(tree, target)
-    b = np.ones(tree.n, dtype=np.float64)
-    b[target] = 0.0
-    h = _kernels.tree_solve(base.parent, base.order, base.level_ptr,
-                            base.degrees(), b)
+    h = compute_metrics(reroot(tree, target)).path_load.astype(np.float64)
     return HittingProfile(target=target, expected=h,
                           max_vertex=int(np.argmax(h)))
 

@@ -88,9 +88,13 @@ class SplitMix64:
         return int(math.floor(math.log1p(-u) / math.log1p(-p)))
 
     def poisson(self, lam: float) -> int:
+        """Inversion from P(0) = exp(-lam) upward; rates whose P(0)
+        underflows to 0 are rejected, since the inversion cannot start."""
+        term = math.exp(-lam)
+        if term == 0.0:
+            raise ValidationError(f"poisson rate {lam} too large: exp(-rate) underflows to 0")
         u = self.random()
         k = 0
-        term = math.exp(-lam)
         cum = term
         while u > cum:
             k += 1

@@ -120,11 +120,10 @@ def gap_iterative(tree: RootedTree, tol: float = 1e-10, max_iter: int = 1000,
     if tree.n < 2:
         raise DegenerateInputError("the spectral gap is undefined for a single vertex")
     n = tree.n
-    deg = tree.degrees()
 
     def apply_pinv(v):
         w = v - v.mean()
-        x = _kernels.tree_solve(tree.parent, tree.order, tree.level_ptr, deg, w)
+        x = _kernels.tree_solve(tree, w)
         return x - x.mean()
 
     rng = SplitMix64(seed)
@@ -190,24 +189,6 @@ def rayleigh(tree: RootedTree, f) -> float:
 # the discrete Hardy inequality on a rooted tree
 # ---------------------------------------------------------------------------
 
-def _ancestor_sums(tree: RootedTree, edge_vals: np.ndarray) -> np.ndarray:
-    """S[v] = sum of edge_vals over the edges on the root path of v."""
-    S = np.zeros(tree.n, dtype=np.float64)
-    for lev in range(1, len(tree.level_ptr) - 1):
-        verts = tree.order[tree.level_ptr[lev]:tree.level_ptr[lev + 1]]
-        S[verts] = S[tree.parent[verts]] + edge_vals[verts]
-    return S
-
-
-def _subtree_sums(tree: RootedTree, vertex_vals: np.ndarray) -> np.ndarray:
-    """G[v] = sum of vertex_vals over the subtree below (and including) v."""
-    G = vertex_vals.astype(np.float64).copy()
-    for lev in range(len(tree.level_ptr) - 2, 0, -1):
-        verts = tree.order[tree.level_ptr[lev]:tree.level_ptr[lev + 1]]
-        np.add.at(G, tree.parent[verts], G[verts])
-    return G
-
-
 def hardy_constant(tree: RootedTree, part: Iterable[int],
                    dense_limit: int = 1500) -> float:
     """Optimal constant of the Hardy inequality restricted to a root part.
@@ -248,8 +229,8 @@ def hardy_constant(tree: RootedTree, part: Iterable[int],
     g /= np.linalg.norm(g)
     lam = 0.0
     for _ in range(50_000):
-        S = _ancestor_sums(tree, g) * mask
-        h = _subtree_sums(tree, S)
+        S = _kernels.ancestor_sum(tree, g) * mask
+        h = _kernels.subtree_sum(tree, S)
         new = np.zeros(tree.n)
         new[edges] = h[edges]
         nrm = np.linalg.norm(new)
@@ -324,7 +305,8 @@ class WeightScheme:
     def retraction_weights(spine: Iterable[int]) -> "WeightScheme":
         """The comb scheme: depth^(-1/2) along the spine, and
         1/(sqrt(max(i,1)) * (depth - i)^2) inside the subtree hanging at
-        spine position i."""
+        spine position i.  The spine is a root path, root first (as
+        returned by ``root_path``)."""
         return WeightScheme("retraction", spine=tuple(int(v) for v in spine))
 
     @staticmethod
@@ -344,15 +326,16 @@ class WeightScheme:
             for v in np.nonzero(nonroot)[0]:
                 a[v] = 1.0 / float(self.func(int(depth[v])))
         elif self.kind == "retraction":
-            spine = set(self.spine)
-            anchor = np.full(tree.n, -1, dtype=np.int64)
-            for v in self.spine:
-                anchor[v] = depth[v]
-            for lev in range(1, len(tree.level_ptr) - 1):
-                verts = tree.order[tree.level_ptr[lev]:tree.level_ptr[lev + 1]]
-                for v in verts:
-                    if v not in spine:
-                        anchor[v] = anchor[tree.parent[v]]
+            path = self.spine
+            if (not path or path[0] != tree.root
+                    or any(tree.parent[v] != u for u, v in zip(path, path[1:]))):
+                raise ValidationError("retraction spine must be a root path, root first")
+            spine = set(path)
+            on_spine = np.zeros(tree.n, dtype=np.int64)
+            on_spine[list(path[1:])] = 1
+            # spine position i = depth of the deepest spine vertex on the
+            # root path, which on a root-path spine counts its spine vertices
+            anchor = _kernels.ancestor_sum(tree, on_spine)
             for v in np.nonzero(nonroot)[0]:
                 if v in spine:
                     a[v] = depth[v] ** -0.5
@@ -381,8 +364,7 @@ def weighted_path_bound(tree: RootedTree, scheme: WeightScheme) -> float:
     if tree.n < 2:
         return 0.0
     a = scheme.edge_weights(tree)
-    S = _ancestor_sums(tree, a)
-    G = _subtree_sums(tree, S)
+    G = _kernels.subtree_sum(tree, _kernels.ancestor_sum(tree, a))
     nonroot = np.nonzero(tree.parent >= 0)[0]
     return float((G[nonroot] / a[nonroot]).max())
 
@@ -461,7 +443,7 @@ def hardy_lower(tree: RootedTree) -> HardyLowerBound:
     d = int(metrics.depth[mel.edge])
     g = np.zeros(base.n, dtype=np.float64)
     g[root_path(base, mel.edge)[1:]] = 1.0 / d
-    S = _ancestor_sums(base, g)
+    S = _kernels.ancestor_sum(base, g)
     numerator = float(S @ S)
     denominator = float(g @ g)
     return HardyLowerBound(value=com.delta * mel.value, delta=com.delta,

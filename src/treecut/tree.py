@@ -8,8 +8,11 @@ Instances are immutable and safe to share across workers.
 The quantities computed here are purely combinatorial: depths, subtree
 sizes, the per-vertex sum of subtree sizes along the root path ("path
 load"), the per-edge product of depth and subtree size ("edge load"), the
-per-depth tail sizes, and the balanced two-subtree split around a vertex
-separator ("center of mass").
+per-depth tail sizes, the diameter, and the balanced two-subtree split
+around a vertex separator ("center of mass").  Every pass over the tree is
+a ``subtree_sum`` or an ``ancestor_sum`` from :mod:`treecut._kernels`;
+vertex sets below an anchor are read off an ``ancestor_sum`` of anchor
+labels, one call per set of disjoint subtrees.
 """
 
 from __future__ import annotations
@@ -62,10 +65,7 @@ class RootedTree:
         return deg
 
     def depths(self) -> np.ndarray:
-        depth = np.empty(self.n, dtype=np.int64)
-        for k in range(len(self.level_ptr) - 1):
-            depth[self.order[self.level_ptr[k]:self.level_ptr[k + 1]]] = k
-        return depth
+        return _kernels.ancestor_sum(self, np.ones(self.n, dtype=np.int64))
 
 
 def from_parents(n: int, parent: Sequence) -> RootedTree:
@@ -163,43 +163,25 @@ _metrics_cache: "weakref.WeakKeyDictionary[RootedTree, TreeMetrics]" = \
     weakref.WeakKeyDictionary()
 
 
-def _bfs_dist(tree: RootedTree, src: int) -> np.ndarray:
-    """Undirected breadth-first distances from ``src``."""
-    dist = np.full(tree.n, -1, dtype=np.int64)
-    dist[src] = 0
-    frontier = [src]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for v in frontier:
-            p = tree.parent[v]
-            if p >= 0 and dist[p] < 0:
-                dist[p] = d
-                nxt.append(int(p))
-            for c in tree.children(v):
-                if dist[c] < 0:
-                    dist[c] = d
-                    nxt.append(int(c))
-        frontier = nxt
-    return dist
-
-
 def compute_metrics(tree: RootedTree) -> TreeMetrics:
-    """All per-tree geometric quantities in O(n) plus a double BFS sweep."""
+    """All per-tree geometric quantities from four O(n) tree passes."""
     cached = _metrics_cache.get(tree)
     if cached is not None:
         return cached
 
-    size, load = _kernels.size_and_load(tree.parent, tree.order, tree.level_ptr)
+    size = _kernels.subtree_sum(tree, np.ones(tree.n, dtype=np.int64))
+    load = _kernels.ancestor_sum(tree, size)
     depth = tree.depths()
     degree = tree.degrees()
 
-    # diameter by double sweep: farthest vertex from the root, then the
-    # farthest vertex from that one
-    d0 = _bfs_dist(tree, tree.root)
-    far = int(np.argmax(d0))
-    diameter = int(_bfs_dist(tree, far).max())
+    # diameter by double sweep: a deepest vertex is an end of a longest
+    # path; dist(v, far) needs the depth of their lowest common ancestor,
+    # which is the number of non-root vertices their root paths share
+    far = int(np.argmax(depth))
+    on_far_path = np.zeros(tree.n, dtype=np.int64)
+    on_far_path[root_path(tree, far)] = 1
+    lca_depth = _kernels.ancestor_sum(tree, on_far_path)
+    diameter = int((depth + depth[far] - 2 * lca_depth).max())
 
     level_counts = np.diff(tree.level_ptr)
     tail = np.cumsum(level_counts[::-1])[::-1].astype(np.int64)
@@ -258,15 +240,12 @@ class CenterOfMass:
 
 
 def subtree_vertices(tree: RootedTree, v: int) -> list:
-    """All descendants of ``v`` including ``v`` itself."""
-    out = [v]
-    stack = [v]
-    while stack:
-        u = stack.pop()
-        for c in tree.children(u):
-            out.append(int(c))
-            stack.append(int(c))
-    return out
+    """All descendants of ``v`` including ``v`` itself, ascending."""
+    if v == tree.root:
+        return list(range(tree.n))
+    mark = np.zeros(tree.n, dtype=np.int64)
+    mark[v] = 1
+    return np.nonzero(_kernels.ancestor_sum(tree, mark))[0].tolist()
 
 
 def center_of_mass(tree: RootedTree, at: Optional[int] = None) -> CenterOfMass:
@@ -307,16 +286,6 @@ def center_of_mass(tree: RootedTree, at: Optional[int] = None) -> CenterOfMass:
         comps.append((n - int(size[x]), int(tree.parent[x]), (int(tree.parent[x]),)))
     comps.sort(key=lambda t: (-t[0], t[1]))
 
-    def anchors_to_part(anchor_groups):
-        part = {x}
-        for a in anchor_groups:
-            if a == tree.parent[x]:
-                below = set(subtree_vertices(tree, x))
-                part.update(v for v in range(n) if v not in below)
-            else:
-                part.update(subtree_vertices(tree, a))
-        return frozenset(part)
-
     if len(comps) == 1:
         group_a, group_b = [comps[0][1]], []
     elif len(comps) == 2:
@@ -339,8 +308,24 @@ def center_of_mass(tree: RootedTree, at: Optional[int] = None) -> CenterOfMass:
             else:  # reduced to 2 by merging
                 group_a, group_b = list(comps[0][2]), list(comps[1][2])
 
-    part_a = anchors_to_part(group_a)
-    part_b = anchors_to_part(group_b)
+    # one ancestor_sum spreads each child anchor's group mark over its
+    # subtree; what stays 0 is x and the component through parent[x]
+    mark = np.zeros(n, dtype=np.int64)
+    mark[group_a] = 1
+    mark[group_b] = 2
+    up = int(tree.parent[x])
+    up_mark = 0
+    if up >= 0:
+        up_mark, mark[up] = int(mark[up]), 0
+    side = _kernels.ancestor_sum(tree, mark)
+    side[side == 0] = up_mark
+
+    def part(m):
+        members = side == m
+        members[x] = True
+        return frozenset(np.nonzero(members)[0].tolist())
+
+    part_a, part_b = part(1), part(2)
     if (len(part_a), sorted(part_a)) > (len(part_b), sorted(part_b)):
         part_a, part_b = part_b, part_a
     delta = min(len(part_a), len(part_b)) / n
@@ -357,20 +342,10 @@ def reroot(tree: RootedTree, new_root: int) -> RootedTree:
         raise ValidationError(f"new root {new_root} out of range")
     if new_root == tree.root:
         return tree
-    par = np.full(tree.n, -1, dtype=np.int64)
-    seen = np.zeros(tree.n, dtype=bool)
-    seen[new_root] = True
-    stack = [new_root]
-    while stack:
-        v = stack.pop()
-        nbrs = list(tree.children(v))
-        if tree.parent[v] >= 0:
-            nbrs.append(int(tree.parent[v]))
-        for u in nbrs:
-            if not seen[u]:
-                seen[u] = True
-                par[u] = v
-                stack.append(int(u))
+    path = root_path(tree, new_root)
+    par = tree.parent.copy()
+    par[path[:-1]] = path[1:]
+    par[new_root] = -1
     return from_parents(tree.n, par)
 
 

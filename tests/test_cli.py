@@ -30,6 +30,13 @@ class TestGen:
         assert code == 2
         assert "seed" in err
 
+    def test_poisson_rate_too_large_exit_code(self, capsys):
+        code, _, err = run_cli(["gen", "--family", "gw_size", "--n", "10",
+                                "--offspring", "poisson:800", "--seed", "1"],
+                               capsys)
+        assert code == 2
+        assert "poisson" in err
+
     def test_gen_to_file_and_round_trip(self, tmp_path, capsys):
         path = tmp_path / "t.txt"
         code, _, _ = run_cli(["gen", "--family", "gw_size", "--n", "25",

@@ -24,6 +24,13 @@ class TestOffspring:
         d = OD.poisson(1.3)
         assert (d.mean, d.variance) == (1.3, 1.3)
 
+    def test_poisson_rate_with_underflowing_p0_rejected(self):
+        OD.poisson(745.0)  # exp(-745) is still a positive subnormal
+        with pytest.raises(ValidationError):
+            OD.poisson(746.0)
+        with pytest.raises(ValidationError):
+            SplitMix64(1).poisson(746.0)
+
     def test_table_moments(self):
         d = OD.table([0.25, 0.5, 0.25])
         assert d.mean == pytest.approx(1.0)

@@ -1,64 +1,40 @@
-"""The numba kernels and their numpy fallbacks must agree exactly."""
+"""The two tree primitives against the brute-force oracles, and the kernels
+built on them against dense linear algebra."""
 
 import numpy as np
 import pytest
 
+import treecut as T
 from treecut import _kernels
-from treecut.tree import from_parents
+from treecut.spectral import laplacian
 
-from util import REPO_ROOT, random_tree, subprocess_env
+from util import (brute_depth, brute_path_load, brute_subtree_size,
+                  random_tree)
 
-needs_numba = pytest.mark.skipif(not _kernels.HAS_NUMBA,
-                                 reason="numba backend not available")
-
-
-def _tree_args(n, seed, tall=False):
-    t = random_tree(n, seed, tall)
-    return t, (t.parent, t.order, t.level_ptr)
-
-
-@needs_numba
-@pytest.mark.parametrize("seed,tall", [(0, False), (1, True), (2, False)])
-def test_size_and_load_parity(seed, tall):
-    t, args = _tree_args(400, seed, tall)
-    s_np, l_np = _kernels.IMPLS["numpy"]["size_and_load"](*args)
-    s_nb, l_nb = _kernels.IMPLS["numba"]["size_and_load"](*args)
-    assert np.array_equal(s_np, s_nb)
-    assert np.array_equal(l_np, l_nb)
+PRIMITIVE_TREES = {
+    "tall": lambda: random_tree(90, seed=1, tall=True),
+    "random": lambda: random_tree(90, seed=2),
+    "segment": lambda: T.segment(40),
+    "star": lambda: T.spherically_symmetric([50]),
+    "single": lambda: T.from_parents(1, [-1]),
+}
 
 
-@needs_numba
-def test_tree_solve_parity():
-    t, args = _tree_args(300, seed=5)
-    deg = t.degrees()
-    b = np.ones(t.n)
-    b[t.root] = 0.0
-    x_np = _kernels.IMPLS["numpy"]["tree_solve"](*args, deg, b)
-    x_nb = _kernels.IMPLS["numba"]["tree_solve"](*args, deg, b)
-    assert np.allclose(x_np, x_nb, rtol=0, atol=1e-12)
-
-
-@needs_numba
-def test_matvec_parity():
-    t, _ = _tree_args(250, seed=9, tall=True)
-    x = np.linspace(-1, 2, t.n)
-    y_np = _kernels.IMPLS["numpy"]["laplacian_matvec"](t.parent, t.degrees(), x)
-    y_nb = _kernels.IMPLS["numba"]["laplacian_matvec"](t.parent, t.degrees(), x)
-    assert np.allclose(y_np, y_nb, rtol=0, atol=1e-12)
-
-
-@needs_numba
-def test_tv_parity():
-    rng = np.random.default_rng(3)
-    P = rng.random((80, 80))
-    a = _kernels.IMPLS["numpy"]["tv_from_kernel"](P, 1 / 80)
-    b = _kernels.IMPLS["numba"]["tv_from_kernel"](P, 1 / 80)
-    assert a == pytest.approx(b, abs=1e-13)
+@pytest.mark.parametrize("name", sorted(PRIMITIVE_TREES))
+def test_primitives_match_oracles_exactly(name):
+    t = PRIMITIVE_TREES[name]()
+    ones = np.ones(t.n, dtype=np.int64)
+    size = _kernels.subtree_sum(t, ones)
+    depth = _kernels.ancestor_sum(t, ones)
+    load = _kernels.ancestor_sum(t, size)
+    assert size.dtype == depth.dtype == load.dtype == np.int64
+    assert size.tolist() == [brute_subtree_size(t, v) for v in range(t.n)]
+    assert depth.tolist() == [brute_depth(t, v) for v in range(t.n)]
+    assert load.tolist() == [brute_path_load(t, v) for v in range(t.n)]
 
 
 def test_matvec_against_dense():
     t = random_tree(60, seed=4)
-    from treecut.spectral import laplacian
     Q = laplacian(t)
     x = np.sin(np.arange(t.n, dtype=float))
     y = _kernels.laplacian_matvec(t.parent, t.degrees(), x)
@@ -67,26 +43,11 @@ def test_matvec_against_dense():
 
 def test_tree_solve_solves_dirichlet_system():
     t = random_tree(45, seed=8, tall=True)
-    from treecut.spectral import laplacian
     Q = laplacian(t)
     b = np.arange(t.n, dtype=float)
     b[t.root] = 0.0
-    x = _kernels.tree_solve(t.parent, t.order, t.level_ptr, t.degrees(), b)
+    x = _kernels.tree_solve(t, b)
     resid = Q @ x - b
     resid[t.root] = 0.0  # the root row is replaced by the pin x[root]=0
     assert np.abs(resid).max() < 1e-9
     assert x[t.root] == 0.0
-
-
-def test_env_flag_selects_numpy(tmp_path):
-    # a fresh interpreter with TREECUT_NUMBA=0 must report the numpy backend;
-    # its environment holds only that flag, PATH and PYTHONPATH to this checkout
-    import os
-    import subprocess
-    import sys
-    code = "import treecut._kernels as k; print(k.BACKEND, k.HAS_NUMBA)"
-    env = subprocess_env({"TREECUT_NUMBA": "0", "PATH": os.defpath})
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, cwd=REPO_ROOT)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["numpy", "False"]

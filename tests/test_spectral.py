@@ -183,6 +183,8 @@ class TestWeightedPathBound:
         spine = T.root_path(t, 32)
         bound = T.weighted_path_bound(t, WeightScheme.retraction_weights(spine))
         assert bound >= T.spectrum(t).t_rel - 1e-9
+        with pytest.raises(ValidationError):  # the spine must start at the root
+            T.weighted_path_bound(t, WeightScheme.retraction_weights(spine[1:]))
 
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(ValidationError):

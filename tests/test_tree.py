@@ -9,9 +9,9 @@ import treecut as T
 from treecut.errors import (CycleError, ParentIndexError, RootCountError,
                             TreeFormatError, ValidationError)
 
-from util import (best_center_split, brute_depth, brute_max_edge_load,
-                  brute_path_load, brute_subtree_size, brute_tail_value,
-                  random_tree)
+from util import (best_center_split, brute_depth, brute_diameter,
+                  brute_max_edge_load, brute_path_load, brute_reroot_parent,
+                  brute_subtree_size, brute_tail_value, random_tree)
 
 # the 14-site tree from the contour illustration: root with four branches
 FIG_PARENTS = [-1, 0, 0, 0, 0, 1, 2, 3, 4, 5, 5, 5, 11, 7]
@@ -76,6 +76,12 @@ class TestMetrics:
         m = T.compute_metrics(t)
         assert m.depth.sum() == depth_total
         assert m.subtree_size[t.parent >= 0].sum() == size_total
+
+    def test_diameter_matches_bfs_oracle(self, small_suite):
+        extra = [T.from_parents(1, [-1]), T.segment(9),
+                 T.spherically_symmetric([7]), T.reroot(T.segment(9), 4)]
+        for t in list(small_suite) + extra:
+            assert T.compute_metrics(t).diameter == brute_diameter(t)
 
     def test_path_load_recurrence(self, small_suite):
         for t in small_suite:
@@ -206,6 +212,13 @@ class TestReroot:
         t = T.reroot(T.segment(2), 1)
         assert t.root == 1
         assert sorted(t.children(1)) == [0, 2]
+
+    def test_parent_matches_oracle_at_every_root(self, small_suite):
+        for t in small_suite[:4] + [T.segment(5), T.spherically_symmetric([4])]:
+            for x in range(t.n):
+                r = T.reroot(t, x)
+                assert r.root == x
+                assert r.parent.tolist() == brute_reroot_parent(t, x)
 
     def test_degree_multiset_and_diameter_preserved(self, small_suite):
         for t in small_suite[:15]:

@@ -100,6 +100,32 @@ def brute_path_load(tree, v):
     return total
 
 
+def _bfs_parents(adj, src):
+    """Breadth-first predecessor of every vertex, -1 at ``src``, and distances."""
+    parent = {src: -1}
+    dist = {src: 0}
+    queue = [src]
+    for u in queue:
+        for w in adj[u]:
+            if w not in dist:
+                parent[w] = u
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return parent, dist
+
+
+def brute_diameter(tree):
+    """Largest distance over all pairs: one BFS over ``adjacency`` per vertex."""
+    adj = adjacency(tree)
+    return max(max(_bfs_parents(adj, s)[1].values()) for s in range(tree.n))
+
+
+def brute_reroot_parent(tree, new_root):
+    """Parent array oriented toward ``new_root``: each vertex's BFS predecessor."""
+    parent, _ = _bfs_parents(adjacency(tree), new_root)
+    return [parent[v] for v in range(tree.n)]
+
+
 def brute_max_edge_load(tree):
     best = 0
     for v in range(tree.n):

@@ -1,11 +1,22 @@
 """Exact total-variation mixing via heat kernels, and hitting-time bounds.
 
-The transition kernel of the variable-speed walk is P_t = U exp(-t L) U^T
-with (L, U) the eigendecomposition of the Laplacian, shared with
-:mod:`treecut.spectral` through its per-tree cache.  The worst-case
-total-variation distance d(t) = max over starts of the TV distance to the
-uniform measure is non-increasing, so the epsilon-mixing time comes from a
-bisection on d.
+The transition kernel of the variable-speed walk is
+P_t = sum_j exp(-t lambda_j) u_j u_j^T over the eigenpairs of the
+Laplacian, shared with :mod:`treecut.spectral` through its per-tree cache
+(Levin-Peres-Wilmer, *Markov Chains and Mixing Times*, ch. 12).  Near the
+mixing time almost every mode is negligible, so each TV evaluation keeps
+only the first k modes, k the smallest count whose certified tail
+1/2 sum_{j>=k} exp(-t lambda_j) |u_j|_inf |u_j|_1 is at most ``TAIL_TOL``;
+that tail bounds the change of every start's TV distance.  One start then
+costs O(n k) and all starts O(n^2 k), never the full n x n GEMM.
+
+The worst-case distance d(t) = max over starts x of TV_x(t) is
+non-increasing, and so is every TV_x.  ``mixing_time`` bisects on a single
+candidate start: TV_x(t) > epsilon proves d(t) > epsilon, so such a t is a
+safe lower end.  The upper end is accepted only after one all-starts check
+at the final bracket, which also names the worst start; if that check
+fails, its time becomes the lower end, its worst start the candidate, and
+the bracket grows again.
 
 Expected hitting times come from the paper's identity: hitting the root
 from v takes exactly the sum of subtree sizes along the root path of v
@@ -16,6 +27,7 @@ suite verifies the identity against a dense solve of (D - A) h = 1.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,10 +46,48 @@ __all__ = [
 ]
 
 
-def _kernel_matrix(tree: RootedTree, t: float, eig: Eigensystem) -> np.ndarray:
-    """P_t as W W^T with W = U exp(-t L / 2); one GEMM per evaluation."""
-    W = eig.vectors * np.exp(-0.5 * t * eig.values)[None, :]
+TAIL_TOL = 1e-12  # certified truncation error allowed per TV evaluation
+
+# per tree: (eigensystem, |u_j|_inf * |u_j|_1 for every eigenvector u_j)
+_mode_factor_cache: "weakref.WeakKeyDictionary[RootedTree, tuple]" = \
+    weakref.WeakKeyDictionary()
+
+
+def _mode_factors(tree: RootedTree, eig: Eigensystem) -> np.ndarray:
+    """|u_j|_inf |u_j|_1 per eigenvector, computed once per eigensystem."""
+    cached = _mode_factor_cache.get(tree)
+    if cached is None or cached[0] is not eig:
+        mag = np.abs(eig.vectors)
+        cached = (eig, mag.max(axis=0) * mag.sum(axis=0))
+        _mode_factor_cache[tree] = cached
+    return cached[1]
+
+
+def _kept_modes(tree: RootedTree, t: float, eig: Eigensystem):
+    """Smallest mode count k whose dropped tail is <= TAIL_TOL, and that tail.
+
+    Dropping modes j >= k moves row x of P_t by at most
+    sum_{j>=k} exp(-t lambda_j) |u_j(x)| |u_j|_1 in l1, so half of that sum
+    with |u_j(x)| replaced by |u_j|_inf bounds the change of every start's
+    TV distance.
+    """
+    tails = 0.5 * np.cumsum((np.exp(-t * eig.values)
+                             * _mode_factors(tree, eig))[::-1])[::-1]
+    tails = np.append(tails, 0.0)  # tails[k] = half the sum over j >= k
+    k = int(np.argmax(tails <= TAIL_TOL))
+    return k, float(tails[k])
+
+
+def _kernel(tree: RootedTree, t: float, eig: Eigensystem) -> np.ndarray:
+    """P_t from the kept modes, as W W^T with W = U_k exp(-t L_k / 2)."""
+    k, _ = _kept_modes(tree, t, eig)
+    W = eig.vectors[:, :k] * np.exp(-0.5 * t * eig.values[:k])
     return W @ W.T
+
+
+def _check_start(tree: RootedTree, start: int) -> None:
+    if not 0 <= start < tree.n:
+        raise ValidationError(f"start vertex {start} out of range")
 
 
 def heat_kernel_tv(tree: RootedTree, t: float,
@@ -47,19 +97,20 @@ def heat_kernel_tv(tree: RootedTree, t: float,
         raise ValidationError(f"time must be >= 0, got {t}")
     if eig is None:
         eig = decompose(tree)
-    return _kernels.tv_from_kernel(_kernel_matrix(tree, t, eig), 1.0 / tree.n)
+    return _kernels.tv_from_kernel(_kernel(tree, t, eig), 1.0 / tree.n)
 
 
 def tv_from_start(tree: RootedTree, t: float, start: int,
                   eig: Optional[Eigensystem] = None) -> float:
-    """Total-variation distance to uniform at time t from one start."""
+    """Total-variation distance to uniform at time t from one start, O(n k)."""
     if t < 0:
         raise ValidationError(f"time must be >= 0, got {t}")
-    if not 0 <= start < tree.n:
-        raise ValidationError(f"start vertex {start} out of range")
+    _check_start(tree, start)
     if eig is None:
         eig = decompose(tree)
-    row = (eig.vectors[start] * np.exp(-t * eig.values)) @ eig.vectors.T
+    k, _ = _kept_modes(tree, t, eig)
+    U = eig.vectors[:, :k]
+    row = U @ (U[start] * np.exp(-t * eig.values[:k]))
     return 0.5 * float(np.abs(row - 1.0 / tree.n).sum())
 
 
@@ -67,69 +118,91 @@ def tv_from_start(tree: RootedTree, t: float, start: int,
 class MixingResult:
     """epsilon-mixing time with the evaluated points of the TV curve.
 
-    ``tv_curve`` holds the (t, d(t)) pairs visited while bracketing and
-    bisecting, sorted by t; ``worst_start`` attains the max at t_mix.
+    ``tv_curve`` holds the (t, TV) pairs of the start the search followed
+    last, sorted by t; each is a lower bound on d(t).  ``worst_start``
+    attains the max at t_mix.  ``tail_bound`` is the certified truncation
+    error of the TV evaluation that accepted t_mix (0 when t_mix = 0).
     """
 
     epsilon: float
     t_mix: float
     worst_start: int
     tv_curve: np.ndarray
+    tail_bound: float = 0.0
+
+
+def _worst_start(tree: RootedTree, t: float, eig: Eigensystem):
+    """d(t) over all starts and a start attaining it, from one kernel."""
+    P = _kernel(tree, t, eig)
+    d = _kernels.tv_from_kernel(P, 1.0 / tree.n)
+    P -= 1.0 / tree.n  # the same row sums again, in place
+    return d, int(np.argmax(np.abs(P, out=P).sum(axis=1)))
 
 
 def mixing_time(tree: RootedTree, epsilon: float, start: Optional[int] = None,
                 rtol: float = 1e-8) -> MixingResult:
     """First time the (worst-start) TV distance drops to epsilon.
 
-    Bisection on the monotone d(t) to relative tolerance ``rtol``, with the
-    bracket grown geometrically from the relaxation time.  epsilon at or
-    above the t=0 distance 1 - 1/n yields 0.
+    Bisection to relative tolerance ``rtol`` on one candidate start x,
+    with the bracket grown geometrically from the relaxation time.  A time
+    with TV_x > epsilon is a proven lower end, since d >= TV_x.  Without
+    ``start``, the upper end is accepted only if d <= epsilon there over
+    all starts; otherwise that time becomes the lower end, the worst start
+    there the candidate, and the bracket grows again.  epsilon at or above
+    the t=0 distance 1 - 1/n yields 0.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValidationError(f"epsilon must be in (0, 1), got {epsilon}")
+    if start is not None:
+        _check_start(tree, start)
+    d0 = 1.0 - 1.0 / tree.n  # P_0 = I: every start sits at 1 - 1/n
+    if epsilon >= d0:
+        return MixingResult(epsilon, 0.0, tree.root if start is None else start,
+                            np.array([(0.0, d0)]))
+
     eig = decompose(tree)
+    # first candidate: where the slowest mode peaks, the worst start once
+    # that mode dominates
+    x = start if start is not None else int(np.argmax(np.abs(eig.vectors[:, 1])))
+    samples = [(0.0, d0)]
 
-    if start is None:
-        d = lambda t: heat_kernel_tv(tree, t, eig)
-    else:
-        d = lambda t: tv_from_start(tree, t, start, eig)
-
-    samples = []
-
-    def eval_d(t):
-        val = d(t)
+    def tv_x(t):
+        val = tv_from_start(tree, t, x, eig)
         samples.append((t, val))
         return val
 
-    d0 = eval_d(0.0)
-    if epsilon >= d0:
-        return MixingResult(epsilon, 0.0, tree.root if start is None else start,
-                            np.array(samples))
+    lo, hi = 0.0, 1.0 / float(eig.values[1])
+    doublings = 0
 
-    t_rel = 1.0 / float(eig.values[1])
-    lo, hi = 0.0, t_rel
-    grow = 0
-    while eval_d(hi) > epsilon:
+    def widen():
+        nonlocal lo, hi, doublings
         lo, hi = hi, 2.0 * hi
-        grow += 1
-        if grow > 400:
+        doublings += 1
+        if doublings > 400:
             raise ValidationError("TV distance failed to drop below epsilon "
                                   "(is epsilon representable at this size?)")
-    while hi - lo > rtol * hi:
-        mid = 0.5 * (lo + hi)
-        if eval_d(mid) <= epsilon:
-            hi = mid
-        else:
-            lo = mid
 
-    if start is None:
-        P = _kernel_matrix(tree, hi, eig)
-        worst = int(np.argmax(np.abs(P - 1.0 / tree.n).sum(axis=1)))
-    else:
-        worst = start
-    curve = np.array(sorted(set(samples)))
+    while True:
+        while tv_x(hi) > epsilon:
+            widen()
+        while hi - lo > rtol * hi:
+            mid = 0.5 * (lo + hi)
+            if tv_x(mid) <= epsilon:
+                hi = mid
+            else:
+                lo = mid
+        if start is not None:
+            worst = start
+            break
+        d, worst = _worst_start(tree, hi, eig)
+        if d <= epsilon:
+            break
+        x, samples = worst, [(0.0, d0), (hi, d)]
+        widen()
+
     return MixingResult(epsilon=epsilon, t_mix=hi, worst_start=worst,
-                        tv_curve=curve)
+                        tv_curve=np.array(sorted(set(samples))),
+                        tail_bound=_kept_modes(tree, hi, eig)[1])
 
 
 def tv_curve(tree: RootedTree, n_samples: int, t_max: Optional[float] = None,

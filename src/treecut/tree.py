@@ -17,6 +17,7 @@ labels, one call per set of disjoint subtrees.
 
 from __future__ import annotations
 
+import heapq
 import weakref
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
@@ -280,33 +281,27 @@ def center_of_mass(tree: RootedTree, at: Optional[int] = None) -> CenterOfMass:
             raise ValidationError(f"split vertex {at} out of range")
         x = int(at)
 
-    # components of the tree minus x, keyed by the neighbor they contain
-    comps = [(int(size[c]), int(c), (int(c),)) for c in tree.children(x)]
+    # components of the tree minus x as a min-heap on (size, -neighbor):
+    # smallest first, ties to the larger neighbor index; a merged component
+    # is keyed by the smallest neighbor it contains
+    comps = [(int(size[c]), -int(c), [int(c)]) for c in tree.children(x)]
     if x != tree.root:
-        comps.append((n - int(size[x]), int(tree.parent[x]), (int(tree.parent[x]),)))
-    comps.sort(key=lambda t: (-t[0], t[1]))
+        comps.append((n - int(size[x]), -int(tree.parent[x]), [int(tree.parent[x])]))
+    heapq.heapify(comps)
 
-    if len(comps) == 1:
-        group_a, group_b = [comps[0][1]], []
-    elif len(comps) == 2:
-        group_a, group_b = [comps[0][1]], [comps[1][1]]
-    else:
-        while len(comps) > 3:
-            s2, s1 = comps[-2], comps[-1]  # second smallest, smallest
-            merged_size = s1[0] + s2[0]
-            if 3 * merged_size >= n - 1:
-                group_a = list(s1[2]) + list(s2[2])
-                group_b = [a for c in comps[:-2] for a in c[2]]
-                break
-            comps = comps[:-2]
-            comps.append((merged_size, min(s1[1], s2[1]), s1[2] + s2[2]))
-            comps.sort(key=lambda t: (-t[0], t[1]))
-        else:
-            if len(comps) == 3:
-                group_a = list(comps[0][2])
-                group_b = list(comps[1][2]) + list(comps[2][2])
-            else:  # reduced to 2 by merging
-                group_a, group_b = list(comps[0][2]), list(comps[1][2])
+    while len(comps) > 3:
+        s1 = heapq.heappop(comps)  # smallest
+        s2 = heapq.heappop(comps)  # second smallest
+        merged_size = s1[0] + s2[0]
+        if 3 * merged_size >= n - 1:
+            group_a = s1[2] + s2[2]
+            group_b = [a for c in comps for a in c[2]]
+            break
+        heapq.heappush(comps, (merged_size, max(s1[1], s2[1]), s1[2] + s2[2]))
+    else:  # at most three components: the largest stands alone
+        largest = max(comps)
+        group_a = largest[2]
+        group_b = [a for c in comps if c is not largest for a in c[2]]
 
     # one ancestor_sum spreads each child anchor's group mark over its
     # subtree; what stays 0 is x and the component through parent[x]

@@ -5,9 +5,12 @@ import pytest
 from scipy.linalg import expm
 
 import treecut as T
+from treecut import _kernels
+from treecut import mixing as M
 from treecut.errors import ValidationError
+from treecut.spectral import decompose
 
-from util import random_tree
+from util import dense_mixing_time, dense_tv_rows, random_tree
 
 
 def tv_by_expm(tree, t):
@@ -94,6 +97,76 @@ class TestMixingTime:
         assert table.shape == (10, 2)
         assert table[0, 1] == pytest.approx(2 / 3, abs=1e-12)
         assert np.all(np.diff(table[:, 1]) <= 1e-12)
+
+
+def assert_matches_dense(tree, eps, start=None, rtol=1e-8):
+    """t_mix within rtol of the full-GEMM bisection; worst_start attains d."""
+    res = T.mixing_time(tree, eps, start=start, rtol=rtol)
+    t_ref = dense_mixing_time(tree, eps, start=start, rtol=rtol)
+    assert abs(res.t_mix - t_ref) <= rtol * max(res.t_mix, t_ref)
+    assert 0.0 <= res.tail_bound <= M.TAIL_TOL
+    if start is None:
+        rows = dense_tv_rows(tree, res.t_mix)
+        # symmetric starts tie; either one may be returned
+        assert rows.max() - rows[res.worst_start] <= 1e-12
+    return res
+
+
+class TestTruncatedSearch:
+    """Truncated modes and single-start bisection against the dense reference."""
+
+    EPSILONS = (0.25, 0.1)
+
+    def test_random_suite(self, random_suite):
+        for tree in random_suite:
+            for eps in self.EPSILONS:
+                assert_matches_dense(tree, eps)
+
+    @pytest.mark.parametrize("size", [64, 128, 256])
+    def test_cor15(self, size):
+        for eps in self.EPSILONS:
+            assert_matches_dense(T.cor15_tree(size), eps)
+
+    @pytest.mark.parametrize("depth", [5, 6, 7, 8])
+    def test_spherically_symmetric_binary(self, depth):
+        for eps in self.EPSILONS:
+            assert_matches_dense(T.spherically_symmetric([2] + [3] * (depth - 1)), eps)
+
+    def test_fixed_start(self):
+        for seed in range(4):
+            tree = random_tree(50, seed=seed, tall=seed % 2 == 1)
+            for start in (0, 17, 49):
+                assert_matches_dense(tree, 0.25, start=start)
+
+    def test_rejected_candidate_switches_start(self, monkeypatch):
+        # the first candidate is not the worst start at its bracket end, so
+        # the all-starts check fails once and the search resumes from there
+        checks = []
+        tv_from_kernel = _kernels.tv_from_kernel
+        monkeypatch.setattr(_kernels, "tv_from_kernel",
+                            lambda P, pi: checks.append(pi) or tv_from_kernel(P, pi))
+        assert_matches_dense(random_tree(80, seed=0), 0.25)
+        assert len(checks) >= 2
+
+    def test_truncated_tv_within_reported_bound(self):
+        for seed in range(6):
+            tree = random_tree(30 + 10 * seed, seed=seed, tall=seed % 2 == 0)
+            eig = decompose(tree)
+            t_rel = 1.0 / eig.values[1]
+            for t in (0.02 * t_rel, 0.3 * t_rel, t_rel, 4.0 * t_rel):
+                k, bound = M._kept_modes(tree, t, eig)
+                rows = dense_tv_rows(tree, t, (eig.values, eig.vectors))
+                # the bound covers the dropped modes; 1e-14 covers rounding
+                assert abs(T.heat_kernel_tv(tree, t) - rows.max()) <= bound + 1e-14
+                for x in (0, tree.n // 2, tree.n - 1):
+                    assert abs(T.tv_from_start(tree, t, x) - rows[x]) <= bound + 1e-14
+            # by 4 t_rel the truncation drops modes
+            assert k < tree.n and bound <= M.TAIL_TOL
+
+    def test_zero_mixing_time_needs_no_kernel(self):
+        res = T.mixing_time(T.segment(2), 0.7)
+        assert (res.t_mix, res.tail_bound) == (0.0, 0.0)
+        assert res.tv_curve.tolist() == [[0.0, 1 - 1 / 3]]
 
 
 class TestHitting:

@@ -160,6 +160,27 @@ class TestCenterOfMass:
         assert c.part_a & c.part_b == {0}
         assert c.delta == pytest.approx(3 / 5)
 
+    def test_merge_order_on_stars(self):
+        # equal components merge largest neighbor index first; a merged
+        # component is keyed by its smallest neighbor
+        c = T.center_of_mass(T.spherically_symmetric([5]))
+        assert (sorted(c.part_a), sorted(c.part_b)) == ([0, 4, 5], [0, 1, 2, 3])
+        c = T.center_of_mass(T.spherically_symmetric([9]))
+        assert (sorted(c.part_a), sorted(c.part_b)) == ([0, 1, 8, 9], [0, 2, 3, 4, 5, 6, 7])
+        assert c.delta == pytest.approx(0.4)
+        # spider with legs 2,1,1,2,1: leaves 7 and 4 merge into a size-2
+        # component keyed 4, so leaf 3 then pairs with the leg at 5, not it
+        spider = T.from_parents(8, [-1, 0, 1, 0, 0, 0, 5, 0])
+        c = T.center_of_mass(spider, at=0)
+        assert (sorted(c.part_a), sorted(c.part_b)) == ([0, 3, 5, 6], [0, 1, 2, 4, 7])
+
+    def test_wide_star_balanced(self):
+        for k in (3, 50, 2000):
+            c = T.center_of_mass(T.spherically_symmetric([k]))
+            assert c.part_a | c.part_b == set(range(k + 1))
+            assert c.part_a & c.part_b == {0}
+            assert min(len(c.part_a), len(c.part_b)) >= -(-(k + 1) // 3)
+
     def test_single_vertex(self):
         c = T.center_of_mass(T.from_parents(1, [-1]))
         assert c.part_a == c.part_b == frozenset({0})

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from treecut import from_parents
+from treecut import from_parents, laplacian
 from treecut.rng import SplitMix64, derive_seed
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -164,3 +164,38 @@ def best_center_split(tree, max_components=20):
             a_sum = sum(s for i, s in enumerate(comp_sizes[:-1]) if mask >> i & 1)
             best = max(best, min(a_sum + 1, n - a_sum) / n)
     return best
+
+
+def dense_tv_rows(tree, t, eig=None):
+    """TV distance to uniform at time t from every start, from the full kernel.
+
+    ``eig`` is ``(values, vectors)`` of the Laplacian; by default a fresh
+    ``eigh``.  Every mode is kept: P_t = W W^T with W = U exp(-t L / 2).
+    """
+    values, vectors = np.linalg.eigh(laplacian(tree)) if eig is None else eig
+    W = vectors * np.exp(-0.5 * t * values)
+    return 0.5 * np.abs(W @ W.T - 1.0 / tree.n).sum(axis=1)
+
+
+def dense_mixing_time(tree, epsilon, start=None, rtol=1e-8):
+    """Reference epsilon-mixing time, worst start or from ``start``.
+
+    Bisection on d(t), the max of ``dense_tv_rows`` (or its ``start`` entry),
+    one full n x n GEMM per step, with the bracket grown by doubling from
+    the relaxation time.
+    """
+    eig = np.linalg.eigh(laplacian(tree))
+    pick = np.max if start is None else (lambda rows: rows[start])
+    d = lambda t: pick(dense_tv_rows(tree, t, eig))
+    if epsilon >= d(0.0):
+        return 0.0
+    lo, hi = 0.0, 1.0 / eig[0][1]
+    while d(hi) > epsilon:
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > rtol * hi:
+        mid = 0.5 * (lo + hi)
+        if d(mid) <= epsilon:
+            hi = mid
+        else:
+            lo = mid
+    return hi

@@ -11,7 +11,8 @@ constrained-minimum ``nu`` of squared edge weights covering a vertex set.
 Dense eigendecompositions use the LAPACK symmetric solver and are cached
 per tree (the mixing module shares them).  The dense cap defaults to 4096
 vertices and can be overridden with the ``TREECUT_MAX_VERTICES``
-environment variable.
+environment variable.  Every other eigenvalue, the gap above the cap and
+the Hardy constants, comes from one Lanczos solver over tree passes.
 """
 
 from __future__ import annotations
@@ -107,60 +108,73 @@ def spectrum(tree: RootedTree) -> SpectrumResult:
     return SpectrumResult(eigenvalues=eig.values, gap=gap, t_rel=1.0 / gap)
 
 
-def gap_iterative(tree: RootedTree, tol: float = 1e-10, max_iter: int = 1000,
-                  seed: int = 0x5EED) -> float:
-    """Spectral gap without a dense solve, for trees above the dense cap.
+LANCZOS_TOL = 1e-10  # relative Ritz residual at which a solve stops
+LANCZOS_MAX_STEPS = 1000
+LANCZOS_SEED = 0x5EED  # start vector of the gap solve
 
-    Lanczos iteration on the pseudo-inverse of Q restricted to the
-    mean-zero subspace; each operator application is one O(n) tree-
-    structured elimination (no fill-in on a tree).  Full
-    reorthogonalization keeps the extremal Ritz value trustworthy; the
-    returned gap is 1/theta for the converged top Ritz value theta.
+
+def _lanczos_top(apply: Callable[[np.ndarray], np.ndarray],
+                 project: Callable[[np.ndarray], None], start, tol: float) -> float:
+    """Top Ritz value of a symmetric positive semi-definite operator.
+
+    Lanczos from ``start`` with two-pass full reorthogonalization; ``project``
+    maps a vector in place onto the operator's subspace and is applied to
+    the start and to each new Lanczos vector.  Stops at relative Ritz
+    residual ``tol``, when the Krylov space is exhausted, or after
+    ``LANCZOS_MAX_STEPS`` steps.  The basis doubles its rows as it fills.
     """
-    if tree.n < 2:
-        raise DegenerateInputError("the spectral gap is undefined for a single vertex")
-    n = tree.n
-
-    def apply_pinv(v):
-        w = v - v.mean()
-        x = _kernels.tree_solve(tree, w)
-        return x - x.mean()
-
-    rng = SplitMix64(seed)
-    q = np.array([rng.random() - 0.5 for _ in range(n)])
-    q -= q.mean()
+    q = np.array(start, dtype=np.float64)
+    project(q)
     q /= np.linalg.norm(q)
-
-    m = min(max_iter, n - 1)
-    basis = np.empty((m, n))
-    alphas = np.empty(m)
-    betas = np.empty(m)
+    basis = np.empty((8, q.size))
+    alphas, betas = [], []
     theta = 0.0
-    k = 0
-    for j in range(m):
+    for j in range(LANCZOS_MAX_STEPS):
+        if j == len(basis):
+            basis = np.concatenate([basis, np.empty_like(basis)])
         basis[j] = q
-        w = apply_pinv(q)
-        alphas[j] = float(w @ q)
+        w = apply(q)
+        alphas.append(float(w @ q))
         w -= alphas[j] * q
         if j > 0:
             w -= betas[j - 1] * basis[j - 1]
-        # two-pass full reorthogonalization against the whole basis
         for _ in range(2):
             w -= basis[:j + 1].T @ (basis[:j + 1] @ w)
-        w -= w.mean()
+        project(w)
         beta = float(np.linalg.norm(w))
-        betas[j] = beta
-        k = j + 1
-        T = np.diag(alphas[:k])
-        if k > 1:
-            off = betas[:k - 1]
-            T += np.diag(off, 1) + np.diag(off, -1)
+        betas.append(beta)
+        T = np.diag(alphas) + np.diag(betas[:j], 1) + np.diag(betas[:j], -1)
         vals, vecs = np.linalg.eigh(T)
         theta = float(vals[-1])
         resid = abs(beta * vecs[-1, -1])
         if resid <= tol * max(theta, 1e-300) or beta <= 1e-14 * max(theta, 1.0):
             break
         q = w / beta
+    return theta
+
+
+def gap_iterative(tree: RootedTree, tol: float = LANCZOS_TOL) -> float:
+    """Spectral gap without a dense solve, for trees above the dense cap.
+
+    The gap is 1/theta for the top Ritz value theta of the pseudo-inverse
+    of Q on the mean-zero subspace, found by ``_lanczos_top`` from a
+    seeded random start.  Each operator application is one O(n) tree
+    solve (no fill-in on a tree).
+    """
+    if tree.n < 2:
+        raise DegenerateInputError("the spectral gap is undefined for a single vertex")
+
+    def apply_pinv(v):
+        w = v - v.mean()
+        x = _kernels.tree_solve(tree, w)
+        return x - x.mean()
+
+    def center(v):
+        v -= v.mean()
+
+    rng = SplitMix64(LANCZOS_SEED)
+    start = [rng.random() - 0.5 for _ in range(tree.n)]
+    theta = _lanczos_top(apply_pinv, center, start, tol)
     if theta <= 0:
         raise ResourceLimitError("iterative gap solver failed to find a positive Ritz value")
     return 1.0 / theta
@@ -189,16 +203,19 @@ def rayleigh(tree: RootedTree, f) -> float:
 # the discrete Hardy inequality on a rooted tree
 # ---------------------------------------------------------------------------
 
-def hardy_constant(tree: RootedTree, part: Iterable[int],
-                   dense_limit: int = 1500) -> float:
+def hardy_constant(tree: RootedTree, part: Iterable[int]) -> float:
     """Optimal constant of the Hardy inequality restricted to a root part.
 
     ``part`` must induce a subtree containing the root.  The constant is
-    the top eigenvalue of the Gram matrix of the ancestor-incidence map
-    (vertices of the part versus edges of the part), computed densely up
-    to ``dense_limit`` edges and by power iteration above that.
+    the top eigenvalue of the Gram operator of the ancestor-incidence map
+    (vertices of the part versus edges of the part): ``ancestor_sum`` on the
+    part, then ``subtree_sum``, kept on the part's edges.  ``_lanczos_top``
+    finds it from the edge indicator; the Ritz value returned is a lower
+    bound converged to relative residual ``LANCZOS_TOL``.
     """
     part = sorted(set(int(v) for v in part))
+    if part and not 0 <= part[0] <= part[-1] < tree.n:
+        raise ValidationError(f"part has a vertex outside 0..{tree.n - 1}")
     in_part = np.zeros(tree.n, dtype=bool)
     in_part[part] = True
     if not in_part[tree.root]:
@@ -206,43 +223,18 @@ def hardy_constant(tree: RootedTree, part: Iterable[int],
     for v in part:
         if v != tree.root and not in_part[tree.parent[v]]:
             raise ValidationError(f"part is not a subtree: parent of {v} is missing")
-    edges = [v for v in part if v != tree.root]  # edge = (parent[v], v)
-    m = len(edges)
-    if m == 0:
+    off_edges = ~in_part  # edge = (parent[v], v) for v in the part
+    off_edges[tree.root] = True
+    if off_edges.all():
         return 0.0
 
-    if m <= dense_limit:
-        col = {v: i for i, v in enumerate(edges)}
-        M = np.zeros((len(part), m))
-        for r, v in enumerate(part):
-            u = v
-            while u != tree.root:
-                M[r, col[u]] = 1.0
-                u = int(tree.parent[u])
-        gram_vals = np.linalg.eigvalsh(M.T @ M)
-        return float(gram_vals[-1])
+    def gram(g):
+        return _kernels.subtree_sum(tree, _kernels.ancestor_sum(tree, g) * in_part)
 
-    # power iteration on the Gram operator, using O(n) path and subtree sums
-    mask = in_part.astype(np.float64)
-    g = np.zeros(tree.n)
-    g[edges] = 1.0
-    g /= np.linalg.norm(g)
-    lam = 0.0
-    for _ in range(50_000):
-        S = _kernels.ancestor_sum(tree, g) * mask
-        h = _kernels.subtree_sum(tree, S)
-        new = np.zeros(tree.n)
-        new[edges] = h[edges]
-        nrm = np.linalg.norm(new)
-        if nrm == 0:
-            return 0.0
-        new /= nrm
-        lam_new = float(nrm)
-        if abs(lam_new - lam) <= 1e-13 * max(lam_new, 1.0):
-            lam = lam_new
-            break
-        lam, g = lam_new, new
-    return lam
+    def on_edges(g):
+        g[off_edges] = 0.0
+
+    return _lanczos_top(gram, on_edges, np.ones(tree.n), LANCZOS_TOL)
 
 
 @dataclass(frozen=True)
@@ -250,7 +242,10 @@ class HardyCertificate:
     """Two-sided enclosure of the gap from the Hardy constants of a split.
 
     ``interval = [1/A, 1/(delta*A)]`` for the split at ``vertex`` with
-    balance ``delta``; the exact gap of the walk lies inside it.
+    balance ``delta``; the exact gap of the walk lies inside it.  ``A`` is
+    the larger Hardy constant of the two parts, each a Lanczos Ritz value:
+    a lower bound on the exact constant, converged to relative residual
+    ``LANCZOS_TOL``.
     """
 
     A: float

@@ -1,5 +1,7 @@
 """Laplacian spectra, Hardy machinery, weighted-path bounds, nu."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from treecut.errors import (DegenerateInputError, ResourceLimitError,
 from treecut.rng import SplitMix64
 from treecut.spectral import WeightScheme
 
-from util import random_tree
+from util import dense_hardy_constant, random_tree
 
 GOLDEN_RATIO_SQ = (3 + np.sqrt(5)) / 2  # top Gram eigenvalue of a 2-edge path
 
@@ -75,6 +77,17 @@ class TestGapIterative:
     def test_two_path(self):
         assert T.gap_iterative(T.segment(1)) == pytest.approx(2.0, rel=1e-10)
 
+    def test_basis_grows_with_the_iteration(self):
+        # converges in about 10 steps: the basis must not be sized by the step cap
+        t = T.binary_of_size(20_000)
+        tracemalloc.start()
+        try:
+            T.gap_iterative(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * t.n * 8
+
 
 class TestRayleigh:
     def test_two_path_by_hand(self):
@@ -117,6 +130,10 @@ class TestHardyConstant:
             T.hardy_constant(T.segment(2), [1, 2])  # missing root
         with pytest.raises(ValidationError):
             T.hardy_constant(T.segment(3), [0, 1, 3])  # gap in the path
+        with pytest.raises(ValidationError):
+            T.hardy_constant(T.segment(3), [0, 1, 2, -1])  # would alias vertex 3
+        with pytest.raises(ValidationError):
+            T.hardy_constant(T.segment(3), [0, 7])  # beyond the last vertex
 
     def test_dominates_edge_load_in_part(self):
         # the explicit unit-mass path function certifies A >= |e| |T_e|
@@ -127,12 +144,15 @@ class TestHardyConstant:
             A = T.hardy_constant(t, part)
             assert A >= T.max_edge_load(m).value - 1e-9
 
-    def test_power_iteration_matches_dense(self):
-        t = random_tree(60, seed=77, tall=True)
-        part = list(range(t.n))
-        dense = T.hardy_constant(t, part)
-        power = T.hardy_constant(t, part, dense_limit=1)
-        assert power == pytest.approx(dense, rel=1e-9)
+    def test_matches_dense_gram(self):
+        # both halves of the center-of-mass split and the whole tree
+        for seed in range(60):
+            t = random_tree(10 + 3 * seed, seed=500 + seed, tall=seed % 2 == 0)
+            com = T.center_of_mass(t)
+            base = T.reroot(t, com.vertex)
+            for part in (com.part_a, com.part_b, range(t.n)):
+                assert T.hardy_constant(base, part) == \
+                    pytest.approx(dense_hardy_constant(base, part), rel=1e-9)
 
 
 class TestHardyInterval:

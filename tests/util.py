@@ -166,6 +166,26 @@ def best_center_split(tree, max_components=20):
     return best
 
 
+def dense_hardy_constant(tree, part):
+    """Top eigenvalue of the dense Gram matrix of the ancestor-incidence map.
+
+    Rows are the vertices of ``part``, columns its edges (each named by its
+    lower endpoint); entry 1 where the edge lies on the vertex's root path,
+    found by walking the parent chain.  0.0 when the part has no edge.
+    """
+    part = sorted(set(int(v) for v in part))
+    edges = [v for v in part if v != tree.root]
+    if not edges:
+        return 0.0
+    col = {v: i for i, v in enumerate(edges)}
+    M = np.zeros((len(part), len(edges)))
+    for r, v in enumerate(part):
+        while v != tree.root:
+            M[r, col[v]] = 1.0
+            v = int(tree.parent[v])
+    return float(np.linalg.eigvalsh(M.T @ M)[-1])
+
+
 def dense_tv_rows(tree, t, eig=None):
     """TV distance to uniform at time t from every start, from the full kernel.
 

@@ -12,10 +12,15 @@ composition of them:
 
 Subtree sizes are ``subtree_sum(1)``, depths ``ancestor_sum(1)``, path
 loads ``ancestor_sum(subtree_sum(1))``; the Dirichlet solve of the tree
-Laplacian is ``ancestor_sum(subtree_sum(b))``.  Both primitives process
-the vertices level by level (``tree.order`` split at ``tree.level_ptr``),
-so each costs O(height) vectorized numpy calls.  Integer input is summed
-in int64 and stays exact; any other input is summed in float64.
+Laplacian is ``ancestor_sum(subtree_sum(b))``.  Both primitives run by
+pointer doubling over the tree's jump tables (``tree.jumps[k]`` maps each
+vertex to its ``2**k``-th ancestor, past the root to a zero sentinel slot):
+``ancestor_sum`` gathers ``S += S[jumps[k]]`` with k ascending, and
+``subtree_sum``, its transpose, scatters ``G[jumps[k]] += G`` (``np.add.at``)
+with k descending.  Each costs ``height.bit_length()`` vectorized O(n) steps,
+whatever the shape of the tree, and only adds disjoint ranges, so nothing
+is ever subtracted.  Integer input is summed in int64 and stays exact; any
+other input is summed in float64.
 """
 
 from __future__ import annotations
@@ -28,35 +33,31 @@ __all__ = ["BACKEND", "subtree_sum", "ancestor_sum", "tree_solve",
 BACKEND = "numpy"
 
 
-def _nonroot_levels(tree):
-    """Vertex arrays per depth from depth 1 down; parents precede children."""
-    order, ptr = tree.order, tree.level_ptr
-    return [order[ptr[k]:ptr[k + 1]] for k in range(1, len(ptr) - 1)]
-
-
-def _as_sum_array(x) -> np.ndarray:
+def _as_sum_array(tree, x) -> np.ndarray:
+    """A fresh int64 or float64 copy of ``x`` with the sentinel slot 0 appended."""
     x = np.asarray(x)
-    kind = np.int64 if x.dtype.kind in "biu" else np.float64
-    return x.astype(kind)  # always a fresh copy
+    out = np.zeros(tree.n + 1, dtype=np.int64 if x.dtype.kind in "biu" else np.float64)
+    out[:tree.n] = x
+    return out
 
 
 def subtree_sum(tree, x) -> np.ndarray:
     """G[v] = sum of x over the subtree below and including v."""
-    G = _as_sum_array(x)
-    parent = tree.parent
-    for verts in reversed(_nonroot_levels(tree)):
-        np.add.at(G, parent[verts], G[verts])
-    return G
+    G = _as_sum_array(tree, x)
+    for jump in reversed(tree.jumps):
+        up = np.zeros_like(G)
+        np.add.at(up, jump, G)
+        G += up
+    return G[:tree.n]
 
 
 def ancestor_sum(tree, x) -> np.ndarray:
     """S[v] = sum of x over the root path of v, v included, root excluded."""
-    x = _as_sum_array(x)
-    S = np.zeros_like(x)
-    parent = tree.parent
-    for verts in _nonroot_levels(tree):
-        S[verts] = S[parent[verts]] + x[verts]
-    return S
+    S = _as_sum_array(tree, x)
+    S[tree.root] = 0
+    for jump in tree.jumps:
+        S += S[jump]
+    return S[:tree.n]
 
 
 def tree_solve(tree, b) -> np.ndarray:

@@ -146,14 +146,14 @@ def segment(n: int) -> RootedTree:
     """Path with n edges (n+1 vertices), rooted at an endpoint."""
     if n < 0:
         raise ValidationError(f"segment edge count must be >= 0, got {n}")
-    return from_parents(n + 1, [-1] + list(range(n)))
+    return from_parents(n + 1, np.arange(-1, n))
 
 
 def binary_of_size(m: int) -> RootedTree:
     """Complete binary tree with exactly m vertices, filled level by level."""
     if m < 1:
         raise ValidationError(f"binary tree size must be >= 1, got {m}")
-    return from_parents(m, [-1] + [(i - 1) // 2 for i in range(1, m)])
+    return from_parents(m, (np.arange(m) - 1) // 2)  # the root gets -1 // 2 == -1
 
 
 def spherically_symmetric(degrees: Sequence[int]) -> RootedTree:

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import ValidationError
 
 _MASK = (1 << 64) - 1
@@ -60,6 +62,21 @@ class SplitMix64:
     def random(self) -> float:
         """Uniform float in [0, 1) with 53 random bits."""
         return (self.next_u64() >> 11) * 2.0**-53
+
+    def random_array(self, count: int) -> np.ndarray:
+        """``count`` calls of ``random`` at once, bit for bit, as float64.
+
+        The states are the wrapped uint64 steps ``state + i * golden`` for
+        ``i = 1..count``, finalized as in ``mix64``; the generator ends in
+        the state ``count`` scalar draws would leave.
+        """
+        steps = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+        z = steps + np.uint64(self._state)
+        self._state = (self._state + count * _GOLDEN) & _MASK
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
     def below(self, bound: int) -> int:
         """Uniform-ish integer in [0, bound) via a modulo draw.

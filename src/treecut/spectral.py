@@ -172,8 +172,7 @@ def gap_iterative(tree: RootedTree, tol: float = LANCZOS_TOL) -> float:
     def center(v):
         v -= v.mean()
 
-    rng = SplitMix64(LANCZOS_SEED)
-    start = [rng.random() - 0.5 for _ in range(tree.n)]
+    start = SplitMix64(LANCZOS_SEED).random_array(tree.n) - 0.5
     theta = _lanczos_top(apply_pinv, center, start, tol)
     if theta <= 0:
         raise ResourceLimitError("iterative gap solver failed to find a positive Ritz value")
@@ -213,16 +212,17 @@ def hardy_constant(tree: RootedTree, part: Iterable[int]) -> float:
     finds it from the edge indicator; the Ritz value returned is a lower
     bound converged to relative residual ``LANCZOS_TOL``.
     """
-    part = sorted(set(int(v) for v in part))
-    if part and not 0 <= part[0] <= part[-1] < tree.n:
+    part = np.unique(np.fromiter(part, dtype=np.int64))
+    if part.size and not 0 <= part[0] <= part[-1] < tree.n:
         raise ValidationError(f"part has a vertex outside 0..{tree.n - 1}")
     in_part = np.zeros(tree.n, dtype=bool)
     in_part[part] = True
     if not in_part[tree.root]:
         raise ValidationError("the part must contain the root")
-    for v in part:
-        if v != tree.root and not in_part[tree.parent[v]]:
-            raise ValidationError(f"part is not a subtree: parent of {v} is missing")
+    below = part[part != tree.root]
+    orphans = below[~in_part[tree.parent[below]]]
+    if orphans.size:
+        raise ValidationError(f"part is not a subtree: parent of {orphans[0]} is missing")
     off_edges = ~in_part  # edge = (parent[v], v) for v in the part
     off_edges[tree.root] = True
     if off_edges.all():

@@ -1,9 +1,12 @@
 """Rooted trees as parent arrays, their geometry, and the canonical text format.
 
 A tree on ``n`` vertices is stored as a dense 0-based parent array with a
-single ``-1`` sentinel at the root, plus derived structure (children in CSR
-form, breadth-first order, level offsets) that the numeric kernels consume.
-Instances are immutable and safe to share across workers.
+single ``-1`` sentinel at the root, plus derived structure: children in CSR
+form, depths, and the pointer-jumping tables the numeric kernels consume
+(``jumps[k][v]`` is the ``2**k``-th ancestor of ``v``, or the sentinel slot
+``n`` past the root).  :func:`from_parents` builds all of it in O(log height)
+vectorized steps, with no per-vertex Python loop.  Instances are immutable
+and safe to share across workers.
 
 The quantities computed here are purely combinatorial: depths, subtree
 sizes, the per-vertex sum of subtree sizes along the root path ("path
@@ -40,9 +43,12 @@ __all__ = [
 class RootedTree:
     """Immutable rooted tree on vertices ``0..n-1``.
 
-    ``children(v)`` returns the sorted child indices of ``v``.  The arrays
-    ``order`` (breadth-first, root first) and ``level_ptr`` (offsets into
-    ``order`` per depth) are what the kernels iterate over.
+    ``children(v)`` returns the sorted child indices of ``v``; ``depth`` holds
+    every vertex's distance to the root.  ``jumps`` is what the kernels
+    iterate over: ``jumps[k]`` has length ``n + 1`` and maps ``v`` to its
+    ``2**k``-th ancestor, or to the sentinel slot ``n`` when that lies past
+    the root (``jumps[k][n] == n``).  It holds ``height.bit_length()``
+    tables, the last one with ``2**k <= height``.
     """
 
     n: int
@@ -50,15 +56,15 @@ class RootedTree:
     parent: np.ndarray
     child_ptr: np.ndarray = field(repr=False)
     child_flat: np.ndarray = field(repr=False)
-    order: np.ndarray = field(repr=False)
-    level_ptr: np.ndarray = field(repr=False)
+    depth: np.ndarray = field(repr=False)
+    jumps: tuple = field(repr=False)
 
     def children(self, v: int) -> np.ndarray:
         return self.child_flat[self.child_ptr[v]:self.child_ptr[v + 1]]
 
     @property
     def height(self) -> int:
-        return len(self.level_ptr) - 2
+        return int(self.depth.max())
 
     def degrees(self) -> np.ndarray:
         deg = np.diff(self.child_ptr).astype(np.int64)
@@ -66,7 +72,7 @@ class RootedTree:
         return deg
 
     def depths(self) -> np.ndarray:
-        return _kernels.ancestor_sum(self, np.ones(self.n, dtype=np.int64))
+        return self.depth.copy()
 
 
 def from_parents(n: int, parent: Sequence) -> RootedTree:
@@ -80,7 +86,10 @@ def from_parents(n: int, parent: Sequence) -> RootedTree:
         raise ValidationError(f"vertex count must be >= 1, got {n}")
     if len(parent) != n:
         raise ValidationError(f"parent array has length {len(parent)}, expected {n}")
-    par = np.array([-1 if p is None else int(p) for p in parent], dtype=np.int64)
+    if isinstance(parent, np.ndarray) and parent.dtype.kind == "i":
+        par = parent.astype(np.int64)  # always a fresh copy
+    else:
+        par = np.array([-1 if p is None else int(p) for p in parent], dtype=np.int64)
     roots = np.nonzero(par == -1)[0]
     if len(roots) != 1:
         raise RootCountError(f"expected exactly one root sentinel, found {len(roots)}")
@@ -89,42 +98,34 @@ def from_parents(n: int, parent: Sequence) -> RootedTree:
         raise ParentIndexError(f"parent[{bad[0]}] = {par[bad[0]]} is out of range")
     root = int(roots[0])
 
-    # children in CSR form; counting sort keeps each child list ascending
-    counts = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(counts, par[par >= 0] + 1, 1)
-    child_ptr = np.concatenate(([0], np.cumsum(counts[1:])))
-    child_flat = np.empty(max(n - 1, 0), dtype=np.int64)
-    cursor = child_ptr[:-1].copy()
-    for v in range(n):
-        p = par[v]
-        if p >= 0:
-            child_flat[cursor[p]] = v
-            cursor[p] += 1
+    # children in CSR form: a stable sort by parent keeps each child list
+    # ascending, and the root (parent -1) sorts first
+    child_flat = np.argsort(par, kind="stable")[1:]
+    child_ptr = np.concatenate(([0], np.cumsum(np.bincount(par[child_flat], minlength=n))))
 
-    # level-synchronous BFS; an unreached vertex means a cycle off the root
-    order = np.empty(n, dtype=np.int64)
-    bounds = [0]
-    order[0] = root
-    filled = 1
-    start = 0
-    while start < filled:
-        bounds.append(filled)
-        frontier = order[start:filled]
-        start = filled
-        for v in frontier:
-            kids = child_flat[child_ptr[v]:child_ptr[v + 1]]
-            order[filled:filled + len(kids)] = kids
-            filled += len(kids)
-    if filled != n:
-        raise CycleError(f"{n - filled} vertices unreachable from the root "
-                         "(parent links contain a cycle)")
+    # pointer jumping (Wyllie): each step doubles the jump and adds the
+    # depth found at its target; a vertex still short of the sentinel after
+    # bit_length(n) steps sits on a cycle or below one
+    jump = np.append(np.where(par >= 0, par, n), n)
+    depth = np.append(par >= 0, False).astype(np.int64)
+    jumps = []
+    for _ in range(int(n).bit_length()):
+        if (jump[:n] == n).all():
+            break
+        jumps.append(jump)
+        depth += depth[jump]
+        jump = jump[jump]
+    else:
+        stuck = int(np.count_nonzero(jump[:n] != n))
+        if stuck:
+            raise CycleError(f"{stuck} vertices unreachable from the root "
+                             "(parent links contain a cycle)")
+    depth = depth[:n]
 
-    tree = RootedTree(n=n, root=root, parent=par, child_ptr=child_ptr,
-                      child_flat=child_flat, order=order,
-                      level_ptr=np.array(bounds, dtype=np.int64))
-    for arr in (par, child_ptr, child_flat, order, tree.level_ptr):
+    for arr in (par, child_ptr, child_flat, depth, *jumps):
         arr.setflags(write=False)
-    return tree
+    return RootedTree(n=n, root=root, parent=par, child_ptr=child_ptr,
+                      child_flat=child_flat, depth=depth, jumps=tuple(jumps))
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,14 +166,14 @@ _metrics_cache: "weakref.WeakKeyDictionary[RootedTree, TreeMetrics]" = \
 
 
 def compute_metrics(tree: RootedTree) -> TreeMetrics:
-    """All per-tree geometric quantities from four O(n) tree passes."""
+    """All per-tree geometric quantities: the stored depths plus three tree passes."""
     cached = _metrics_cache.get(tree)
     if cached is not None:
         return cached
 
     size = _kernels.subtree_sum(tree, np.ones(tree.n, dtype=np.int64))
     load = _kernels.ancestor_sum(tree, size)
-    depth = tree.depths()
+    depth = tree.depth
     degree = tree.degrees()
 
     # diameter by double sweep: a deepest vertex is an end of a longest
@@ -184,8 +185,7 @@ def compute_metrics(tree: RootedTree) -> TreeMetrics:
     lca_depth = _kernels.ancestor_sum(tree, on_far_path)
     diameter = int((depth + depth[far] - 2 * lca_depth).max())
 
-    level_counts = np.diff(tree.level_ptr)
-    tail = np.cumsum(level_counts[::-1])[::-1].astype(np.int64)
+    tail = np.cumsum(np.bincount(depth)[::-1])[::-1].astype(np.int64)
 
     m = TreeMetrics(depth=depth, subtree_size=size, path_load=load,
                     degree=degree, max_degree=int(degree.max()),
@@ -348,10 +348,12 @@ def root_path(tree: RootedTree, v: int) -> list:
     """Vertices on the path from the root to ``v``, root first."""
     if not 0 <= v < tree.n:
         raise ValidationError(f"vertex {v} out of range")
-    path = [int(v)]
-    while tree.parent[path[-1]] >= 0:
-        path.append(int(tree.parent[path[-1]]))
-    return path[::-1]
+    # after the step with jumps[k], path[i] is the i-th ancestor of v for
+    # i < 2**(k+1); entries past the root are the sentinel n
+    path = np.array([v], dtype=np.int64)
+    for jump in tree.jumps[:int(tree.depth[v]).bit_length()]:
+        path = np.concatenate((path, jump[path]))
+    return path[path < tree.n][::-1].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +361,7 @@ def root_path(tree: RootedTree, v: int) -> list:
 # ---------------------------------------------------------------------------
 
 def to_text(tree: RootedTree) -> str:
-    return f"{tree.n}\n{' '.join(str(int(p)) for p in tree.parent)}\n"
+    return f"{tree.n}\n{' '.join(map(str, tree.parent.tolist()))}\n"
 
 
 def from_text(text: str) -> RootedTree:
@@ -385,4 +387,4 @@ def from_text(text: str) -> RootedTree:
         parent = [int(t) for t in tokens]
     except ValueError:
         raise TreeFormatError("parent entries must be integers") from None
-    return from_parents(n, parent)
+    return from_parents(n, np.array(parent, dtype=np.int64))

@@ -8,7 +8,8 @@ import treecut as T
 from treecut import _kernels
 from treecut.spectral import laplacian
 
-from util import (brute_depth, brute_path_load, brute_subtree_size,
+from util import (bfs_levels, brute_depth, brute_path_load,
+                  brute_subtree_size, level_ancestor_sum, level_subtree_sum,
                   random_tree)
 
 PRIMITIVE_TREES = {
@@ -31,6 +32,42 @@ def test_primitives_match_oracles_exactly(name):
     assert size.tolist() == [brute_subtree_size(t, v) for v in range(t.n)]
     assert depth.tolist() == [brute_depth(t, v) for v in range(t.n)]
     assert load.tolist() == [brute_path_load(t, v) for v in range(t.n)]
+
+
+def _check_against_levels(t, seed):
+    """Both primitives against the level-synchronous oracle: int64 input
+    exactly, float input within 1e-12 of the largest result entry."""
+    levels = bfs_levels(t)
+    rng = np.random.default_rng(seed)
+    ints = rng.integers(-10**6, 10**6, size=t.n)
+    floats = rng.standard_normal(t.n) * 10.0 ** rng.integers(-3, 4, size=t.n)
+    for prim, oracle in ((_kernels.subtree_sum, level_subtree_sum),
+                         (_kernels.ancestor_sum, level_ancestor_sum)):
+        got, want = prim(t, ints), oracle(t, ints, levels)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+        got, want = prim(t, floats), oracle(t, floats, levels)
+        assert got.dtype == np.float64 and got.shape == (t.n,)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_primitives_match_level_oracle_on_random_suite(random_suite):
+    for i, t in enumerate(random_suite):
+        _check_against_levels(t, i)
+
+
+@pytest.mark.parametrize("make", [PRIMITIVE_TREES["star"], PRIMITIVE_TREES["single"],
+                                  lambda: T.spherically_symmetric([1]),
+                                  lambda: T.spherically_symmetric([5000])],
+                         ids=["star_50", "single", "star_1", "star_5000"])
+def test_primitives_match_level_oracle_on_stars_and_one_vertex(make):
+    _check_against_levels(make(), 7)
+
+
+@pytest.mark.parametrize("make", [lambda: T.segment(100_000),
+                                  lambda: T.binary_of_size(200_000)],
+                         ids=["segment_100k", "binary_200k"])
+def test_primitives_match_level_oracle_on_large_trees(make):
+    _check_against_levels(make(), 11)
 
 
 def test_matvec_against_dense():

@@ -2,6 +2,9 @@
 
 import math
 
+import numpy as np
+import pytest
+
 from treecut.rng import SplitMix64, derive_seed, mix64
 
 # Published reference outputs of the SplitMix64 sequence for seed 0.
@@ -29,6 +32,18 @@ def test_random_unit_interval():
     vals = [g.random() for _ in range(2000)]
     assert all(0.0 <= v < 1.0 for v in vals)
     assert abs(sum(vals) / len(vals) - 0.5) < 0.02
+
+
+@pytest.mark.parametrize("seed", [0, 1, 0x5EED, 2**63 + 12345, 2**64 - 1])
+@pytest.mark.parametrize("count", [0, 1, 10_000])
+def test_random_array_is_the_scalar_stream(seed, count):
+    vec, scalar = SplitMix64(seed), SplitMix64(seed)
+    draws = vec.random_array(count)
+    expected = np.array([scalar.random() for _ in range(count)], dtype=np.float64)
+    assert draws.dtype == np.float64 and draws.shape == (count,)
+    assert draws.tobytes() == expected.tobytes()
+    # both generators continue from the same state
+    assert [vec.next_u64() for _ in range(3)] == [scalar.next_u64() for _ in range(3)]
 
 
 def test_derive_seed_order_sensitive_and_stable():

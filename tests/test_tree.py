@@ -9,9 +9,12 @@ import treecut as T
 from treecut.errors import (CycleError, ParentIndexError, RootCountError,
                             TreeFormatError, ValidationError)
 
+from treecut import _kernels
+
 from util import (best_center_split, brute_depth, brute_diameter,
                   brute_max_edge_load, brute_path_load, brute_reroot_parent,
-                  brute_subtree_size, brute_tail_value, random_tree)
+                  brute_subtree_size, brute_tail_value, brute_unreachable,
+                  random_tree)
 
 # the 14-site tree from the contour illustration: root with four branches
 FIG_PARENTS = [-1, 0, 0, 0, 0, 1, 2, 3, 4, 5, 5, 5, 11, 7]
@@ -51,6 +54,63 @@ class TestFromParents:
     def test_children_sorted(self):
         t = T.from_parents(5, [-1, 0, 0, 0, 2])
         assert list(t.children(0)) == [1, 2, 3]
+
+    @pytest.mark.parametrize("parent", [
+        [-1, 0, 2, 2],                               # self-loop with a child
+        [-1, 0, 3, 4, 2, 2, 5, 4, 1],                # 3-cycle with subtrees off it
+        [-1, 0, 3, 2, 5, 6, 4, 1],                   # two disjoint cycles
+        [-1] + list(range(99))                       # long path to the root,
+        + [v + 1 for v in range(100, 199)] + [100]   # a 100-cycle,
+        + [150] + list(range(200, 299)),             # a long path below it
+    ], ids=["self_loop", "cycle_with_subtrees", "two_cycles", "long_cycle"])
+    def test_cycle_error_counts_unreachable_vertices(self, parent):
+        with pytest.raises(CycleError) as err:
+            T.from_parents(len(parent), parent)
+        assert int(str(err.value).split()[0]) == brute_unreachable(parent)
+
+    @pytest.mark.parametrize("parent", [[-1], [-1, 0], [1, -1]])
+    def test_one_and_two_vertices(self, parent):
+        t = T.from_parents(len(parent), parent)
+        assert t.depths().tolist() == [brute_depth(t, v) for v in range(t.n)]
+        assert t.height == len(parent) - 1 == len(t.jumps)
+
+    @pytest.mark.parametrize("k", range(0, 9))
+    def test_depth_at_powers_of_two(self, k):
+        # paths of 2**k - 1, 2**k and 2**k + 1 edges, relabelled so the root
+        # is not vertex 0 and parents are not below their children
+        for edges in (2**k - 1, 2**k, 2**k + 1):
+            n = edges + 1
+            perm = np.roll(np.arange(n)[::-1], k)
+            parent = np.full(n, -1)
+            parent[perm[1:]] = perm[:-1]
+            t = T.from_parents(n, parent)
+            assert t.height == edges == max(brute_depth(t, v) for v in range(n))
+            assert t.depths().tolist() == [brute_depth(t, v) for v in range(n)]
+            assert len(t.jumps) == edges.bit_length()
+
+    def test_integer_array_input_is_copied(self):
+        parent = np.array([-1, 0, 0, 1, 1], dtype=np.int32)
+        t = T.from_parents(5, parent)
+        parent[4] = 2
+        assert t.parent.dtype == np.int64
+        assert t.parent.tolist() == [-1, 0, 0, 1, 1]
+        assert t.parent.tolist() == T.from_parents(5, [-1, 0, 0, 1, 1]).parent.tolist()
+
+
+def test_deep_segment_closed_forms():
+    # a path of 200k edges: every tree pass is height.bit_length() steps
+    seg = T.segment(200_000)
+    t = T.from_parents(seg.n, seg.parent)
+    n, v = t.n, np.arange(t.n)
+    assert len(t.jumps) == (n - 1).bit_length()
+    m = T.compute_metrics(t)
+    load = v * n - v * (v + 1) // 2
+    assert np.array_equal(m.depth, v)
+    assert np.array_equal(m.subtree_size, n - v)
+    assert np.array_equal(m.path_load, load)
+    assert np.array_equal(m.tail_size, n - v)
+    assert m.diameter == n - 1
+    assert np.array_equal(_kernels.tree_solve(t, np.ones(n)), load)
 
 
 class TestMetrics:

@@ -4,7 +4,10 @@ the checkout root and environment for tests that start a fresh interpreter.
 The oracles deliberately avoid the library's own traversal machinery:
 depths walk the parent chain one step at a time, subtree sizes run an
 undirected flood fill from the far side of each edge, and so on.  They are
-slow and obviously correct, which is the point.
+slow and obviously correct, which is the point.  The level-synchronous
+``subtree_sum``/``ancestor_sum`` (one numpy call per depth, over levels
+found by a breadth-first search of their own) are the oracle for the
+pointer-doubling kernels.
 """
 
 import os
@@ -124,6 +127,58 @@ def brute_reroot_parent(tree, new_root):
     """Parent array oriented toward ``new_root``: each vertex's BFS predecessor."""
     parent, _ = _bfs_parents(adjacency(tree), new_root)
     return [parent[v] for v in range(tree.n)]
+
+
+def brute_unreachable(parent):
+    """How many vertices of a parent list cannot walk up to the ``-1`` root
+    within ``len(parent)`` steps, i.e. sit on a cycle or below one."""
+    stuck = 0
+    for v in range(len(parent)):
+        for _ in range(len(parent)):
+            if v == -1:
+                break
+            v = parent[v]
+        stuck += v != -1
+    return stuck
+
+
+def bfs_levels(tree):
+    """Vertex arrays per depth, root level first, from a breadth-first
+    search over child lists built here from the parent array."""
+    kids = [[] for _ in range(tree.n)]
+    for v, p in enumerate(tree.parent.tolist()):
+        if p >= 0:
+            kids[p].append(v)
+    levels = [[tree.root]]
+    while True:
+        nxt = [c for v in levels[-1] for c in kids[v]]
+        if not nxt:
+            return [np.array(level, dtype=np.int64) for level in levels]
+        levels.append(nxt)
+
+
+def _sum_array(x):
+    x = np.asarray(x)
+    return x.astype(np.int64 if x.dtype.kind in "biu" else np.float64)
+
+
+def level_subtree_sum(tree, x, levels=None):
+    """Level-synchronous subtree sums: children add into parents, deepest
+    level first, one ``np.add.at`` per level."""
+    G = _sum_array(x)
+    for verts in reversed((levels or bfs_levels(tree))[1:]):
+        np.add.at(G, tree.parent[verts], G[verts])
+    return G
+
+
+def level_ancestor_sum(tree, x, levels=None):
+    """Level-synchronous root-path sums (root excluded), shallowest level
+    first, one gather per level."""
+    x = _sum_array(x)
+    S = np.zeros_like(x)
+    for verts in (levels or bfs_levels(tree))[1:]:
+        S[verts] = S[tree.parent[verts]] + x[verts]
+    return S
 
 
 def brute_max_edge_load(tree):

@@ -15,7 +15,8 @@ per-depth tail sizes, the diameter, and the balanced two-subtree split
 around a vertex separator ("center of mass").  Every pass over the tree is
 a ``subtree_sum`` or an ``ancestor_sum`` from :mod:`treecut._kernels`;
 vertex sets below an anchor are read off an ``ancestor_sum`` of anchor
-labels, one call per set of disjoint subtrees.
+labels, one call per set of disjoint subtrees; a root path is gathered
+through the jump tables in ``depth.bit_length()`` numpy calls.
 """
 
 from __future__ import annotations

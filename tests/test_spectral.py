@@ -130,6 +130,8 @@ class TestHardyConstant:
             T.hardy_constant(T.segment(2), [1, 2])  # missing root
         with pytest.raises(ValidationError):
             T.hardy_constant(T.segment(3), [0, 1, 3])  # gap in the path
+        with pytest.raises(ValidationError, match="parent of 3 is missing"):
+            T.hardy_constant(T.segment(6), {6, 5, 3, 1, 0})  # first orphan named
         with pytest.raises(ValidationError):
             T.hardy_constant(T.segment(3), [0, 1, 2, -1])  # would alias vertex 3
         with pytest.raises(ValidationError):

@@ -27,8 +27,8 @@ import numpy as np
 from . import _kernels
 from .errors import DegenerateInputError, ResourceLimitError, ValidationError
 from .rng import SplitMix64
-from .tree import (RootedTree, center_of_mass, compute_metrics, max_edge_load,
-                   max_path_load, reroot, root_path, tail_profile)
+from .tree import (RootedTree, center_of_mass, compute_metrics, from_parents,
+                   max_edge_load, max_path_load, reroot, root_path, tail_profile)
 
 __all__ = [
     "Eigensystem", "SpectrumResult", "HardyCertificate", "HardyLowerBound",
@@ -207,34 +207,37 @@ def hardy_constant(tree: RootedTree, part: Iterable[int]) -> float:
 
     ``part`` must induce a subtree containing the root.  The constant is
     the top eigenvalue of the Gram operator of the ancestor-incidence map
-    (vertices of the part versus edges of the part): ``ancestor_sum`` on the
-    part, then ``subtree_sum``, kept on the part's edges.  ``_lanczos_top``
-    finds it from the edge indicator; the Ritz value returned is a lower
-    bound converged to relative residual ``LANCZOS_TOL``.
+    (vertices of the part versus edges of the part).  The part is relabelled
+    as a tree of its own, on which the operator is ``ancestor_sum`` then
+    ``subtree_sum``, kept on the non-root vertices (the edges).
+    ``_lanczos_top`` finds it from the edge indicator; the Ritz value
+    returned is a lower bound converged to relative residual ``LANCZOS_TOL``.
     """
     part = np.unique(np.fromiter(part, dtype=np.int64))
     if part.size and not 0 <= part[0] <= part[-1] < tree.n:
         raise ValidationError(f"part has a vertex outside 0..{tree.n - 1}")
-    in_part = np.zeros(tree.n, dtype=bool)
-    in_part[part] = True
-    if not in_part[tree.root]:
+    is_root = part == tree.root
+    if not is_root.any():
         raise ValidationError("the part must contain the root")
-    below = part[part != tree.root]
-    orphans = below[~in_part[tree.parent[below]]]
-    if orphans.size:
-        raise ValidationError(f"part is not a subtree: parent of {orphans[0]} is missing")
-    off_edges = ~in_part  # edge = (parent[v], v) for v in the part
-    off_edges[tree.root] = True
-    if off_edges.all():
+    # position of each vertex's parent in the sorted part (the root's -1 lands at 0)
+    parent = tree.parent[part]
+    sub_parent = np.searchsorted(part, parent)
+    orphans = ~is_root & (part[np.minimum(sub_parent, part.size - 1)] != parent)
+    if orphans.any():
+        raise ValidationError(
+            f"part is not a subtree: parent of {part[orphans][0]} is missing")
+    if part.size == 1:
         return 0.0
+    sub_parent[is_root] = -1
+    sub = from_parents(part.size, sub_parent)
 
     def gram(g):
-        return _kernels.subtree_sum(tree, _kernels.ancestor_sum(tree, g) * in_part)
+        return _kernels.subtree_sum(sub, _kernels.ancestor_sum(sub, g))
 
     def on_edges(g):
-        g[off_edges] = 0.0
+        g[sub.root] = 0.0
 
-    return _lanczos_top(gram, on_edges, np.ones(tree.n), LANCZOS_TOL)
+    return _lanczos_top(gram, on_edges, np.ones(sub.n), LANCZOS_TOL)
 
 
 @dataclass(frozen=True)
@@ -272,6 +275,14 @@ def hardy_interval(tree: RootedTree) -> HardyCertificate:
 # ---------------------------------------------------------------------------
 # weighted-path upper bounds on the relaxation time
 # ---------------------------------------------------------------------------
+
+def _per_depth(func: Callable[[int], float], height: int) -> np.ndarray:
+    """``func(k)`` for depths k = 1..height, one call each; all must be positive."""
+    fvals = np.array([float(func(k)) for k in range(1, height + 1)])
+    if np.any(fvals <= 0):
+        raise ValidationError("weight function must be positive on 1..height")
+    return fvals
+
 
 @dataclass(frozen=True)
 class WeightScheme:
@@ -318,25 +329,22 @@ class WeightScheme:
         elif self.kind == "inverse_depth":
             a[nonroot] = 1.0 / depth[nonroot]
         elif self.kind == "reciprocal":
-            for v in np.nonzero(nonroot)[0]:
-                a[v] = 1.0 / float(self.func(int(depth[v])))
+            a[nonroot] = 1.0 / _per_depth(self.func, int(depth.max()))[depth[nonroot] - 1]
         elif self.kind == "retraction":
             path = self.spine
             if (not path or path[0] != tree.root
                     or any(tree.parent[v] != u for u, v in zip(path, path[1:]))):
                 raise ValidationError("retraction spine must be a root path, root first")
-            spine = set(path)
             on_spine = np.zeros(tree.n, dtype=np.int64)
             on_spine[list(path[1:])] = 1
             # spine position i = depth of the deepest spine vertex on the
             # root path, which on a root-path spine counts its spine vertices
             anchor = _kernels.ancestor_sum(tree, on_spine)
-            for v in np.nonzero(nonroot)[0]:
-                if v in spine:
-                    a[v] = depth[v] ** -0.5
-                else:
-                    i = anchor[v]
-                    a[v] = 1.0 / (max(i, 1) ** 0.5 * (depth[v] - i) ** 2)
+            spine = on_spine == 1
+            a[spine] = depth[spine] ** -0.5
+            off = nonroot & ~spine
+            i = anchor[off]
+            a[off] = 1.0 / (np.maximum(i, 1) ** 0.5 * (depth[off] - i) ** 2)
         elif self.kind == "custom":
             if len(self.table) != tree.n:
                 raise ValidationError("custom weight table must have one entry per vertex")
@@ -382,9 +390,7 @@ def bound_summable_weights(tree: RootedTree, func: Callable[[int], float]) -> fl
     height = int(metrics.depth.max())
     if height == 0:
         return 0.0
-    fvals = np.array([float(func(k)) for k in range(1, height + 1)])
-    if np.any(fvals <= 0):
-        raise ValidationError("weight function must be positive on 1..height")
+    fvals = _per_depth(func, height)
     C = float((1.0 / fvals).sum())
     nonroot = metrics.depth > 0
     best = float((fvals[metrics.depth[nonroot] - 1]

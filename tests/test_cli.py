@@ -1,13 +1,16 @@
 """End-to-end CLI behavior: formats, determinism, exit codes."""
 
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from treecut.cli import main
+from treecut.cli import _json_text, main
 
 from util import REPO_ROOT, subprocess_env
 
@@ -178,3 +181,50 @@ def test_byte_identical_runs():
     for proc in (a, b):
         assert proc.returncode == 0, proc.stderr.decode(errors="replace")
     assert a.stdout == b.stdout and len(a.stdout) > 0
+
+
+def stdlib_json(obj):
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+_NUMBERS = st.one_of(
+    st.integers(), st.integers(min_value=2 ** 63, max_value=2 ** 200),
+    st.integers(min_value=-2 ** 200, max_value=-2 ** 63), st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e300, 5e-324]))
+_STRINGS = st.one_of(st.text(), st.sampled_from(
+    [", ", "a, b", "[1, 2]", '"quoted"\\\n\t\x00', "\u00e9\u4e2d\U0001f600"]))
+_SCALARS = st.one_of(_NUMBERS, st.booleans(), st.none(), _STRINGS)
+_FLAT = st.lists(st.one_of(_NUMBERS, st.booleans()))  # numbers, bools mixed in
+_VALUES = st.recursive(
+    st.one_of(_SCALARS, _FLAT, _FLAT.map(tuple), st.lists(st.one_of(_NUMBERS, _STRINGS))),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(_STRINGS, inner, max_size=4)),
+    max_leaves=20)
+
+
+class TestJsonText:
+    @settings(max_examples=300, deadline=None)
+    @given(_VALUES)
+    @example({"b": [1, 2.5, -0.0], "a": {}, "c": [], ", ": [True, 1], "é": [[1], (2, 3)]})
+    @example([2 ** 64, -(2 ** 70), math.nan, math.inf, -math.inf, 5e-324, 1e300])
+    @example([1, "x, y", None, 2.0])
+    def test_matches_stdlib_indent(self, obj):
+        assert _json_text(obj) == stdlib_json(obj)
+
+    @pytest.mark.parametrize("argv", [
+        ["metrics", "--family", "gw_size", "--n", "40", "--offspring", "geom:0.5",
+         "--seed", "3"],
+        ["spectrum", "--family", "cor15", "--n", "16", "--full"],
+        ["bounds", "--family", "ssym_binary", "--n", "5"],
+        ["mix", "--family", "segment", "--n", "6", "--start", "2"],
+        ["bdchain", "--degrees", "2,3,3", "--n", "3"],
+        ["sweep", "--family", "segment", "--sizes", "8,16"],
+    ], ids=lambda argv: argv[0])
+    def test_cli_output_is_stdlib_layout(self, argv, tmp_path, capsys):
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert out == stdlib_json(json.loads(out)) + "\n"
+        path = tmp_path / "out.json"
+        code, _, _ = run_cli(argv + ["--out", str(path)], capsys)
+        assert code == 0
+        assert path.read_text(encoding="ascii") == out

@@ -11,7 +11,7 @@ from treecut.errors import (DegenerateInputError, ResourceLimitError,
 from treecut.rng import SplitMix64
 from treecut.spectral import WeightScheme
 
-from util import dense_hardy_constant, random_tree
+from util import dense_hardy_constant, loop_edge_weights, random_tree
 
 GOLDEN_RATIO_SQ = (3 + np.sqrt(5)) / 2  # top Gram eigenvalue of a 2-edge path
 
@@ -126,15 +126,20 @@ class TestHardyConstant:
         assert T.hardy_constant(T.segment(2), [0]) == 0.0
 
     def test_part_validation(self):
-        with pytest.raises(ValidationError):
-            T.hardy_constant(T.segment(2), [1, 2])  # missing root
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="must contain the root"):
+            T.hardy_constant(T.segment(2), [1, 2])
+        with pytest.raises(ValidationError, match="must contain the root"):
+            T.hardy_constant(T.segment(2), [])
+        with pytest.raises(ValidationError, match="parent of 3 is missing"):
             T.hardy_constant(T.segment(3), [0, 1, 3])  # gap in the path
         with pytest.raises(ValidationError, match="parent of 3 is missing"):
             T.hardy_constant(T.segment(6), {6, 5, 3, 1, 0})  # first orphan named
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="parent of 1 is missing"):
+            # the missing parent lies above every vertex of the part
+            T.hardy_constant(T.from_parents(6, [-1, 5, 0, 0, 0, 0]), [0, 1])
+        with pytest.raises(ValidationError, match="outside 0..3"):
             T.hardy_constant(T.segment(3), [0, 1, 2, -1])  # would alias vertex 3
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="outside 0..3"):
             T.hardy_constant(T.segment(3), [0, 7])  # beyond the last vertex
 
     def test_dominates_edge_load_in_part(self):
@@ -211,6 +216,28 @@ class TestWeightedPathBound:
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(ValidationError):
             T.weighted_path_bound(T.segment(2), WeightScheme.custom([0, 1, -1]))
+        with pytest.raises(ValidationError):  # zero at depth 2 of 3
+            T.weighted_path_bound(T.segment(3),
+                                  WeightScheme.reciprocal(lambda k: k * (k - 2)))
+
+    def test_reciprocal_and_retraction_match_vertex_loop(self, small_suite):
+        trees = [T.cor15_tree(32), T.cor15_tree(64), T.retraction(T.cor15_tree(16), 16),
+                 T.segment(40), T.spherically_symmetric([3, 2, 2])] + small_suite[:20]
+        for t in trees:
+            deep = int(np.argmax(t.depth))
+            spines = [T.root_path(t, v) for v in {deep, t.n - 1, t.root}]
+            schemes = [WeightScheme.reciprocal(lambda k: k * k),
+                       WeightScheme.reciprocal(lambda k: k ** 1.5 + 1 / 3),
+                       WeightScheme.reciprocal(lambda k: np.log1p(k))]
+            schemes += [WeightScheme.retraction_weights(s) for s in spines]
+            for scheme in schemes:
+                assert np.array_equal(scheme.edge_weights(t), loop_edge_weights(t, scheme))
+
+    def test_reciprocal_calls_func_once_per_depth(self):
+        calls = []
+        WeightScheme.reciprocal(lambda k: calls.append(k) or k).edge_weights(
+            T.spherically_symmetric([3, 3, 3]))
+        assert calls == [1, 2, 3]
 
 
 class TestClosedFormBounds:

@@ -181,6 +181,31 @@ def level_ancestor_sum(tree, x, levels=None):
     return S
 
 
+def loop_edge_weights(tree, scheme):
+    """Edge weights of a ``reciprocal`` or ``retraction`` scheme, one vertex
+    at a time: ``func`` called once per vertex, depth and spine position
+    found by walking the parent chain, and each weight computed from numpy
+    int64 scalars exactly as the per-vertex formula reads."""
+    spine = set(scheme.spine or ())
+    a = np.zeros(tree.n)
+    for v in range(tree.n):
+        if tree.parent[v] < 0:
+            continue
+        d = np.int64(brute_depth(tree, v))
+        if scheme.kind == "reciprocal":
+            a[v] = 1.0 / float(scheme.func(int(d)))
+        elif v in spine:
+            a[v] = d ** -0.5
+        else:
+            u, i = v, 0
+            while tree.parent[u] >= 0:
+                i += u in spine
+                u = int(tree.parent[u])
+            i = np.int64(i)
+            a[v] = 1.0 / (max(i, 1) ** 0.5 * (d - i) ** 2)
+    return a
+
+
 def brute_max_edge_load(tree):
     best = 0
     for v in range(tree.n):

@@ -127,10 +127,13 @@ def _dump(args, payload: dict) -> None:
     fmt = getattr(args, "format", "json")
     if fmt == "json":
         _emit(args, _json_text(payload) + "\n")
-    else:  # text: flat key/value lines
+    else:  # text: one "key value" line per key, nested values as one-line JSON
         lines = []
         for key in sorted(payload):
-            lines.append(f"{key} {payload[key]}")
+            value = payload[key]
+            if isinstance(value, (dict, list, tuple)):
+                value = json.dumps(value, sort_keys=True)
+            lines.append(f"{key} {value}")
         _emit(args, "\n".join(lines) + "\n")
 
 
@@ -189,8 +192,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_bounds(args) -> int:
     tree = _resolve_tree(args)
-    cert = spectral.hardy_interval(tree)
-    lower = spectral.hardy_lower(tree)
+    cert, lower = spectral._hardy_pair(tree)
     payload = {
         "schema": SCHEMA, "sites": tree.n,
         "bounds": {

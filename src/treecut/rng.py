@@ -9,6 +9,16 @@ frozen in the test fixtures.
 Streams are derived, never shared: :func:`derive_seed` hashes a base seed
 with integer keys, so concurrent workers can draw from disjoint,
 reproducible streams (``derive_seed(seed, size, rep)`` and similar).
+
+Draw j of the stream seeded with s is ``mix64(s + j * golden)``, a pure
+function of (s, j), so draws are taken as arrays as well as one at a time:
+:func:`uniforms` gives any range of draws of many streams at once,
+:func:`derive_seeds` the seeds of many keys, and
+:meth:`SplitMix64.random_array` the next draws of one generator.  Each is
+bit-identical to the scalar calls.  The scalar samplers at the end of
+:class:`SplitMix64` (geometric, Poisson, finite table) define the offspring
+laws; :meth:`treecut.generate.OffspringDistribution.counts` inverts whole
+arrays of uniforms to the same integers.
 """
 
 from __future__ import annotations
@@ -31,6 +41,25 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def mix64_array(z: np.ndarray) -> np.ndarray:
+    """``mix64`` of every entry of a uint64 array (arithmetic wraps mod 2**64)."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def uniforms(states: np.ndarray, first: int, count: int) -> np.ndarray:
+    """Draws ``first .. first+count-1`` of ``random`` for each stream state.
+
+    ``states`` is a uint64 array; row i holds what ``SplitMix64(states[i])``
+    returns on its calls number ``first`` to ``first + count - 1`` (the
+    first call is number 1), bit for bit, as float64.
+    """
+    steps = np.arange(first, first + count, dtype=np.uint64) * np.uint64(_GOLDEN)
+    z = mix64_array(states[:, None] + steps)
+    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
 def derive_seed(seed: int, *keys: int) -> int:
     """Derive a child seed from ``seed`` and a tuple of integer keys.
 
@@ -41,6 +70,12 @@ def derive_seed(seed: int, *keys: int) -> int:
     for k in keys:
         state = mix64(state ^ mix64((k + 1) * _GOLDEN))
     return state
+
+
+def derive_seeds(seed: int, start: int, stop: int) -> np.ndarray:
+    """``derive_seed(seed, k)`` for ``k = start .. stop-1``, as uint64."""
+    keys = np.arange(start + 1, stop + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+    return mix64_array(np.uint64(mix64(seed ^ _GOLDEN)) ^ mix64_array(keys))
 
 
 class SplitMix64:
@@ -66,17 +101,19 @@ class SplitMix64:
     def random_array(self, count: int) -> np.ndarray:
         """``count`` calls of ``random`` at once, bit for bit, as float64.
 
-        The states are the wrapped uint64 steps ``state + i * golden`` for
-        ``i = 1..count``, finalized as in ``mix64``; the generator ends in
-        the state ``count`` scalar draws would leave.
+        The generator ends in the state ``count`` scalar draws would leave.
         """
-        steps = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
-        z = steps + np.uint64(self._state)
+        draws = self.peek_array(count)
+        self.skip(count)
+        return draws
+
+    def peek_array(self, count: int) -> np.ndarray:
+        """What ``random_array(count)`` would return, without advancing."""
+        return uniforms(np.array([self._state], dtype=np.uint64), 1, count)[0]
+
+    def skip(self, count: int) -> None:
+        """Advance past ``count`` draws without computing them."""
         self._state = (self._state + count * _GOLDEN) & _MASK
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        z ^= z >> np.uint64(31)
-        return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
     def below(self, bound: int) -> int:
         """Uniform-ish integer in [0, bound) via a modulo draw.

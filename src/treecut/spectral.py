@@ -27,8 +27,9 @@ import numpy as np
 from . import _kernels
 from .errors import DegenerateInputError, ResourceLimitError, ValidationError
 from .rng import SplitMix64
-from .tree import (RootedTree, center_of_mass, compute_metrics, from_parents,
-                   max_edge_load, max_path_load, reroot, root_path, tail_profile)
+from .tree import (CenterOfMass, RootedTree, center_of_mass, compute_metrics,
+                   from_parents, max_edge_load, max_path_load, reroot, root_path,
+                   tail_profile)
 
 __all__ = [
     "Eigensystem", "SpectrumResult", "HardyCertificate", "HardyLowerBound",
@@ -263,10 +264,26 @@ def hardy_interval(tree: RootedTree) -> HardyCertificate:
     The split vertex is recomputed from the tree's own balance, not taken
     from the stored root, and the delta actually achieved is reported.
     """
-    if tree.n < 2:
-        raise DegenerateInputError("no gap to enclose for a single vertex")
+    return _interval_at(*_recentered(tree))
+
+
+def _recentered(tree: RootedTree) -> Tuple[CenterOfMass, RootedTree]:
+    """The center-of-mass split and the tree re-rooted at its vertex, where
+    both ``hardy_interval`` and ``hardy_lower`` start."""
     com = center_of_mass(tree)
-    base = reroot(tree, com.vertex)
+    return com, reroot(tree, com.vertex)
+
+
+def _hardy_pair(tree: RootedTree) -> Tuple[HardyCertificate, HardyLowerBound]:
+    """``(hardy_interval(tree), hardy_lower(tree))`` from one split and one
+    re-rooting."""
+    split = _recentered(tree)
+    return _interval_at(*split), _lower_at(*split)
+
+
+def _interval_at(com: CenterOfMass, base: RootedTree) -> HardyCertificate:
+    if base.n < 2:
+        raise DegenerateInputError("no gap to enclose for a single vertex")
     A = max(hardy_constant(base, com.part_a), hardy_constant(base, com.part_b))
     return HardyCertificate(A=A, interval=(1.0 / A, 1.0 / (com.delta * A)),
                             delta=com.delta, vertex=com.vertex)
@@ -434,13 +451,15 @@ def hardy_lower(tree: RootedTree) -> HardyLowerBound:
     needs the root to carry the split; the gap itself does not depend on
     the rooting.
     """
-    com = center_of_mass(tree)
-    base = reroot(tree, com.vertex)
+    return _lower_at(*_recentered(tree))
+
+
+def _lower_at(com: CenterOfMass, base: RootedTree) -> HardyLowerBound:
     metrics = compute_metrics(base)
     mel = max_edge_load(metrics)
     if mel.edge is None:
         return HardyLowerBound(0.0, com.delta, None, base,
-                               np.zeros(tree.n), 0.0, 0.0)
+                               np.zeros(base.n), 0.0, 0.0)
     d = int(metrics.depth[mel.edge])
     g = np.zeros(base.n, dtype=np.float64)
     g[root_path(base, mel.edge)[1:]] = 1.0 / d

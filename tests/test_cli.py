@@ -228,3 +228,28 @@ class TestJsonText:
         code, _, _ = run_cli(argv + ["--out", str(path)], capsys)
         assert code == 0
         assert path.read_text(encoding="ascii") == out
+
+
+class TestTextFormat:
+    @pytest.mark.parametrize("argv", [
+        ["metrics", "--family", "gw_size", "--n", "40", "--offspring", "geom:0.5",
+         "--seed", "3"],
+        ["spectrum", "--family", "cor15", "--n", "16", "--full"],
+        ["bounds", "--family", "ssym_binary", "--n", "5"],
+        ["mix", "--family", "segment", "--n", "6", "--start", "2"],
+        ["bdchain", "--degrees", "2,3,3", "--n", "3"],
+    ], ids=lambda argv: argv[0])
+    def test_one_line_per_key_nested_values_as_json(self, argv, capsys):
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        payload = json.loads(out)
+        code, text, _ = run_cli(argv + ["--format", "text"], capsys)
+        assert code == 0
+        lines = text.splitlines()
+        assert [line.split(" ", 1)[0] for line in lines] == sorted(payload)
+        for line in lines:
+            key, value = line.split(" ", 1)
+            if isinstance(payload[key], (dict, list)):
+                assert value == json.dumps(payload[key], sort_keys=True)
+            else:
+                assert value == str(payload[key])

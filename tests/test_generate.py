@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treecut as T
+from treecut import generate
 from treecut.errors import (RejectionCapError, ResourceLimitError,
                             ValidationError)
 from treecut.generate import OffspringDistribution as OD
 from treecut.rng import SplitMix64
 
-from util import random_tree
+from util import (brute_reroot_parent, loop_conditioned_sizes, loop_gw_survival_truncated,
+                  loop_gw_tree, loop_kesten_tree, random_tree, scalar_offspring)
 
 
 class TestOffspring:
@@ -235,6 +237,191 @@ class TestBranchingFamilies:
         assert T.to_text(a) == T.to_text(b)
         with pytest.raises(ValidationError):
             T.kesten_tree(OD.geometric(0.4), 5, seed=0)  # mean 1.5
+
+
+class _Replay(SplitMix64):
+    """A generator whose ``random()`` returns the given values in turn, so
+    the scalar samplers can be run on chosen uniforms."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def random(self):
+        return next(self._values)
+
+
+def scalar_counts(dist, u):
+    rng = _Replay(u.tolist())
+    return [scalar_offspring(dist, rng) for _ in range(u.size)]
+
+
+def _ulps_around(x, k=2):
+    out = [x]
+    lo = hi = x
+    for _ in range(k):
+        lo, hi = np.nextafter(lo, -1.0), np.nextafter(hi, 2.0)
+        out += [lo, hi]
+    return out
+
+
+def _law_id(value):
+    return f"{value.kind}{list(value.params)}" if isinstance(value, OD) else str(value)
+
+
+_U_MAX = 1.0 - 2.0**-53  # the largest uniform the stream can produce
+
+
+class TestOffspringCounts:
+    """``OffspringDistribution.counts`` against the scalar samplers."""
+
+    @pytest.mark.parametrize("dist", [OD.geometric(0.5), OD.poisson(1.0),
+                                      OD.table([0.25, 0.5, 0.25])], ids=_law_id)
+    def test_million_draws_match_the_scalar_sampler(self, dist):
+        u = SplitMix64(0xD1CE).random_array(10**6)
+        assert dist.counts(u, 10**9).tolist() == scalar_counts(dist, u)
+
+    @pytest.mark.parametrize("dist", [
+        OD.geometric(0.1), OD.geometric(0.3), OD.geometric(0.5), OD.geometric(0.7),
+        OD.geometric(1.0), OD.poisson(0.0), OD.poisson(0.9), OD.poisson(1.0),
+        OD.poisson(30.0), OD.table([0.5, 0, 0.5]), OD.table([0.25, 0.5, 0.25]),
+        OD.table([0.2, 0.3, 0.5]), OD.table([0.1] * 10)], ids=_law_id)
+    def test_count_boundaries(self, dist):
+        # u at and next to every place where the count changes
+        if dist.kind == "geometric":
+            q = 1.0 - dist.params[0]
+            edges = [1.0 - q**j for j in range(80)]
+        else:
+            edges = dist._cumulative.tolist()
+        u = [0.0, _U_MAX] + [x for e in edges for x in _ulps_around(e)]
+        u = np.array([x for x in u if 0.0 <= x <= _U_MAX])
+        assert dist.counts(u, 10**9).tolist() == scalar_counts(dist, u)
+
+    def test_geometric_guard_band(self):
+        # u = 0.271, two ulps above 1 - 0.9**3, puts the ratio within 1e-15
+        # of 3; np.log1p and math.log1p may differ there in the last ulp, and
+        # where they do (AVX-512 numpy builds) the unguarded floor is 3, the
+        # scalar count 2
+        dist, u = OD.geometric(0.1), 0.271
+        ratio = np.log1p(-u) / np.log1p(-0.1)
+        assert abs(ratio - 3.0) <= 1e-9 * 3.0
+        u = np.array([u])
+        assert dist.counts(u, 100).tolist() == scalar_counts(dist, u) == [2]
+
+    def test_counts_clipped_before_the_integer_cast(self):
+        dist = OD.geometric(1e-150)
+        u = np.array([0.0, 0.5, _U_MAX])
+        assert scalar_counts(dist, u)[1] > 2**63
+        assert dist.counts(u, 7).tolist() == [0, 7, 7]
+        assert OD.poisson(30.0).counts(np.array([0.5, _U_MAX]), 3).tolist() == [3, 3]
+
+    def test_poisson_break(self):
+        # the running sum of poisson(1.3) stops below the largest uniform, so
+        # the scalar inversion runs 10^7 steps into its break
+        dist, u = OD.poisson(1.3), np.array([_U_MAX])
+        assert dist._cumulative[-1] < _U_MAX
+        assert dist.counts(u, 2**40).tolist() == scalar_counts(dist, u) == [10_000_001]
+
+
+_ORACLE_ATTEMPTS = 1100  # one full block of attempts and part of a second
+_SIZE_LAWS = [OD.geometric(0.3), OD.geometric(0.5), OD.geometric(0.7), OD.geometric(1.0),
+              OD.poisson(0.9), OD.poisson(1.0), OD.table([0.5, 0, 0.5]),
+              OD.table([0.25, 0.5, 0.25])]
+
+
+class TestSamplersAgainstLoop:
+    """The array samplers give the trees, labels and errors of the
+    breadth-first loop with one scalar draw per vertex (``tests/util.py``)."""
+
+    @pytest.mark.parametrize("dist", _SIZE_LAWS, ids=_law_id)
+    def test_conditioned_size(self, dist):
+        latest = -1
+        for seed in range(30):
+            found = loop_conditioned_sizes(dist, 60, seed, _ORACLE_ATTEMPTS)
+            for n in range(1, 61):
+                if n not in found:
+                    with pytest.raises(RejectionCapError) as info:
+                        T.gw_conditioned_size(dist, n, seed, max_attempts=_ORACLE_ATTEMPTS)
+                    assert info.value.attempts == _ORACLE_ATTEMPTS
+                    continue
+                attempt, parent, labels = found[n]
+                latest = max(latest, attempt)
+                tree, got = T.gw_conditioned_size(dist, n, seed,
+                                                  max_attempts=_ORACLE_ATTEMPTS)
+                assert tree.parent.tolist() == parent, (n, seed)
+                assert got.tolist() == labels, (n, seed)
+                if seed % 10 == 0:
+                    rerooted, _ = T.gw_conditioned_size(
+                        dist, n, seed, max_attempts=_ORACLE_ATTEMPTS,
+                        reroot_at_label_one=True)
+                    assert rerooted.parent.tolist() == brute_reroot_parent(
+                        tree, labels.index(1))
+        if dist.mean > 0:
+            assert latest >= generate._BLOCK  # an accepted attempt in the second block
+
+    @pytest.mark.parametrize("cap", [1, 40, 1027])
+    def test_rejection_cap_counts_every_attempt(self, cap):
+        with pytest.raises(RejectionCapError) as info:
+            T.gw_conditioned_size(OD.table([0, 0, 1]), 10, seed=0, max_attempts=cap)
+        assert info.value.attempts == cap
+        assert str(info.value) == f"no tree of size exactly 10 in {cap} attempts"
+
+    def test_cap_ends_just_before_the_accepted_attempt(self):
+        dist = OD.geometric(0.5)
+        attempt = loop_conditioned_sizes(dist, 60, 3, 5000)[60][0]
+        assert attempt > generate._BLOCK
+        with pytest.raises(RejectionCapError):
+            T.gw_conditioned_size(dist, 60, 3, max_attempts=attempt)
+        T.gw_conditioned_size(dist, 60, 3, max_attempts=attempt + 1)
+
+    @pytest.mark.parametrize("dist", [OD.geometric(0.4), OD.geometric(0.5), OD.poisson(1.3),
+                                      OD.table([0.25, 0.5, 0.25]), OD.table([0, 0, 1])],
+                             ids=_law_id)
+    def test_gw_tree(self, dist):
+        for seed in range(40):
+            for max_gen in (0, 1, 5, 9):
+                assert T.gw_tree(dist, max_gen, seed).parent.tolist() == \
+                    loop_gw_tree(dist, max_gen, seed), (seed, max_gen)
+
+    def test_gw_tree_vertex_cap(self):
+        dist = OD.geometric(0.4)
+        for seed in range(40):
+            for cap in (0, 1, 2, 30, 200):
+                try:
+                    expected = loop_gw_tree(dist, 12, seed, max_vertices=cap)
+                except ResourceLimitError as exc:
+                    with pytest.raises(ResourceLimitError, match=str(exc)):
+                        T.gw_tree(dist, 12, seed, max_vertices=cap)
+                else:
+                    tree = T.gw_tree(dist, 12, seed, max_vertices=cap)
+                    assert tree.parent.tolist() == expected
+
+    @pytest.mark.parametrize("dist,n", [(OD.poisson(1.3), 6), (OD.geometric(0.4), 8),
+                                        (OD.table([0.2, 0.3, 0.5]), 5)], ids=_law_id)
+    def test_gw_survival_truncated(self, dist, n):
+        for seed in range(30):
+            assert T.gw_survival_truncated(dist, n, seed).parent.tolist() == \
+                loop_gw_survival_truncated(dist, n, seed), seed
+
+    @pytest.mark.parametrize("dist,n", [(OD.geometric(0.5), 12), (OD.poisson(1.0), 10),
+                                        (OD.table([0.25, 0.5, 0.25]), 9),
+                                        (OD.geometric(0.7), 6)], ids=_law_id)
+    def test_kesten_tree(self, dist, n):
+        for seed in range(30):
+            assert T.kesten_tree(dist, n, seed).parent.tolist() == \
+                loop_kesten_tree(dist, n, seed), seed
+
+    def test_kesten_vertex_cap(self):
+        dist = OD.geometric(0.5)
+        for seed in range(30):
+            for cap in (1, 5, 20, 60):
+                try:
+                    expected = loop_kesten_tree(dist, 10, seed, max_vertices=cap)
+                except ResourceLimitError as exc:
+                    with pytest.raises(ResourceLimitError, match=str(exc)):
+                        T.kesten_tree(dist, 10, seed, max_vertices=cap)
+                else:
+                    tree = T.kesten_tree(dist, 10, seed, max_vertices=cap)
+                    assert tree.parent.tolist() == expected
 
 
 class TestContour:

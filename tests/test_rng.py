@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from treecut.rng import SplitMix64, derive_seed, mix64
+from treecut.rng import SplitMix64, derive_seed, derive_seeds, mix64, uniforms
 
 # Published reference outputs of the SplitMix64 sequence for seed 0.
 SEED0_REFERENCE = [
@@ -81,3 +81,32 @@ def test_table_sampler_frequencies():
         counts[g.from_table(probs)] += 1
     for c, p in zip(counts, probs):
         assert math.isclose(c / 30000, p, abs_tol=0.02)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1, -3])
+def test_derive_seeds_is_derive_seed(seed):
+    for start, stop in ((0, 0), (0, 5), (1020, 1030), (2**40, 2**40 + 3)):
+        seeds = derive_seeds(seed, start, stop)
+        assert seeds.dtype == np.uint64
+        assert seeds.tolist() == [derive_seed(seed, k) for k in range(start, stop)]
+
+
+def test_uniforms_are_the_scalar_streams():
+    states = np.array([0, 1, 2**63 + 5, 2**64 - 1], dtype=np.uint64)
+    for first, count in ((1, 40), (9, 16), (1, 0)):
+        rows = uniforms(states, first, count)
+        assert rows.shape == (states.size, count)
+        for s, row in zip(states.tolist(), rows):
+            g = SplitMix64(s)
+            draws = [g.random() for _ in range(first + count - 1)][first - 1:]
+            assert row.tobytes() == np.array(draws, dtype=np.float64).tobytes()
+
+
+def test_peek_and_skip_follow_the_stream():
+    g, scalar = SplitMix64(11), SplitMix64(11)
+    ahead = g.peek_array(6)
+    assert ahead.tobytes() == g.random_array(6).tobytes()
+    g.skip(3)
+    expected = [scalar.random() for _ in range(10)]
+    assert ahead.tolist() == expected[:6]
+    assert g.random() == expected[9]

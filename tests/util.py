@@ -7,7 +7,9 @@ undirected flood fill from the far side of each edge, and so on.  They are
 slow and obviously correct, which is the point.  The level-synchronous
 ``subtree_sum``/``ancestor_sum`` (one numpy call per depth, over levels
 found by a breadth-first search of their own) are the oracle for the
-pointer-doubling kernels.
+pointer-doubling kernels.  The breadth-first branching loop, one scalar
+draw per vertex, is the oracle for the array samplers of the random
+families.
 """
 
 import os
@@ -16,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from treecut import from_parents, laplacian
+from treecut.errors import RejectionCapError, ResourceLimitError, ValidationError
 from treecut.rng import SplitMix64, derive_seed
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -299,3 +302,116 @@ def dense_mixing_time(tree, epsilon, start=None, rtol=1e-8):
         else:
             lo = mid
     return hi
+
+
+# ---------------------------------------------------------------------------
+# random families, one vertex and one scalar draw at a time
+# ---------------------------------------------------------------------------
+
+def scalar_offspring(dist, rng):
+    """One offspring count of ``dist`` from the scalar samplers of ``rng``."""
+    if dist.kind == "geometric":
+        return rng.geometric(dist.params[0])
+    if dist.kind == "poisson":
+        return rng.poisson(dist.params[0])
+    return rng.from_table(dist.params)
+
+
+def loop_grow(rng, dist, max_gen, max_vertices, abort_over=None):
+    """Breadth-first branching process over a growing parent list, one
+    scalar draw per vertex below depth ``max_gen``.  None as soon as the
+    list holds more than ``abort_over`` vertices; ``ResourceLimitError``
+    once it holds more than ``max_vertices``."""
+    parent = [-1]
+    depth = [0]
+    head = 0
+    while head < len(parent):
+        v = head
+        head += 1
+        if depth[v] >= max_gen:
+            continue
+        for _ in range(scalar_offspring(dist, rng)):
+            parent.append(v)
+            depth.append(depth[v] + 1)
+            if abort_over is not None and len(parent) > abort_over:
+                return None
+            if len(parent) > max_vertices:
+                raise ResourceLimitError(
+                    f"branching process exceeded the vertex cap {max_vertices}")
+    return parent
+
+
+def loop_gw_tree(dist, max_gen, seed, max_vertices=1_000_000):
+    """``gw_tree`` from ``loop_grow``: the parent list."""
+    return loop_grow(SplitMix64(seed), dist, max_gen, max_vertices)
+
+
+def loop_gw_survival_truncated(dist, n, seed, max_attempts=1_000_000,
+                               max_vertices=1_000_000):
+    """``gw_survival_truncated`` from ``loop_grow``: the parent list."""
+    for attempt in range(max_attempts):
+        parent = loop_grow(SplitMix64(derive_seed(seed, attempt)), dist, n, max_vertices)
+        if from_parents(len(parent), parent).height == n:
+            return parent
+    raise RejectionCapError(f"no tree reached generation {n}", attempts=max_attempts)
+
+
+def loop_kesten_tree(dist, n, seed, max_vertices=1_000_000):
+    """``kesten_tree`` with every side subtree grown by a breadth-first
+    queue, one scalar draw per vertex: the parent list."""
+    if dist.mean > 1.0:
+        raise ValidationError(f"needs mean <= 1, got {dist.mean}")
+    sb_table = dist.size_biased_table()
+    rng = SplitMix64(seed)
+    parent = [-1]
+    spine = 0
+    for d in range(n):
+        count = rng.from_table(sb_table)
+        kids = []
+        for _ in range(count):
+            kids.append(len(parent))
+            parent.append(spine)
+        pos = rng.below(count)
+        for idx, child in enumerate(kids):
+            if idx == pos:
+                continue
+            queue = [(child, d + 1)]
+            head = 0
+            while head < len(queue):
+                v, dv = queue[head]
+                head += 1
+                if dv >= n:
+                    continue
+                for _ in range(scalar_offspring(dist, rng)):
+                    queue.append((len(parent), dv + 1))
+                    parent.append(v)
+                    if len(parent) > max_vertices:
+                        raise ResourceLimitError(
+                            f"spine tree exceeded the vertex cap {max_vertices}")
+        spine = kids[pos]
+    return parent
+
+
+def loop_conditioned_sizes(dist, max_n, seed, max_attempts):
+    """``gw_conditioned_size`` for every n in 1..max_n at once.
+
+    Attempt a grows ``loop_grow`` from ``derive_seed(seed, a)`` with
+    ``abort_over=max_n``.  Growth that ends with exactly n <= max_n vertices
+    never held more than n, so it is also what the attempt gives with
+    ``abort_over=n``: the first attempt that ends with n vertices is the
+    one the sampler keeps for n.  Its labels are ``1..n`` shuffled by the
+    same generator after the growth.  Returns ``{n: (attempt, parent,
+    labels)}`` for the sizes found within ``max_attempts``.
+    """
+    found = {}
+    for attempt in range(max_attempts):
+        rng = SplitMix64(derive_seed(seed, attempt))
+        parent = loop_grow(rng, dist, max_n + 1, max_n + 2, abort_over=max_n)
+        if parent is None or len(parent) in found:
+            continue
+        labels = list(range(1, len(parent) + 1))
+        rng.shuffle(labels)
+        found[len(parent)] = (attempt, parent, labels)
+        if len(found) == max_n:
+            break
+    return found

@@ -1,4 +1,4 @@
-"""Numeric kernels: the two tree primitives and the dense helpers.
+"""Numeric kernels: the two tree primitives and the tree solve built on them.
 
 Every linear tree pass in the package is one of two sums, or a
 composition of them:
@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["BACKEND", "subtree_sum", "ancestor_sum", "tree_solve",
-           "laplacian_matvec", "tv_from_kernel"]
+__all__ = ["BACKEND", "subtree_sum", "ancestor_sum", "tree_solve"]
 
 BACKEND = "numpy"
 
@@ -69,18 +68,3 @@ def tree_solve(tree, b) -> np.ndarray:
     accumulated down the root paths.
     """
     return ancestor_sum(tree, subtree_sum(tree, np.asarray(b, dtype=np.float64)))
-
-
-def laplacian_matvec(parent, deg, x):
-    """y = (D - A) x using only the parent array."""
-    y = deg.astype(np.float64) * x
-    nonroot = np.nonzero(parent >= 0)[0]
-    pars = parent[nonroot]
-    y[nonroot] -= x[pars]
-    np.subtract.at(y, pars, x[nonroot])
-    return y
-
-
-def tv_from_kernel(P, pi_val):
-    """max over rows of the total-variation distance to the flat measure."""
-    return 0.5 * float(np.abs(P - pi_val).sum(axis=1).max())

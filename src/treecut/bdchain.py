@@ -214,7 +214,11 @@ def lift(tree: RootedTree, chain: BDChain, f: np.ndarray) -> LiftResult:
         F[below] = f[n + sign_offset * depth[below] - 1]
 
     gap = bd_spectrum(chain).gap
-    QF = _kernels.laplacian_matvec(tree.parent, tree.degrees(), F)
+    QF = tree.degrees() * F
+    nonroot = np.nonzero(tree.parent >= 0)[0]
+    pars = tree.parent[nonroot]
+    QF[nonroot] -= F[pars]
+    np.subtract.at(QF, pars, F[nonroot])
     residual = float(np.abs(gap * F - QF).max())
     return LiftResult(values=F, residual=residual)
 

@@ -26,13 +26,13 @@ from .generate import (OffspringDistribution, binary_of_size, cor15_tree,
                        gw_conditioned_size, gw_survival_truncated, gw_tree,
                        kesten_tree, peres_sousi, segment,
                        spherically_symmetric)
-from .mixing import hitting_profile, mixing_time
+from .mixing import _gap, hitting_profile, mixing_time
 from .rng import derive_seed
-from .spectral import (bound_log_diameter, bound_path_load,
-                       bound_summable_weights, bound_tail, dense_cap,
-                       hardy_lower, spectrum)
-from .tree import (RootedTree, center_of_mass, compute_metrics, max_edge_load,
-                   max_path_load, root_path, tail_profile)
+from .spectral import (_lower_at, _recentered, bound_log_diameter,
+                       bound_path_load, bound_summable_weights, bound_tail,
+                       dense_cap)
+from .tree import (RootedTree, compute_metrics, max_edge_load, max_path_load,
+                   root_path, tail_profile)
 
 __all__ = [
     "TrendFit", "Diagnostic", "FamilyRow", "FamilyReport", "RetractionReport",
@@ -80,8 +80,9 @@ class Diagnostic:
 
 
 def product_ratio(tree: RootedTree, epsilon: float) -> float:
-    """t_mix(epsilon) times the spectral gap, both exact."""
-    return mixing_time(tree, epsilon).t_mix * spectrum(tree).gap
+    """t_mix(epsilon) times the spectral gap, both exact, from the
+    eigensystem ``mixing_time`` searches on."""
+    return mixing_time(tree, epsilon).t_mix * _gap(tree)
 
 
 @dataclass(frozen=True)
@@ -120,9 +121,13 @@ class FamilyReport:
 
 
 def analyze_tree(tree: RootedTree, epsilon: float, size_label: float) -> FamilyRow:
-    """Row for one tree: exact spectra under the dense cap, bounds above it."""
+    """Row for one tree: exact spectra under the dense cap, bounds above it.
+
+    t_rel comes from the eigensystem ``mixing_time`` searches on (bottom
+    eigenpairs from ``mixing.PARTIAL_MIN_VERTICES`` vertices on).
+    """
     metrics = compute_metrics(tree)
-    com = center_of_mass(tree)
+    com, recentered = _recentered(tree)
     base = dict(
         n=float(size_label), sites=float(tree.n),
         max_degree=float(metrics.max_degree),
@@ -131,12 +136,12 @@ def analyze_tree(tree: RootedTree, epsilon: float, size_label: float) -> FamilyR
         tail_max=float(tail_profile(metrics).value),
         delta=com.delta,
     )
-    lower = hardy_lower(tree)
+    lower = _lower_at(com, recentered)
     upper = min(bound_log_diameter(tree),
                 bound_summable_weights(tree, lambda k: k * k),
                 bound_path_load(tree), bound_tail(tree))
     if tree.n <= dense_cap():
-        t_rel = spectrum(tree).t_rel
+        t_rel = 1.0 / _gap(tree)
         t_mix = mixing_time(tree, epsilon).t_mix
         return FamilyRow(mode="exact", t_rel=t_rel, t_mix=t_mix,
                          ratio=t_mix / t_rel, t_rel_lower=lower.value,

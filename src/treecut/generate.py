@@ -494,6 +494,8 @@ def kesten_tree(dist: OffspringDistribution, n: int, seed: int,
         kids = range(size, size + count)
         parent.append(np.full(count, spine))
         size += count
+        if size > max_vertices:
+            raise ResourceLimitError(f"spine tree exceeded the vertex cap {max_vertices}")
         pos = rng.below(count)
         take = _count_reader(rng, dist, max(max_vertices, 0) + 1)
         for idx, child in enumerate(kids):

@@ -2,13 +2,20 @@
 
 The transition kernel of the variable-speed walk is
 P_t = sum_j exp(-t lambda_j) u_j u_j^T over the eigenpairs of the
-Laplacian, shared with :mod:`treecut.spectral` through its per-tree cache
-(Levin-Peres-Wilmer, *Markov Chains and Mixing Times*, ch. 12).  Near the
-mixing time almost every mode is negligible, so each TV evaluation keeps
-only the first k modes, k the smallest count whose certified tail
-1/2 sum_{j>=k} exp(-t lambda_j) |u_j|_inf |u_j|_1 is at most ``TAIL_TOL``;
-that tail bounds the change of every start's TV distance.  One start then
-costs O(n k) and all starts O(n^2 k), never the full n x n GEMM.
+Laplacian (Levin-Peres-Wilmer, *Markov Chains and Mixing Times*, ch. 12).
+Near the mixing time almost every mode is negligible, so each TV
+evaluation keeps only the first k modes, k the smallest count whose tail
+1/2 sqrt(n) exp(-t lambda_k) is at most ``TAIL_TOL``; that tail bounds the
+change of every start's TV distance and needs no eigenvector.  One start
+then costs O(n k) and all starts O(n^2 k), never the full n x n GEMM.
+
+So the search needs only the eigenpairs below a floor.  From
+``PARTIAL_MIN_VERTICES`` vertices up to the dense cap they come from
+``spectral.bottom_pairs`` (Lanczos on the pseudo-inverse, completeness
+certified by an inertia count), with the floor set so that every time
+from t_rel / 2 on is covered; the full ``decompose`` serves smaller trees,
+trees whose bottom pairs cannot be certified (repeated eigenvalues), and
+searches that reach earlier times.
 
 The worst-case distance d(t) = max over starts x of TV_x(t) is
 non-increasing, and so is every TV_x.  ``mixing_time`` bisects on a single
@@ -33,9 +40,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import _kernels
-from .errors import ValidationError
-from .spectral import Eigensystem, decompose
+from .errors import DegenerateInputError, ValidationError
+from .spectral import Eigensystem, bottom_pairs, decompose, dense_cap
 from .tree import (RootedTree, center_of_mass, compute_metrics, max_path_load,
                    reroot)
 
@@ -47,34 +53,63 @@ __all__ = [
 
 
 TAIL_TOL = 1e-12  # certified truncation error allowed per TV evaluation
+# From this size up to the dense cap the search runs on bottom pairs: random
+# recursive trees, the slowest case for them, reach parity with the dense
+# eigh at 400-500 vertices.
+PARTIAL_MIN_VERTICES = 512
 
-# per tree: (eigensystem, |u_j|_inf * |u_j|_1 for every eigenvector u_j)
-_mode_factor_cache: "weakref.WeakKeyDictionary[RootedTree, tuple]" = \
+# per tree: the eigensystem the worst-start search runs on
+_modes_cache: "weakref.WeakKeyDictionary[RootedTree, Eigensystem]" = \
     weakref.WeakKeyDictionary()
 
 
-def _mode_factors(tree: RootedTree, eig: Eigensystem) -> np.ndarray:
-    """|u_j|_inf |u_j|_1 per eigenvector, computed once per eigensystem."""
-    cached = _mode_factor_cache.get(tree)
-    if cached is None or cached[0] is not eig:
-        mag = np.abs(eig.vectors)
-        cached = (eig, mag.max(axis=0) * mag.sum(axis=0))
-        _mode_factor_cache[tree] = cached
-    return cached[1]
+class _FloorTooHigh(ValidationError):
+    """A partial eigensystem omits modes that matter at the requested time."""
+
+
+def _modes(tree: RootedTree) -> Eigensystem:
+    """The eigensystem ``mixing_time`` searches on, chosen by size.
+
+    From ``PARTIAL_MIN_VERTICES`` up to the dense cap it is
+    ``bottom_pairs`` with the floor sigma = 2 ln(sqrt(n) / TAIL_TOL) times
+    the gap, where the tail 1/2 sqrt(n) exp(-t sigma) is TAIL_TOL / 2 at
+    t = t_rel / 2, so it serves every time from t_rel / 2 on.  Below that
+    size, above the cap (which ``decompose`` refuses) and wherever
+    ``bottom_pairs`` cannot certify its pairs, it is ``decompose``; so it
+    is after ``tv_curve``, which needs every mode, has decomposed the tree.
+    """
+    eig = _modes_cache.get(tree)
+    if eig is None:
+        if PARTIAL_MIN_VERTICES <= tree.n <= dense_cap():
+            eig = bottom_pairs(tree, 2.0 * np.log(np.sqrt(tree.n) / TAIL_TOL))
+        if eig is None:
+            eig = decompose(tree)
+        _modes_cache[tree] = eig
+    return eig
+
+
+def _gap(tree: RootedTree) -> float:
+    """The spectral gap from the eigensystem of ``_modes``."""
+    if tree.n < 2:
+        raise DegenerateInputError("the spectral gap is undefined for a single vertex")
+    return float(_modes(tree).values[1])
 
 
 def _kept_modes(tree: RootedTree, t: float, eig: Eigensystem):
     """Smallest mode count k whose dropped tail is <= TAIL_TOL, and that tail.
 
-    Dropping modes j >= k moves row x of P_t by at most
-    sum_{j>=k} exp(-t lambda_j) |u_j(x)| |u_j|_1 in l1, so half of that sum
-    with |u_j(x)| replaced by |u_j|_inf bounds the change of every start's
-    TV distance.
+    Dropping the modes j >= k leaves row x of P_t short by
+    r = sum_{j>=k} exp(-t lambda_j) u_j(x) u_j, and |r|_2 <= exp(-t lambda_k)
+    since the u_j are orthonormal, so every start's TV distance moves by at
+    most 1/2 |r|_1 <= 1/2 sqrt(n) exp(-t lambda_k).  Once every stored mode
+    is kept, lambda_k is the eigensystem's floor (the tail is 0 for a full
+    one).  ``_FloorTooHigh`` when even that tail exceeds TAIL_TOL.
     """
-    tails = 0.5 * np.cumsum((np.exp(-t * eig.values)
-                             * _mode_factors(tree, eig))[::-1])[::-1]
-    tails = np.append(tails, 0.0)  # tails[k] = half the sum over j >= k
+    rest = np.exp(-t * eig.floor) if eig.floor < np.inf else 0.0
+    tails = 0.5 * np.sqrt(tree.n) * np.append(np.exp(-t * eig.values), rest)
     k = int(np.argmax(tails <= TAIL_TOL))
+    if tails[k] > TAIL_TOL:
+        raise _FloorTooHigh(f"modes below {eig.floor} do not certify time {t}")
     return k, float(tails[k])
 
 
@@ -95,9 +130,7 @@ def heat_kernel_tv(tree: RootedTree, t: float,
     """Worst-case total-variation distance to uniform at time t."""
     if t < 0:
         raise ValidationError(f"time must be >= 0, got {t}")
-    if eig is None:
-        eig = decompose(tree)
-    return _kernels.tv_from_kernel(_kernel(tree, t, eig), 1.0 / tree.n)
+    return _worst_start(tree, t, decompose(tree) if eig is None else eig)[0]
 
 
 def tv_from_start(tree: RootedTree, t: float, start: int,
@@ -134,9 +167,10 @@ class MixingResult:
 def _worst_start(tree: RootedTree, t: float, eig: Eigensystem):
     """d(t) over all starts and a start attaining it, from one kernel."""
     P = _kernel(tree, t, eig)
-    d = _kernels.tv_from_kernel(P, 1.0 / tree.n)
-    P -= 1.0 / tree.n  # the same row sums again, in place
-    return d, int(np.argmax(np.abs(P, out=P).sum(axis=1)))
+    P -= 1.0 / tree.n
+    dist = np.abs(P, out=P).sum(axis=1)
+    worst = int(np.argmax(dist))
+    return 0.5 * float(dist[worst]), worst
 
 
 def mixing_time(tree: RootedTree, epsilon: float, start: Optional[int] = None,
@@ -149,7 +183,9 @@ def mixing_time(tree: RootedTree, epsilon: float, start: Optional[int] = None,
     ``start``, the upper end is accepted only if d <= epsilon there over
     all starts; otherwise that time becomes the lower end, the worst start
     there the candidate, and the bracket grows again.  epsilon at or above
-    the t=0 distance 1 - 1/n yields 0.
+    the t=0 distance 1 - 1/n yields 0.  The search runs on ``_modes``; if
+    it reaches a time before the floor of a partial eigensystem covers, it
+    starts over on ``decompose``.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValidationError(f"epsilon must be in (0, 1), got {epsilon}")
@@ -160,7 +196,16 @@ def mixing_time(tree: RootedTree, epsilon: float, start: Optional[int] = None,
         return MixingResult(epsilon, 0.0, tree.root if start is None else start,
                             np.array([(0.0, d0)]))
 
-    eig = decompose(tree)
+    try:
+        return _search(tree, epsilon, start, rtol, _modes(tree))
+    except _FloorTooHigh:
+        return _search(tree, epsilon, start, rtol, decompose(tree))
+
+
+def _search(tree: RootedTree, epsilon: float, start: Optional[int], rtol: float,
+            eig: Eigensystem) -> MixingResult:
+    """``mixing_time``'s bracket search on the modes of ``eig``."""
+    d0 = 1.0 - 1.0 / tree.n
     # first candidate: where the slowest mode peaks, the worst start once
     # that mode dominates
     x = start if start is not None else int(np.argmax(np.abs(eig.vectors[:, 1])))
@@ -215,6 +260,7 @@ def tv_curve(tree: RootedTree, n_samples: int, t_max: Optional[float] = None,
     if n_samples < 2:
         raise ValidationError("need at least two samples")
     eig = decompose(tree)
+    _modes_cache.setdefault(tree, eig)  # the curve needs every mode anyway
     if t_max is None:
         t_max = 1.5 * mixing_time(tree, 0.01, start=start).t_mix
     ts = np.linspace(0.0, float(t_max), n_samples)

@@ -4,15 +4,20 @@ The walk moves along every edge at rate 1, so its generator is A - D and
 the spectral gap equals the second-smallest eigenvalue of the Laplacian
 Q = D - A.  Everything here is derived from Q: exact dense spectra (below a
 configurable vertex cap), an iterative gap solver for larger trees, the
-Rayleigh quotient, the discrete Hardy characterization with its two-sided
-interval, weighted-path upper bounds on the relaxation time, and the exact
+bottom eigenpairs certified by an inertia count, the Rayleigh quotient,
+the discrete Hardy characterization with its two-sided interval,
+weighted-path upper bounds on the relaxation time, and the exact
 constrained-minimum ``nu`` of squared edge weights covering a vertex set.
 
 Dense eigendecompositions use the LAPACK symmetric solver and are cached
-per tree (the mixing module shares them).  The dense cap defaults to 4096
-vertices and can be overridden with the ``TREECUT_MAX_VERTICES``
-environment variable.  Every other eigenvalue, the gap above the cap and
-the Hardy constants, comes from one Lanczos solver over tree passes.
+per tree.  The dense cap defaults to 4096 vertices and can be overridden
+with the ``TREECUT_MAX_VERTICES`` environment variable.  Every other
+eigenvalue comes from one Lanczos solver over tree passes: the gap above
+the cap, the Hardy constants, and the eigenpairs below a floor
+(``bottom_pairs``, which the mixing module searches on for larger trees
+under the cap).  ``count_below`` counts the eigenvalues below a shift by
+Sylvester's law of inertia, in one leaves-to-root elimination; it
+certifies that ``bottom_pairs`` missed none.
 """
 
 from __future__ import annotations
@@ -34,9 +39,10 @@ from .tree import (CenterOfMass, RootedTree, center_of_mass, compute_metrics,
 __all__ = [
     "Eigensystem", "SpectrumResult", "HardyCertificate", "HardyLowerBound",
     "WeightScheme", "dense_cap", "laplacian", "decompose", "spectrum",
-    "gap_iterative", "rayleigh", "hardy_constant", "hardy_interval",
-    "weighted_path_bound", "bound_log_diameter", "bound_summable_weights",
-    "bound_path_load", "bound_tail", "hardy_lower", "nu_exact",
+    "gap_iterative", "count_below", "bottom_pairs", "rayleigh",
+    "hardy_constant", "hardy_interval", "weighted_path_bound",
+    "bound_log_diameter", "bound_summable_weights", "bound_path_load",
+    "bound_tail", "hardy_lower", "nu_exact",
 ]
 
 DEFAULT_DENSE_CAP = 4096
@@ -55,10 +61,16 @@ def dense_cap() -> int:
 
 @dataclass(frozen=True, eq=False)
 class Eigensystem:
-    """Full symmetric eigendecomposition of Q = D - A, values ascending."""
+    """Eigenpairs of Q = D - A, values ascending, vectors as columns.
+
+    ``decompose`` gives all of them; ``bottom_pairs`` only those below
+    ``floor``, which every omitted eigenvalue is at least (infinite when
+    none is omitted).
+    """
 
     values: np.ndarray
     vectors: np.ndarray
+    floor: float = np.inf
 
 
 @dataclass(frozen=True)
@@ -114,22 +126,37 @@ LANCZOS_MAX_STEPS = 1000
 LANCZOS_SEED = 0x5EED  # start vector of the gap solve
 
 
+def _one_pair(thetas: np.ndarray, done: np.ndarray) -> int:
+    """The ``wanted`` of callers that need only the top Ritz pair."""
+    return 1
+
+
 def _lanczos_top(apply: Callable[[np.ndarray], np.ndarray],
-                 project: Callable[[np.ndarray], None], start, tol: float) -> float:
-    """Top Ritz value of a symmetric positive semi-definite operator.
+                 project: Callable[[np.ndarray], None], start, tol: float,
+                 wanted: Callable[[np.ndarray, np.ndarray], int] = _one_pair):
+    """Top Ritz pairs of a symmetric positive semi-definite operator.
 
     Lanczos from ``start`` with two-pass full reorthogonalization; ``project``
     maps a vector in place onto the operator's subspace and is applied to
-    the start and to each new Lanczos vector.  Stops at relative Ritz
-    residual ``tol``, when the Krylov space is exhausted, or after
-    ``LANCZOS_MAX_STEPS`` steps.  The basis doubles its rows as it fills.
+    the start and to each new Lanczos vector.  A check solves the
+    tridiagonal matrix and tells ``wanted(thetas, done)`` the Ritz values,
+    descending, and which of them have relative Ritz residual at most
+    ``tol``; it names how many top pairs k the caller needs (one by
+    default).  The run stops once those have all converged (k = 0 stops it
+    at once), when the Krylov space is exhausted, or after
+    ``LANCZOS_MAX_STEPS`` steps.  The next check comes ceil(k/4) steps
+    later (every step for one pair), or at once if the new residual norm
+    is small enough against a Gershgorin bound of the matrix that the
+    space may be exhausted.  The basis doubles its rows as it fills.
+    Returns ``thetas``, ``done`` and the Ritz vectors of the pairs last
+    wanted, as columns.
     """
     q = np.array(start, dtype=np.float64)
     project(q)
     q /= np.linalg.norm(q)
     basis = np.empty((8, q.size))
     alphas, betas = [], []
-    theta = 0.0
+    check, bound = 1, 0.0
     for j in range(LANCZOS_MAX_STEPS):
         if j == len(basis):
             basis = np.concatenate([basis, np.empty_like(basis)])
@@ -144,27 +171,27 @@ def _lanczos_top(apply: Callable[[np.ndarray], np.ndarray],
         project(w)
         beta = float(np.linalg.norm(w))
         betas.append(beta)
+        bound = max(bound, alphas[j] + (betas[j - 1] if j else 0.0) + beta)
+        if j + 1 < min(check, LANCZOS_MAX_STEPS) and beta > 1e-14 * max(bound, 1.0):
+            q = w / beta
+            continue
         T = np.diag(alphas) + np.diag(betas[:j], 1) + np.diag(betas[:j], -1)
         vals, vecs = np.linalg.eigh(T)
-        theta = float(vals[-1])
-        resid = abs(beta * vecs[-1, -1])
-        if resid <= tol * max(theta, 1e-300) or beta <= 1e-14 * max(theta, 1.0):
+        thetas, vecs = vals[::-1], vecs[:, ::-1]
+        done = np.abs(beta * vecs[-1]) <= tol * np.maximum(thetas, 1e-300)
+        k = wanted(thetas, done)
+        if (k <= j + 1 and done[:k].all()) or beta <= 1e-14 * max(thetas[0], 1.0):
             break
+        check = j + 1 + -(-k // 4)
         q = w / beta
-    return theta
+    return thetas, done, basis[:j + 1].T @ vecs[:, :k]
 
 
-def gap_iterative(tree: RootedTree, tol: float = LANCZOS_TOL) -> float:
-    """Spectral gap without a dense solve, for trees above the dense cap.
-
-    The gap is 1/theta for the top Ritz value theta of the pseudo-inverse
-    of Q on the mean-zero subspace, found by ``_lanczos_top`` from a
-    seeded random start.  Each operator application is one O(n) tree
-    solve (no fill-in on a tree).
-    """
-    if tree.n < 2:
-        raise DegenerateInputError("the spectral gap is undefined for a single vertex")
-
+def _pinv_top(tree: RootedTree, tol: float, wanted=_one_pair):
+    """``_lanczos_top`` on the pseudo-inverse of Q over the mean-zero
+    subspace, from the seeded start: its top Ritz pairs are the bottom
+    eigenpairs of Q.  Each application is one O(n) tree solve (no fill-in
+    on a tree)."""
     def apply_pinv(v):
         w = v - v.mean()
         x = _kernels.tree_solve(tree, w)
@@ -174,10 +201,98 @@ def gap_iterative(tree: RootedTree, tol: float = LANCZOS_TOL) -> float:
         v -= v.mean()
 
     start = SplitMix64(LANCZOS_SEED).random_array(tree.n) - 0.5
-    theta = _lanczos_top(apply_pinv, center, start, tol)
+    return _lanczos_top(apply_pinv, center, start, tol, wanted)
+
+
+def gap_iterative(tree: RootedTree, tol: float = LANCZOS_TOL) -> float:
+    """Spectral gap without a dense solve, for trees above the dense cap.
+
+    The gap is 1/theta for the top Ritz value theta of the pseudo-inverse
+    of Q on the mean-zero subspace (``_pinv_top``).
+    """
+    if tree.n < 2:
+        raise DegenerateInputError("the spectral gap is undefined for a single vertex")
+    theta = float(_pinv_top(tree, tol)[0][0])
     if theta <= 0:
         raise ResourceLimitError("iterative gap solver failed to find a positive Ritz value")
     return 1.0 / theta
+
+
+def count_below(tree: RootedTree, sigma: float) -> int:
+    """Number of eigenvalues of Q below ``sigma``, by Sylvester's law of inertia.
+
+    Eliminating Q - sigma I from the leaves to the root leaves one pivot
+    per vertex; the number of negative pivots is the number of eigenvalues
+    below sigma (Jacobs & Trevisan, "Locating the eigenvalues of trees",
+    Linear Algebra Appl. 434, 2011).  The pivots are carried in
+    differential form: ``e_v = d_v - 1 = -sigma + sum_c e_c / (1 + e_c)``
+    over the children c of a non-root v (pivot ``1 + e_v``), the root's
+    pivot being that sum itself.  This avoids the cancellation of
+    ``d_v = deg_v - sigma - sum_c 1/d_c`` when sigma is small.  A zero pivot
+    at a child sends its term, and so its parent's pivot, to -inf; as in
+    Jacobs & Trevisan, that parent counts as negative and its edge upward
+    is cut: it passes only the 1 its degree adds.  One vectorized step per
+    level, deepest first.
+    """
+    order = np.argsort(tree.depth, kind="stable")
+    ends = np.cumsum(np.bincount(tree.depth))
+    position = np.empty(tree.n, dtype=np.int64)
+    position[order] = np.arange(tree.n)
+    up = position[tree.parent[order[1:]]]  # parent position, by position - 1
+    acc = np.full(tree.n, -float(sigma))   # e_v so far, by position
+    pivot = np.empty(tree.n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for d in range(len(ends) - 1, 0, -1):
+            lo, hi = ends[d - 1], ends[d]
+            e = acc[lo:hi]
+            np.add(e, 1.0, out=pivot[lo:hi])
+            term = e / pivot[lo:hi]
+            term[np.isnan(term)] = 1.0  # -inf / -inf: a cut edge still counts in the degree
+            np.add.at(acc, up[lo - 1:hi - 1], term)
+    pivot[0] = acc[0]  # the root
+    return int(np.count_nonzero(pivot < 0))
+
+
+def bottom_pairs(tree: RootedTree, span: float) -> Optional[Eigensystem]:
+    """Every eigenpair of Q with eigenvalue below ``span`` times the gap.
+
+    ``_pinv_top`` runs until its top pair (the gap) converges, which fixes
+    the floor ``sigma = span * gap``; ``count_below(sigma)`` then says how
+    many eigenvalues lie below it, and the run goes on until that many
+    Ritz pairs have converged, each inside the floor by more than its
+    residual.  A single Krylov space holds one vector per distinct
+    eigenvalue, so a repeated eigenvalue below the floor (a star, a
+    spherically symmetric tree) leaves the count unmet until the space is
+    exhausted or the run gives up after ``3 * count + 40`` steps (about
+    2.5 steps per pair suffice on trees without repeats); then None is
+    returned, for the caller to use ``decompose``.  Otherwise the result
+    holds eigenvalue 0 with the constant vector and the pairs found,
+    ascending, with ``floor`` sigma: every eigenvalue it omits is at least
+    sigma.  ``span`` must exceed 1.
+    """
+    if tree.n < 2:
+        return None
+    need = []  # [sigma, number of nonzero eigenvalues below it], once known
+
+    def wanted(thetas, done):
+        if not need:
+            if not done[0]:
+                return 1
+            sigma = span / thetas[0]
+            need.extend((sigma, count_below(tree, sigma) - 1))
+        return need[1] if len(thetas) <= 3 * need[1] + 40 else 0
+
+    thetas, done, vectors = _pinv_top(tree, LANCZOS_TOL, wanted)
+    if not need:
+        return None
+    sigma, p = need
+    if vectors.shape[1] != p or not done[:p].all() or \
+            not np.all(thetas[:p] * (1.0 - LANCZOS_TOL) > 1.0 / sigma):
+        return None
+    values = np.concatenate(([0.0], 1.0 / thetas[:p]))
+    const = np.full((tree.n, 1), 1.0 / np.sqrt(tree.n))
+    return Eigensystem(values=values, vectors=np.hstack([const, vectors]),
+                       floor=sigma if p < tree.n - 1 else np.inf)
 
 
 def rayleigh(tree: RootedTree, f) -> float:
@@ -238,7 +353,7 @@ def hardy_constant(tree: RootedTree, part: Iterable[int]) -> float:
     def on_edges(g):
         g[sub.root] = 0.0
 
-    return _lanczos_top(gram, on_edges, np.ones(sub.n), LANCZOS_TOL)
+    return float(_lanczos_top(gram, on_edges, np.ones(sub.n), LANCZOS_TOL)[0][0])
 
 
 @dataclass(frozen=True)

@@ -106,6 +106,18 @@ class TestLift:
             assert bd.lift(tree, ch, sp.eigenfunction).residual < 1e-8
             assert T.spectrum(tree).t_rel >= 1.0 / sp.gap - 1e-8
 
+    def test_residual_matches_dense_laplacian(self):
+        # any chain function lifts; its residual is the sup-norm of
+        # gap * F - Q F, here against the dense Laplacian
+        for n in (3, 5):
+            ch = bd.project(BINARY, n)
+            tree = T.spherically_symmetric(ch.degrees)
+            res = bd.lift(tree, ch, np.sin(np.arange(ch.size, dtype=float)))
+            want = np.abs(bd.bd_spectrum(ch).gap * res.values
+                          - T.laplacian(tree) @ res.values).max()
+            assert want > 0.1
+            assert res.residual == pytest.approx(want, rel=1e-12)
+
     def test_degree_mismatch_rejected(self):
         ch = bd.project(BINARY, 3)
         tree = T.spherically_symmetric([3, 3])  # wrong root degree

@@ -410,6 +410,18 @@ class TestSamplersAgainstLoop:
             assert T.kesten_tree(dist, n, seed).parent.tolist() == \
                 loop_kesten_tree(dist, n, seed), seed
 
+    @pytest.mark.parametrize("dist,n", [(OD.table([0, 1]), 10), (OD.table([0.5, 0, 0.5]), 3)],
+                             ids=_law_id)
+    def test_kesten_spine_children_count_toward_the_cap(self, dist, n):
+        full = T.kesten_tree(dist, n, 0)
+        for cap in (1, full.n - 1):
+            for build in (T.kesten_tree, loop_kesten_tree):
+                with pytest.raises(ResourceLimitError, match=f"vertex cap {cap}$"):
+                    build(dist, n, 0, max_vertices=cap)
+        tree = T.kesten_tree(dist, n, 0, max_vertices=full.n)
+        assert tree.parent.tolist() == full.parent.tolist() == \
+            loop_kesten_tree(dist, n, 0, max_vertices=full.n)
+
     def test_kesten_vertex_cap(self):
         dist = OD.geometric(0.5)
         for seed in range(30):

@@ -1,5 +1,5 @@
-"""The two tree primitives against the brute-force oracles, and the kernels
-built on them against dense linear algebra."""
+"""The two tree primitives against the brute-force oracles, and the tree
+solve built on them against dense linear algebra."""
 
 import numpy as np
 import pytest
@@ -68,14 +68,6 @@ def test_primitives_match_level_oracle_on_stars_and_one_vertex(make):
                          ids=["segment_100k", "binary_200k"])
 def test_primitives_match_level_oracle_on_large_trees(make):
     _check_against_levels(make(), 11)
-
-
-def test_matvec_against_dense():
-    t = random_tree(60, seed=4)
-    Q = laplacian(t)
-    x = np.sin(np.arange(t.n, dtype=float))
-    y = _kernels.laplacian_matvec(t.parent, t.degrees(), x)
-    assert np.allclose(y, Q @ x, atol=1e-12)
 
 
 def test_tree_solve_solves_dirichlet_system():

@@ -1,14 +1,15 @@
 """Heat-kernel TV distances, mixing times, hitting profiles."""
 
+import weakref
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 import treecut as T
-from treecut import _kernels
 from treecut import mixing as M
 from treecut.errors import ValidationError
-from treecut.spectral import decompose
+from treecut.spectral import bottom_pairs, decompose
 
 from util import dense_mixing_time, dense_tv_rows, random_tree
 
@@ -142,9 +143,9 @@ class TestTruncatedSearch:
         # the first candidate is not the worst start at its bracket end, so
         # the all-starts check fails once and the search resumes from there
         checks = []
-        tv_from_kernel = _kernels.tv_from_kernel
-        monkeypatch.setattr(_kernels, "tv_from_kernel",
-                            lambda P, pi: checks.append(pi) or tv_from_kernel(P, pi))
+        worst_start = M._worst_start
+        monkeypatch.setattr(M, "_worst_start",
+                            lambda tree, t, eig: checks.append(t) or worst_start(tree, t, eig))
         assert_matches_dense(random_tree(80, seed=0), 0.25)
         assert len(checks) >= 2
 
@@ -167,6 +168,77 @@ class TestTruncatedSearch:
         res = T.mixing_time(T.segment(2), 0.7)
         assert (res.t_mix, res.tail_bound) == (0.0, 0.0)
         assert res.tv_curve.tolist() == [[0.0, 1 - 1 / 3]]
+
+
+class TestPartialPath:
+    """The search on certified bottom eigenpairs against the dense reference."""
+
+    @pytest.fixture
+    def partial_everywhere(self, monkeypatch):
+        monkeypatch.setattr(M, "PARTIAL_MIN_VERTICES", 2)
+        monkeypatch.setattr(M, "_modes_cache", weakref.WeakKeyDictionary())
+
+    def test_random_suite(self, random_suite, partial_everywhere):
+        partial = 0
+        for tree in random_suite:
+            for eps in TestTruncatedSearch.EPSILONS:
+                assert_matches_dense(tree, eps)
+            partial += M._modes(tree) is not decompose(tree)
+        assert partial >= 100
+
+    def test_partial_tv_within_reported_bound(self):
+        # the tail bound covers the dropped modes; 1e-11 covers the
+        # eigenpairs' own error (relative Ritz residual 1e-10)
+        for seed in (0, 2, 4):
+            tree = random_tree(200 + 20 * seed, seed=seed, tall=True)
+            eig = bottom_pairs(tree, 2.0 * np.log(np.sqrt(tree.n) / M.TAIL_TOL))
+            assert eig.floor < np.inf
+            t_rel = 1.0 / eig.values[1]
+            for t in (0.5 * t_rel, t_rel, 4.0 * t_rel):
+                k, bound = M._kept_modes(tree, t, eig)
+                rows = dense_tv_rows(tree, t)
+                assert k <= eig.values.size and bound <= M.TAIL_TOL
+                assert abs(T.heat_kernel_tv(tree, t, eig) - rows.max()) <= bound + 1e-11
+                for x in (0, tree.n // 2, tree.n - 1):
+                    assert abs(T.tv_from_start(tree, t, x, eig) - rows[x]) <= bound + 1e-11
+            # before t_rel / 2 the floor no longer certifies the tail
+            with pytest.raises(ValidationError):
+                T.tv_from_start(tree, 0.25 * t_rel, 0, eig)
+
+    def test_early_time_falls_back_to_dense(self, partial_everywhere):
+        # at epsilon 0.6 the search reaches times before t_rel / 2
+        tree = random_tree(120, seed=2, tall=True)
+        assert M._modes(tree).floor < np.inf
+        res = assert_matches_dense(tree, 0.6)
+        assert res.t_mix < 0.5 / M._gap(tree)
+
+    @pytest.mark.parametrize("make", [lambda: T.spherically_symmetric([2] + [3] * 7),
+                                      lambda: T.spherically_symmetric([300])],
+                             ids=["ssym_depth8", "star_300"])
+    def test_repeated_eigenvalues_fall_back(self, make, partial_everywhere):
+        tree = make()
+        assert M._modes(tree) is decompose(tree)
+        assert_matches_dense(tree, 0.25)
+
+    def test_curve_runs_one_eigensolver(self, partial_everywhere, monkeypatch):
+        monkeypatch.setattr(M, "bottom_pairs", None)  # any call would fail
+        table = T.tv_curve(random_tree(80, seed=1), 10)
+        assert table[0, 1] == pytest.approx(1 - 1 / 80, abs=1e-12)
+
+    def test_small_trees_never_run_lanczos(self, monkeypatch):
+        monkeypatch.setattr(M, "bottom_pairs", None)  # any call would fail
+        tree = random_tree(M.PARTIAL_MIN_VERTICES - 1, seed=5)
+        assert T.mixing_time(tree, 0.25).t_mix > 0
+
+    @pytest.mark.slow
+    def test_cor15_512(self):
+        tree = T.cor15_tree(512)
+        res = assert_matches_dense(tree, 0.25)
+        eig = M._modes(tree)
+        assert tree.n >= M.PARTIAL_MIN_VERTICES and eig.floor < np.inf
+        assert eig.values.size <= 8
+        assert M._gap(tree) == pytest.approx(T.spectrum(tree).gap, rel=1e-9)
+        assert res.tail_bound <= M.TAIL_TOL
 
 
 class TestHitting:

@@ -11,7 +11,7 @@ from treecut.errors import (DegenerateInputError, ResourceLimitError,
 from treecut.rng import SplitMix64
 from treecut.spectral import WeightScheme
 
-from util import dense_hardy_constant, loop_edge_weights, random_tree
+from util import dense_hardy_constant, loop_edge_weights, random_tree, suite_trees
 
 GOLDEN_RATIO_SQ = (3 + np.sqrt(5)) / 2  # top Gram eigenvalue of a 2-edge path
 
@@ -87,6 +87,83 @@ class TestGapIterative:
         finally:
             tracemalloc.stop()
         assert peak < 64 * t.n * 8
+
+
+class TestCountBelow:
+    """Sylvester inertia counts against eigvalsh and the path's closed form."""
+
+    def test_shifts_next_to_eigenvalues(self, random_suite):
+        for t in random_suite:
+            values = np.linalg.eigvalsh(T.laplacian(t))
+            for lam in values[1:4]:
+                for sigma in (lam - 1e-9, lam + 1e-9):
+                    assert T.count_below(t, sigma) == np.count_nonzero(values < sigma)
+
+    def test_zero_pivots(self):
+        # at sigma = 1 every leaf pivot is exactly 0; eigenvalue 1 itself is
+        # not below it
+        trees = suite_trees(100, 30, base_seed=9)
+        trees += [T.reroot(T.segment(m), v) for m in range(1, 7) for v in range(m + 1)]
+        trees += [T.spherically_symmetric([k]) for k in (1, 2, 5, 40)]
+        for t in trees:
+            values = np.linalg.eigvalsh(T.laplacian(t))
+            assert T.count_below(t, 1.0) == np.count_nonzero(values < 1.0 - 1e-9)
+
+    @pytest.mark.parametrize("m", [2000, 20_000, 100_000])
+    def test_long_paths(self, m):
+        # the plain recursion d_v = deg_v - sigma - sum 1/d_c miscounts here
+        # at r = 1e-12 (m = 2000) and from r = 1e-8 on at m = 100000
+        t = T.segment(m)
+        gap = 4 * np.sin(np.pi / (2 * (m + 1))) ** 2
+        for r in (1e-8, 1e-12):
+            assert (T.count_below(t, gap * (1 - r)), T.count_below(t, gap * (1 + r))) == (1, 2)
+
+    def test_extremes(self):
+        star = T.spherically_symmetric([9])  # eigenvalues 0, 1 (x8), 10
+        assert [T.count_below(star, s) for s in (0.0, 1e-300, 0.5, 1.5, 10.5)] == \
+            [0, 1, 1, 9, 10]
+        assert T.count_below(T.from_parents(1, [-1]), 0.5) == 1
+
+
+class TestBottomPairs:
+    SPAN = 60.0
+
+    def test_pairs_below_the_floor(self):
+        found = 0
+        for seed in range(6):
+            t = random_tree(150 + 30 * seed, seed=seed, tall=seed % 2 == 0)
+            eig = T.bottom_pairs(t, self.SPAN)
+            if eig is None:
+                continue
+            found += 1
+            Q = T.laplacian(t)
+            values = np.linalg.eigvalsh(Q)
+            k = eig.values.size
+            assert eig.floor == pytest.approx(self.SPAN * values[1], rel=1e-10)
+            assert np.count_nonzero(values < eig.floor) == k < t.n
+            assert np.abs(eig.values - values[:k]).max() <= 1e-10 * values[1]
+            assert np.abs(Q @ eig.vectors - eig.vectors * eig.values).max() < 1e-9
+            assert np.abs(eig.vectors.T @ eig.vectors - np.eye(k)).max() < 1e-12
+        assert found >= 4
+
+    def test_first_pair_is_the_iterative_gap(self):
+        t = T.cor15_tree(64)
+        assert T.bottom_pairs(t, self.SPAN).values[1] == pytest.approx(
+            T.gap_iterative(t), rel=1e-12)
+
+    def test_whole_spectrum_below_the_floor(self):
+        eig = T.bottom_pairs(T.segment(2), 1e3)
+        assert eig.floor == np.inf
+        assert eig.values == pytest.approx([0.0, 1.0, 3.0], abs=1e-12)
+
+    @pytest.mark.parametrize("make", [lambda: T.spherically_symmetric([2] + [3] * 7),
+                                      lambda: T.spherically_symmetric([60])],
+                             ids=["ssym_depth8", "star_60"])
+    def test_repeated_eigenvalues_give_none(self, make):
+        assert T.bottom_pairs(make(), self.SPAN) is None
+
+    def test_single_vertex(self):
+        assert T.bottom_pairs(T.from_parents(1, [-1]), self.SPAN) is None
 
 
 class TestRayleigh:

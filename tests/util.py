@@ -371,6 +371,9 @@ def loop_kesten_tree(dist, n, seed, max_vertices=1_000_000):
         for _ in range(count):
             kids.append(len(parent))
             parent.append(spine)
+            if len(parent) > max_vertices:
+                raise ResourceLimitError(
+                    f"spine tree exceeded the vertex cap {max_vertices}")
         pos = rng.below(count)
         for idx, child in enumerate(kids):
             if idx == pos:

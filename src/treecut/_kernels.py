@@ -1,4 +1,4 @@
-"""Numeric kernels: the two tree primitives and the tree solve built on them.
+"""Numeric kernels: the two tree primitives.
 
 Every linear tree pass in the package is one of two sums, or a
 composition of them:
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["BACKEND", "subtree_sum", "ancestor_sum", "tree_solve"]
+__all__ = ["BACKEND", "subtree_sum", "ancestor_sum"]
 
 BACKEND = "numpy"
 
@@ -58,13 +58,3 @@ def ancestor_sum(tree, x) -> np.ndarray:
         S += S[jump]
     return S[:tree.n]
 
-
-def tree_solve(tree, b) -> np.ndarray:
-    """Solve (D - A) x = b on a tree with x pinned to 0 at the root.
-
-    The root row is discarded, so the system acts on the non-root vertices
-    with a Dirichlet condition at the root.  Child-to-parent elimination
-    leaves every pivot exactly 1, so the solve is the subtree sums of b
-    accumulated down the root paths.
-    """
-    return ancestor_sum(tree, subtree_sum(tree, np.asarray(b, dtype=np.float64)))

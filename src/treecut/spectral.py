@@ -190,11 +190,14 @@ def _lanczos_top(apply: Callable[[np.ndarray], np.ndarray],
 def _pinv_top(tree: RootedTree, tol: float, wanted=_one_pair):
     """``_lanczos_top`` on the pseudo-inverse of Q over the mean-zero
     subspace, from the seeded start: its top Ritz pairs are the bottom
-    eigenpairs of Q.  Each application is one O(n) tree solve (no fill-in
-    on a tree)."""
+    eigenpairs of Q.  Each application is one O(n) tree solve: the
+    Dirichlet solve of Q with the root pinned to 0, ``(D - A) x = w`` on the
+    other rows, is the subtree sums of w accumulated down the root paths,
+    since child-to-parent elimination leaves every pivot 1 (no fill-in on a
+    tree)."""
     def apply_pinv(v):
         w = v - v.mean()
-        x = _kernels.tree_solve(tree, w)
+        x = _kernels.ancestor_sum(tree, _kernels.subtree_sum(tree, w))
         return x - x.mean()
 
     def center(v):

@@ -22,6 +22,7 @@ through the jump tables in ``depth.bit_length()`` numpy calls.
 from __future__ import annotations
 
 import heapq
+import re
 import weakref
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
@@ -361,31 +362,55 @@ def root_path(tree: RootedTree, v: int) -> list:
 # canonical text format: line 1 vertex count, line 2 parent entries, -1 root
 # ---------------------------------------------------------------------------
 
+# a number of the text format: an optional minus and 1 to 18 ASCII digits,
+# so that it fits int64 (``int`` would also take "+1", "1_0" and other digits)
+_COUNT_LINE = re.compile(r"\s*-?[0-9]{1,18}\s*")
+_PARENT_CHARS = re.compile(r"[-0-9 ]*")
+
+
+def _parse_parents(line: str) -> np.ndarray:
+    """The numbers of the parent line, checked and converted in numpy, with
+    no Python int per entry.  One regular expression with a group repeated
+    per entry would be shorter, but ``re`` keeps some 230 bytes of
+    backtracking state for every repetition."""
+    if not _PARENT_CHARS.fullmatch(line):
+        line = " ".join(line.split())  # separators other than the space
+        if not _PARENT_CHARS.fullmatch(line):
+            raise TreeFormatError("parent entries must be integers")
+    b = np.frombuffer(line.encode("ascii"), dtype=np.uint8)
+    digit = b >= ord("0")
+    signs = np.flatnonzero(b == ord("-"))
+    # a minus opens a number: the line start or a space before it, a digit after
+    if not (np.append(digit, False)[signs + 1].all()
+            and ((signs == 0) | (b[signs - 1] == ord(" "))).all()):
+        raise TreeFormatError("parent entries must be integers")
+    edges = np.flatnonzero(np.diff(digit, prepend=False, append=False))
+    if (edges[1::2] - edges[::2]).max(initial=0) > 18:
+        raise TreeFormatError("parent entries must have at most 18 digits")
+    return np.fromstring(line, dtype=np.int64, sep=" ")
+
+
 def to_text(tree: RootedTree) -> str:
     return f"{tree.n}\n{' '.join(map(str, tree.parent.tolist()))}\n"
 
 
 def from_text(text: str) -> RootedTree:
-    """Parse the canonical format strictly; trailing tokens are rejected."""
+    """Parse the canonical format strictly; trailing tokens are rejected.
+
+    Numbers are an optional minus and at most 18 ASCII digits, separated
+    by whitespace.
+    """
     lines = text.split("\n")
-    body = [ln for ln in lines[:2]]
     if len(lines) < 2:
         raise TreeFormatError("expected two lines: vertex count, parent entries")
     for extra in lines[2:]:
         if extra.strip():
             raise TreeFormatError(f"trailing content after parent line: {extra!r}")
-    head = body[0].split()
-    if len(head) != 1:
-        raise TreeFormatError(f"first line must hold a single vertex count, got {body[0]!r}")
-    try:
-        n = int(head[0])
-    except ValueError:
-        raise TreeFormatError(f"vertex count is not an integer: {head[0]!r}") from None
-    tokens = body[1].split()
-    if len(tokens) != n:
-        raise TreeFormatError(f"expected {n} parent entries, found {len(tokens)}")
-    try:
-        parent = [int(t) for t in tokens]
-    except ValueError:
-        raise TreeFormatError("parent entries must be integers") from None
-    return from_parents(n, np.array(parent, dtype=np.int64))
+    head, line = lines[:2]
+    if not _COUNT_LINE.fullmatch(head):
+        raise TreeFormatError(f"first line must hold a single integer vertex count, got {head!r}")
+    n = int(head)
+    parent = _parse_parents(line)
+    if parent.size != n:
+        raise TreeFormatError(f"expected {n} parent entries, found {parent.size}")
+    return from_parents(n, parent)

@@ -167,6 +167,22 @@ class TestExitCodes:
                                 "--eps", "0.25"], capsys)
         assert code == 3
 
+    @pytest.mark.parametrize("rtol", ["0", "-1", "1e-17", "nan"])
+    def test_rtol_out_of_range(self, rtol, capsys):
+        # these used to hang (0, -1, 1e-17) or print "rtol": NaN (nan)
+        code, out, err = run_cli(["mix", "--family", "segment", "--n", "20",
+                                  "--rtol", rtol], capsys)
+        assert code == 2 and out == ""
+        assert "rtol" in err
+
+    @pytest.mark.parametrize("entry", ["12345678901234567890", "1_0", "+0"])
+    def test_malformed_parent_entry(self, entry, tmp_path, capsys):
+        # an oversized entry used to escape as OverflowError
+        path = tmp_path / "bad.txt"
+        path.write_text(f"2\n-1 {entry}\n")
+        code, out, _ = run_cli(["metrics", str(path)], capsys)
+        assert code == 2 and out == ""
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(["metrics", "/nonexistent/tree.txt"], capsys)
         assert code == 2

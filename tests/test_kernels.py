@@ -71,11 +71,13 @@ def test_primitives_match_level_oracle_on_large_trees(make):
 
 
 def test_tree_solve_solves_dirichlet_system():
+    # the tree solve of spectral._pinv_top: subtree sums accumulated down
+    # the root paths
     t = random_tree(45, seed=8, tall=True)
     Q = laplacian(t)
     b = np.arange(t.n, dtype=float)
     b[t.root] = 0.0
-    x = _kernels.tree_solve(t, b)
+    x = _kernels.ancestor_sum(t, _kernels.subtree_sum(t, b))
     resid = Q @ x - b
     resid[t.root] = 0.0  # the root row is replaced by the pin x[root]=0
     assert np.abs(resid).max() < 1e-9

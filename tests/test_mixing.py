@@ -1,5 +1,6 @@
 """Heat-kernel TV distances, mixing times, hitting profiles."""
 
+import math
 import weakref
 
 import numpy as np
@@ -114,7 +115,8 @@ def assert_matches_dense(tree, eps, start=None, rtol=1e-8):
 
 
 class TestTruncatedSearch:
-    """Truncated modes and single-start bisection against the dense reference."""
+    """Truncated modes and the single-start bracket search against the dense
+    reference."""
 
     EPSILONS = (0.25, 0.1)
 
@@ -163,6 +165,53 @@ class TestTruncatedSearch:
                     assert abs(T.tv_from_start(tree, t, x) - rows[x]) <= bound + 1e-14
             # by 4 t_rel the truncation drops modes
             assert k < tree.n and bound <= M.TAIL_TOL
+
+    def test_bracket_in_tv_curve(self, random_suite):
+        # the samples prove the bracket: TV > epsilon within rtol below
+        # t_mix, TV <= epsilon at t_mix, both evaluated on the followed start
+        rtol = 1e-8
+        for tree in random_suite:
+            for eps in self.EPSILONS:
+                res = T.mixing_time(tree, eps, rtol=rtol)
+                ts, tvs = res.tv_curve[:, 0], res.tv_curve[:, 1]
+                below = (ts >= res.t_mix * (1 - rtol)) & (ts < res.t_mix)
+                assert np.any(tvs[below] > eps)
+                assert np.all(tvs[ts == res.t_mix] <= eps) and np.any(ts == res.t_mix)
+
+    def test_few_tv_evaluations(self, random_suite, monkeypatch):
+        # bisection to rtol 1e-8 needs about 29 per search.  Near the knee of
+        # the curve (epsilon 0.5), where log TV bends most, plain regula
+        # falsi without the Illinois halving needs 11.5 in the median.
+        calls = []
+        tv_from_start = M.tv_from_start
+        monkeypatch.setattr(M, "tv_from_start",
+                            lambda *args: calls.append(1) or tv_from_start(*args))
+
+        def counts(eps):
+            out = []
+            for tree in random_suite:
+                calls.clear()
+                T.mixing_time(tree, eps)
+                out.append(len(calls))
+            return out
+
+        assert np.median([c for eps in self.EPSILONS for c in counts(eps)]) <= 8
+        assert np.median(counts(0.5)) <= 9
+
+    @pytest.mark.parametrize("rtol", [0.0, -1.0, 1e-17, math.nan, math.inf, 1.0])
+    def test_rtol_out_of_range_rejected(self, rtol):
+        # rtol 0, -1 or 1e-17 used to hang: the bracket stops shrinking at
+        # one ulp; nan skipped the refinement
+        with pytest.raises(ValidationError):
+            T.mixing_time(T.segment(20), 0.25, rtol=rtol)
+
+    def test_smallest_rtol_terminates(self):
+        tree = random_tree(40, seed=3)
+        coarse = T.mixing_time(tree, 0.25).t_mix
+        fine = T.mixing_time(tree, 0.25, rtol=1e-15)
+        assert abs(fine.t_mix - coarse) <= 1e-8 * coarse
+        ts = fine.tv_curve[:, 0]
+        assert np.any((ts >= fine.t_mix * (1 - 1e-15)) & (ts < fine.t_mix))
 
     def test_zero_mixing_time_needs_no_kernel(self):
         res = T.mixing_time(T.segment(2), 0.7)

@@ -110,7 +110,7 @@ def test_deep_segment_closed_forms():
     assert np.array_equal(m.path_load, load)
     assert np.array_equal(m.tail_size, n - v)
     assert m.diameter == n - 1
-    assert np.array_equal(_kernels.tree_solve(t, np.ones(n)), load)
+    assert np.array_equal(_kernels.ancestor_sum(t, _kernels.subtree_sum(t, np.ones(n))), load)
 
 
 class TestMetrics:
@@ -341,6 +341,39 @@ class TestTextFormat:
     def test_allows_trailing_newline_only(self):
         t = T.from_text("3\n-1 0 1\n\n")
         assert t.n == 3
+
+    @pytest.mark.parametrize("text", ["2\n-1 1_0\n", "2\n-1 +0\n", "1_0\n" + "-1" + " 0" * 9 + "\n",
+                                      "+2\n-1 0\n", "2\n-1 \u0660\n", "2\n-1 1-0\n",
+                                      "2\n-1 -\n", "2\n--1 0\n"],
+                             ids=["underscore", "plus", "underscore_count", "plus_count",
+                                  "arabic_digit", "inner_minus", "bare_minus", "double_minus"])
+    def test_numbers_are_minus_and_ascii_digits(self, text):
+        # int() takes "1_0", "+1" and other digits; the format does not
+        with pytest.raises(TreeFormatError):
+            T.from_text(text)
+
+    @pytest.mark.parametrize("token", ["12345678901234567890", "-" + "9" * 19, "0" * 19 + "1"])
+    def test_rejects_oversized_entry(self, token):
+        # more than 18 digits may not fit int64; an error, never an overflow
+        with pytest.raises(TreeFormatError):
+            T.from_text(f"2\n-1 {token}\n")
+        with pytest.raises(TreeFormatError):
+            T.from_text(f"{token}\n-1\n")
+
+    def test_whitespace_as_str_split_and_leading_zeros(self):
+        for text in ("3\r\n-1 0 1\r\n", " 3 \n\t-1\x0b0\x1c1  \n", "3\n-1\u30000\u00a01\n",
+                     "03\n-01 000 001\n"):
+            assert T.from_text(text).parent.tolist() == [-1, 0, 1]
+
+    @pytest.mark.parametrize("make", [lambda: T.binary_of_size(30_000),
+                                      lambda: T.segment(5000),
+                                      lambda: random_tree(300, seed=2, tall=True)],
+                             ids=["binary_30k", "segment_5k", "random_tall"])
+    def test_round_trip_large(self, make):
+        t = make()
+        back = T.from_text(T.to_text(t))
+        assert back.parent.dtype == np.int64
+        assert np.array_equal(back.parent, t.parent)
 
 
 def test_root_path():

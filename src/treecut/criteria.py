@@ -26,7 +26,7 @@ from .generate import (OffspringDistribution, binary_of_size, cor15_tree,
                        gw_conditioned_size, gw_survival_truncated, gw_tree,
                        kesten_tree, peres_sousi, segment,
                        spherically_symmetric)
-from .mixing import _gap, hitting_profile, mixing_time
+from .mixing import _gap, mixing_time
 from .rng import derive_seed
 from .spectral import (_lower_at, _recentered, bound_log_diameter,
                        bound_path_load, bound_summable_weights, bound_tail,
@@ -80,8 +80,8 @@ class Diagnostic:
 
 
 def product_ratio(tree: RootedTree, epsilon: float) -> float:
-    """t_mix(epsilon) times the spectral gap, both exact, from the
-    eigensystem ``mixing_time`` searches on."""
+    """t_mix(epsilon) times the spectral gap, both exact, from what
+    ``mixing_time`` searches on."""
     return mixing_time(tree, epsilon).t_mix * _gap(tree)
 
 
@@ -123,8 +123,11 @@ class FamilyReport:
 def analyze_tree(tree: RootedTree, epsilon: float, size_label: float) -> FamilyRow:
     """Row for one tree: exact spectra under the dense cap, bounds above it.
 
-    t_rel comes from the eigensystem ``mixing_time`` searches on (bottom
-    eigenpairs from ``mixing.PARTIAL_MIN_VERTICES`` vertices on).
+    t_rel comes from what ``mixing_time`` searches on (orbit quotients on
+    symmetric trees, bottom eigenpairs from ``mixing.PARTIAL_MIN_VERTICES``
+    vertices on).  Bounded rows read the hitting times of the center of
+    mass from the recentered tree that the Hardy lower bound already
+    holds.
     """
     metrics = compute_metrics(tree)
     com, recentered = _recentered(tree)
@@ -147,7 +150,8 @@ def analyze_tree(tree: RootedTree, epsilon: float, size_label: float) -> FamilyR
                          ratio=t_mix / t_rel, t_rel_lower=lower.value,
                          t_rel_upper=upper, t_mix_lower=None, **base)
     eps_eff = min(epsilon, com.delta)
-    hit = float(hitting_profile(tree, com.vertex).expected.max())
+    # hitting times of the center are the path loads of the tree rooted there
+    hit = float(compute_metrics(recentered).path_load.max())
     return FamilyRow(mode="bounded", t_rel=None, t_mix=None, ratio=None,
                      t_rel_lower=lower.value, t_rel_upper=upper,
                      t_mix_lower=0.5 * eps_eff * hit, **base)

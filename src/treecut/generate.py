@@ -15,9 +15,8 @@ order.  The draws are taken as arrays: a branching tree one generation at
 a time (breadth-first order is generation order), and the size-conditioned
 sampler a block of rejection attempts at a time, with every attempt on its
 own derived stream.  :meth:`OffspringDistribution.counts` turns a whole
-array of uniforms into the counts the scalar samplers of
-:class:`~treecut.rng.SplitMix64` give, so the trees are those of a
-vertex-by-vertex loop, bit for bit.
+array of uniforms into the counts that inverting one uniform at a time
+gives, so the trees are those of a vertex-by-vertex loop, bit for bit.
 
 Size conventions: a "segment of size n" has n edges, so vertices sit at
 distances 0..n from the root.  ``binary_of_size(m)`` fills levels left to
@@ -99,17 +98,21 @@ class OffspringDistribution:
     def counts(self, u: np.ndarray, cap: int) -> np.ndarray:
         """Offspring counts for uniforms ``u``, each clipped to ``cap``.
 
-        Entry i is ``min(cap, c)``, where c is what the scalar sampler of
-        :class:`~treecut.rng.SplitMix64` returns when its next ``random()``
-        is ``u[i]``, as int64.  Geometric counts come from ``np.log1p``;
-        the ratios within 1e-9 (relative) of an integer are recomputed
-        with ``math.log1p``, because the two may differ in the last ulp and
-        only there can that move the floor.  Poisson and table counts are
-        ``searchsorted`` into a cumulative table built with the scalar
-        sampler's own float operations.  (``geometric(1)`` takes no draw in
-        the scalar sampler, so array draws run ahead of it; that is never
-        seen, because with this law every tree is a lone root and nothing
-        is drawn after it.)
+        Entry i is ``min(cap, c)``, as int64, where c is the count one
+        uniform u[i] gives by inversion, one draw per count (the scalar
+        samplers in ``tests/util.py`` and ``SplitMix64.from_table`` do it
+        one draw at a time): ``floor(log1p(-u) / log1p(-p))`` for the
+        geometric law, the first k whose running sum of probabilities
+        reaches u for the Poisson law, and the first index whose running
+        sum exceeds u for a table.  Geometric counts come from
+        ``np.log1p``; the ratios within 1e-9 (relative) of an integer are
+        recomputed with ``math.log1p``, because the two may differ in the
+        last ulp and only there can that move the floor.  Poisson and table
+        counts are ``searchsorted`` into a cumulative table built with the
+        scalar inversion's own float operations.  (``geometric(1)`` takes no
+        draw in the scalar inversion, so array draws run ahead of it; that
+        is never seen, because with this law every tree is a lone root and
+        nothing is drawn after it.)
         """
         if self.kind == "geometric":
             p = self.params[0]

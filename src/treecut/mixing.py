@@ -13,9 +13,26 @@ So the search needs only the eigenpairs below a floor.  From
 ``PARTIAL_MIN_VERTICES`` vertices up to the dense cap they come from
 ``spectral.bottom_pairs`` (Lanczos on the pseudo-inverse, completeness
 certified by an inertia count), with the floor set so that every time
-from t_rel / 2 on is covered; the full ``decompose`` serves smaller trees,
-trees whose bottom pairs cannot be certified (repeated eigenvalues), and
-searches that reach earlier times.
+from t_rel / 2 on is covered; the full ``decompose`` serves smaller trees
+and trees whose bottom pairs cannot be certified (repeated eigenvalues),
+and takes over a search that reaches an earlier time.
+
+Symmetric trees need neither: the walk lumps exactly onto orbits
+(Levin-Peres-Wilmer, section 2.3.1).  The automorphisms that fix the root
+and a start x keep the law of the walk from x constant on their orbits,
+the classes (root orbit, depth of the lowest common ancestor with x),
+where the root orbits come from ``tree.root_orbits``.  So TV from x is
+1/2 sum_B |P_B(t) - |B|/n| over the classes B, exactly, and P_B(t) comes
+from the lumped chain: reversible with respect to |B|/n, symmetrised by
+sqrt|B|, one row per class, solved by ``eigh``.  One start per root orbit
+suffices: starts in one orbit are equally far from uniform, so the worst
+start is the worst of them, and every eigenvalue of Q is one of some
+start's quotient (averaging an eigenvector f with f(x) != 0 over the
+stabiliser of x leaves a class-constant one), so the gap is the least
+second eigenvalue among them.  ``_modes`` takes this path from
+``ORBIT_MIN_VERTICES`` vertices up to the dense cap when the starts times
+the largest quotient stay within ``ORBIT_RATIO`` n; that product is at
+least (height + 1)^2, so deep trees are never classified.
 
 The worst-case distance d(t) = max over starts x of TV_x(t) is
 non-increasing, and so is every TV_x.  ``mixing_time`` brackets the
@@ -26,7 +43,10 @@ knee of the curve (7 evaluations per search in the median, where
 bisection needs 29).  The upper end is accepted only after one all-starts
 check at the final bracket, which also names the worst start; if that
 check fails, its time becomes the lower end, its worst start the
-candidate, and the bracket grows again.
+candidate, and the bracket grows again.  Every path serves the search
+through the same two start oracles: TV of one start, and the all-starts
+check, which takes the candidate's own value from the first oracle, so
+that the two cannot disagree about it by a rounding.
 
 Expected hitting times come from the paper's identity: hitting the root
 from v takes exactly the sum of subtree sizes along the root path of v
@@ -40,14 +60,15 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
+from . import _kernels
 from .errors import DegenerateInputError, ValidationError
 from .spectral import Eigensystem, bottom_pairs, decompose, dense_cap
 from .tree import (RootedTree, center_of_mass, compute_metrics, max_path_load,
-                   reroot)
+                   reroot, root_orbits, root_path)
 
 __all__ = [
     "MixingResult", "HittingProfile", "MixingUpperReport", "MixingLowerBounds",
@@ -61,9 +82,16 @@ TAIL_TOL = 1e-12  # certified truncation error allowed per TV evaluation
 # recursive trees, the slowest case for them, reach parity with the dense
 # eigh at 400-500 vertices.
 PARTIAL_MIN_VERTICES = 512
+# From this size up to the dense cap the search runs on orbit quotients when
+# the starts times the largest quotient are at most ORBIT_RATIO n.  Measured
+# against the dense eigh: stars and spherically symmetric trees reach parity
+# at 130-160 vertices; binary_of_size(500) (5.9 n) still loses, 0.76 times
+# the speed, and binary_of_size(1000) (4.4 n) wins fourfold.
+ORBIT_MIN_VERTICES = 160
+ORBIT_RATIO = 5
 
-# per tree: the eigensystem the worst-start search runs on
-_modes_cache: "weakref.WeakKeyDictionary[RootedTree, Eigensystem]" = \
+# per tree: the eigensystem or the orbit quotients the search runs on
+_modes_cache: "weakref.WeakKeyDictionary[RootedTree, Union[Eigensystem, _Orbits]]" = \
     weakref.WeakKeyDictionary()
 
 
@@ -71,32 +99,189 @@ class _FloorTooHigh(ValidationError):
     """A partial eigensystem omits modes that matter at the requested time."""
 
 
-def _modes(tree: RootedTree) -> Eigensystem:
-    """The eigensystem ``mixing_time`` searches on, chosen by size.
+def _modes(tree: RootedTree) -> Union[Eigensystem, "_Orbits"]:
+    """What ``mixing_time`` searches on, chosen by the tree's size and shape.
 
-    From ``PARTIAL_MIN_VERTICES`` up to the dense cap it is
-    ``bottom_pairs`` with the floor sigma = 2 ln(sqrt(n) / TAIL_TOL) times
-    the gap, where the tail 1/2 sqrt(n) exp(-t sigma) is TAIL_TOL / 2 at
-    t = t_rel / 2, so it serves every time from t_rel / 2 on.  Below that
-    size, above the cap (which ``decompose`` refuses) and wherever
+    Up to the dense cap, the orbit quotients when ``_orbit_quotients``
+    finds them small.  Otherwise, from ``PARTIAL_MIN_VERTICES`` up to the
+    cap, ``bottom_pairs`` with the floor sigma = 2 ln(sqrt(n) / TAIL_TOL)
+    times the gap, where the tail 1/2 sqrt(n) exp(-t sigma) is TAIL_TOL / 2
+    at t = t_rel / 2, so it serves every time from t_rel / 2 on.  Below
+    that size, above the cap (which ``decompose`` refuses) and wherever
     ``bottom_pairs`` cannot certify its pairs, it is ``decompose``; so it
     is after ``tv_curve``, which needs every mode, has decomposed the tree.
     """
-    eig = _modes_cache.get(tree)
-    if eig is None:
-        if PARTIAL_MIN_VERTICES <= tree.n <= dense_cap():
-            eig = bottom_pairs(tree, 2.0 * np.log(np.sqrt(tree.n) / TAIL_TOL))
-        if eig is None:
-            eig = decompose(tree)
-        _modes_cache[tree] = eig
-    return eig
+    modes = _modes_cache.get(tree)
+    if modes is None:
+        if tree.n <= dense_cap():
+            modes = _orbit_quotients(tree)
+            if modes is None and PARTIAL_MIN_VERTICES <= tree.n:
+                modes = bottom_pairs(tree, 2.0 * np.log(np.sqrt(tree.n) / TAIL_TOL))
+        if modes is None:
+            modes = decompose(tree)
+        _modes_cache[tree] = modes
+    return modes
+
+
+def _starts(tree: RootedTree):
+    """The start oracles of the search on ``_modes``."""
+    modes = _modes(tree)
+    return modes if isinstance(modes, _Orbits) else _EigenStarts(tree, modes)
 
 
 def _gap(tree: RootedTree) -> float:
-    """The spectral gap from the eigensystem of ``_modes``."""
+    """The spectral gap from what ``_modes`` chose."""
     if tree.n < 2:
         raise DegenerateInputError("the spectral gap is undefined for a single vertex")
-    return float(_modes(tree).values[1])
+    return _starts(tree).gap
+
+
+class _EigenStarts:
+    """The start oracles on eigenpairs of Q (``decompose`` or ``bottom_pairs``).
+
+    ``tv(x, t)`` is ``tv_from_start`` and ``worst(t, x, tv_x)`` is
+    ``_worst_start``.  A partial eigensystem that cannot certify a time
+    gives way to ``decompose`` for the rest of the search.  The first
+    candidate is where the slowest mode peaks, the worst start once that
+    mode dominates.
+    """
+
+    def __init__(self, tree: RootedTree, eig: Eigensystem):
+        self.tree, self.eig = tree, eig
+        self.gap = float(eig.values[1])
+        self.first = int(np.argmax(np.abs(eig.vectors[:, 1])))
+
+    def tv(self, x: int, t: float) -> float:
+        try:
+            return tv_from_start(self.tree, t, x, self.eig)
+        except _FloorTooHigh:
+            self.eig = decompose(self.tree)
+            return tv_from_start(self.tree, t, x, self.eig)
+
+    def worst(self, t: float, x: int, tv_x: float):
+        return _worst_start(self.tree, t, self.eig, x, tv_x)
+
+    def tail(self, t: float) -> float:
+        return _kept_modes(self.tree, t, self.eig)[1]
+
+
+@dataclass(frozen=True, eq=False)
+class _Orbits:
+    """The orbit quotients of a tree (module docstring), with the start
+    oracles of ``_EigenStarts``.
+
+    ``starts`` holds the smallest vertex of every root orbit and ``orbit``
+    the index of each vertex's orbit in it.  ``quotients[i]`` holds, for
+    start i, the eigenvalues lambda of its quotient, the amplitudes a with
+    P_B(t) = sum_j a_Bj exp(-t lambda_j), and the masses |B| / n.  Every
+    mode is kept, so no tail is dropped; the first candidate is the worst
+    start at t_rel.
+    """
+
+    starts: np.ndarray
+    orbit: np.ndarray
+    quotients: tuple
+
+    @property
+    def gap(self) -> float:
+        return float(min(values[1] for values, _, _ in self.quotients))
+
+    @property
+    def first(self) -> int:
+        return self.worst(1.0 / self.gap, None, None)[1]
+
+    def _tv(self, i: int, t: float) -> float:
+        values, amplitudes, masses = self.quotients[i]
+        return 0.5 * float(np.abs(amplitudes @ np.exp(-t * values) - masses).sum())
+
+    def tv(self, x: int, t: float) -> float:
+        return self._tv(self.orbit[x], t)
+
+    def worst(self, t: float, x: Optional[int], tv_x: Optional[float]):
+        own = None if x is None else self.orbit[x]
+        tvs = [tv_x if i == own else self._tv(i, t) for i in range(self.starts.size)]
+        i = int(np.argmax(tvs))
+        return tvs[i], int(self.starts[i])
+
+    def tail(self, t: float) -> float:
+        return 0.0
+
+
+def _orbit_quotients(tree: RootedTree) -> Optional[_Orbits]:
+    """The orbit quotients of every start, or None where they are not small.
+
+    Built only from ``ORBIT_MIN_VERTICES`` vertices on, and only when the
+    starts (root orbits) times the largest quotient stay within
+    ``ORBIT_RATIO`` n.  Every root orbit meets a class of every quotient,
+    so that product is at least starts^2; the vertices of a root orbit
+    share their depth and subtree size, so starts are at least the pairs
+    of those, and at least height + 1.  The tree is classified only if
+    pairs^2 is within the bound, and the classes of each start are found
+    only if starts^2 is.  The classes of start x are (root orbit, depth of
+    the lowest common ancestor with x), that depth read off one
+    ``ancestor_sum`` of x's root path.
+    """
+    limit = ORBIT_RATIO * tree.n
+    if tree.n < ORBIT_MIN_VERTICES:
+        return None
+    pairs = np.unique(compute_metrics(tree).subtree_size * tree.n + tree.depth).size
+    if pairs ** 2 > limit:
+        return None
+    orbit = root_orbits(tree)
+    starts = np.unique(orbit, return_index=True)[1]
+    if starts.size ** 2 > limit:
+        return None
+    partitions = []
+    for x in starts:
+        on_path = np.zeros(tree.n, dtype=np.int64)
+        on_path[root_path(tree, x)] = 1
+        lca_depth = _kernels.ancestor_sum(tree, on_path)
+        key = orbit * (tree.depth[x] + 1) + lca_depth
+        blocks = (np.cumsum(np.bincount(key) > 0) - 1)[key]
+        if starts.size * (blocks.max() + 1) > limit:
+            return None
+        partitions.append(blocks)
+    quotients = []
+    for x, blocks in zip(starts, partitions):
+        sizes, generator = _lump(tree, blocks)
+        if sizes[blocks[x]] != 1:
+            raise ValidationError(f"start {x} is not alone in its class")
+        values, vectors = np.linalg.eigh(generator)
+        amplitudes = np.sqrt(sizes)[:, None] * vectors * vectors[blocks[x]]
+        quotients.append((values, amplitudes, sizes / tree.n))
+    return _Orbits(starts=starts, orbit=orbit, quotients=tuple(quotients))
+
+
+def _lump(tree: RootedTree, blocks: np.ndarray):
+    """Class sizes and the symmetrised generator of the walk lumped onto a
+    partition (a class 0..m-1 per vertex); ``ValidationError`` unless the
+    partition is equitable.
+
+    Equitable means every vertex of a class A has the same number c(A, B)
+    of neighbours in each class B.  Then Q S = S Q_B for the class
+    indicators S, with Q_B = diag(deg_A) - c, and the lumped chain is
+    reversible with respect to |B| / n; symmetrised by sqrt|B|, its
+    off-diagonal entries are -c(A, B) |A| / sqrt(|A| |B|), the edge count
+    between A and B over sqrt(|A| |B|).  One sort of the 2 (n - 1) directed
+    edges, keyed by class pair and tail vertex, finds every count.
+    """
+    n, m = tree.n, int(blocks.max()) + 1
+    sizes = np.bincount(blocks, minlength=m)
+    child = tree.child_flat
+    tail = np.concatenate((child, tree.parent[child]))
+    head = np.concatenate((tree.parent[child], child))
+    keys, counts = np.unique((blocks[tail] * m + blocks[head]) * n + tail,
+                             return_counts=True)
+    pairs = keys // n
+    first = np.flatnonzero(np.diff(pairs, prepend=-1))
+    members = np.diff(first, append=pairs.size)
+    if (members != sizes[pairs[first] // m]).any() or \
+            (counts != np.repeat(counts[first], members)).any():
+        raise ValidationError("the partition is not equitable")
+    c = np.zeros((m, m))
+    c.flat[pairs[first]] = counts[first]
+    root = np.sqrt(sizes)
+    return sizes, np.diag(c.sum(axis=1)) - c * sizes[:, None] / np.outer(root, root)
 
 
 def _kept_modes(tree: RootedTree, t: float, eig: Eigensystem):
@@ -168,13 +353,18 @@ class MixingResult:
     tail_bound: float = 0.0
 
 
-def _worst_start(tree: RootedTree, t: float, eig: Eigensystem):
-    """d(t) over all starts and a start attaining it, from one kernel."""
+def _worst_start(tree: RootedTree, t: float, eig: Eigensystem,
+                 x: Optional[int] = None, tv_x: Optional[float] = None):
+    """d(t) over all starts and a start attaining it, from one kernel; start
+    x, when given, counts with the value ``tv_x`` that ``tv_from_start``
+    gave it."""
     P = _kernel(tree, t, eig)
     P -= 1.0 / tree.n
-    dist = np.abs(P, out=P).sum(axis=1)
+    dist = 0.5 * np.abs(P, out=P).sum(axis=1)
+    if x is not None:
+        dist[x] = tv_x
     worst = int(np.argmax(dist))
-    return 0.5 * float(dist[worst]), worst
+    return float(dist[worst]), worst
 
 
 def mixing_time(tree: RootedTree, epsilon: float, start: Optional[int] = None,
@@ -188,9 +378,9 @@ def mixing_time(tree: RootedTree, epsilon: float, start: Optional[int] = None,
     ``start``, the upper end is accepted only if d <= epsilon there over
     all starts; otherwise that time becomes the lower end, the worst start
     there the candidate, and the bracket grows again.  epsilon at or above
-    the t=0 distance 1 - 1/n yields 0.  The search runs on ``_modes``; if
-    it reaches a time before the floor of a partial eigensystem covers, it
-    starts over on ``decompose``.
+    the t=0 distance 1 - 1/n yields 0.  The search runs on the start
+    oracles of ``_modes`` (``_starts``); from a time before the floor of a
+    partial eigensystem covers, they run on ``decompose``.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValidationError(f"epsilon must be in (0, 1), got {epsilon}")
@@ -204,27 +394,25 @@ def mixing_time(tree: RootedTree, epsilon: float, start: Optional[int] = None,
         return MixingResult(epsilon, 0.0, tree.root if start is None else start,
                             np.array([(0.0, d0)]))
 
-    try:
-        return _search(tree, epsilon, start, rtol, _modes(tree))
-    except _FloorTooHigh:
-        return _search(tree, epsilon, start, rtol, decompose(tree))
+    return _search(tree, epsilon, start, rtol, _starts(tree))
 
 
 def _search(tree: RootedTree, epsilon: float, start: Optional[int], rtol: float,
-            eig: Eigensystem) -> MixingResult:
-    """``mixing_time``'s bracket search on the modes of ``eig``."""
+            starts) -> MixingResult:
+    """``mixing_time``'s bracket search on the start oracles ``starts``:
+    ``tv(x, t)``, ``worst(t, x, tv_x)``, the relaxation time 1 / ``gap``
+    where the bracket starts, the ``first`` candidate and the ``tail``
+    dropped at a time."""
     d0 = 1.0 - 1.0 / tree.n
-    # first candidate: where the slowest mode peaks, the worst start once
-    # that mode dominates
-    x = start if start is not None else int(np.argmax(np.abs(eig.vectors[:, 1])))
+    x = start if start is not None else starts.first
     samples = [(0.0, d0)]
 
     def tv_x(t):
-        val = tv_from_start(tree, t, x, eig)
+        val = starts.tv(x, t)
         samples.append((t, val))
         return val
 
-    lo, tv_lo, hi = 0.0, d0, 1.0 / float(eig.values[1])
+    lo, tv_lo, hi = 0.0, d0, 1.0 / starts.gap
     doublings = 0
 
     def widen(tv_hi):
@@ -238,11 +426,11 @@ def _search(tree: RootedTree, epsilon: float, start: Optional[int], rtol: float,
     while True:
         while (tv_hi := tv_x(hi)) > epsilon:
             widen(tv_hi)
-        hi = _refine(tv_x, epsilon, lo, tv_lo, hi, tv_hi, rtol)
+        hi, tv_hi = _refine(tv_x, epsilon, lo, tv_lo, hi, tv_hi, rtol)
         if start is not None:
             worst = start
             break
-        d, worst = _worst_start(tree, hi, eig)
+        d, worst = starts.worst(hi, x, tv_hi)
         if d <= epsilon:
             break
         x, samples = worst, [(0.0, d0), (hi, d)]
@@ -250,13 +438,13 @@ def _search(tree: RootedTree, epsilon: float, start: Optional[int], rtol: float,
 
     return MixingResult(epsilon=epsilon, t_mix=hi, worst_start=worst,
                         tv_curve=np.array(sorted(set(samples))),
-                        tail_bound=_kept_modes(tree, hi, eig)[1])
+                        tail_bound=starts.tail(hi))
 
 
 def _refine(tv_x, epsilon: float, lo: float, tv_lo: float, hi: float,
-            tv_hi: float, rtol: float) -> float:
+            tv_hi: float, rtol: float):
     """Shrink a bracket TV_x(lo) > epsilon >= TV_x(hi) to hi - lo <= rtol hi;
-    the new hi.
+    the new hi and TV_x there.
 
     Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971) on
     f(t) = log(TV_x(t) / epsilon), which is nearly linear in t once the
@@ -283,7 +471,7 @@ def _refine(tv_x, epsilon: float, lo: float, tv_lo: float, hi: float,
         t = min(max(t, lo + margin), hi - margin)
         tv = tv_x(t)
         if tv <= epsilon:
-            hi, f_hi = t, f(tv)
+            hi, tv_hi, f_hi = t, tv, f(tv)
             if kept == "lo":
                 f_lo *= 0.5
             kept = "lo"
@@ -296,7 +484,7 @@ def _refine(tv_x, epsilon: float, lo: float, tv_lo: float, hi: float,
             width, stalled = hi - lo, 0
         else:
             stalled += 1
-    return hi
+    return hi, tv_hi
 
 
 def tv_curve(tree: RootedTree, n_samples: int, t_max: Optional[float] = None,

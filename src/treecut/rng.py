@@ -15,15 +15,13 @@ function of (s, j), so draws are taken as arrays as well as one at a time:
 :func:`uniforms` gives any range of draws of many streams at once,
 :func:`derive_seeds` the seeds of many keys, and
 :meth:`SplitMix64.random_array` the next draws of one generator.  Each is
-bit-identical to the scalar calls.  The scalar samplers at the end of
-:class:`SplitMix64` (geometric, Poisson, finite table) define the offspring
-laws; :meth:`treecut.generate.OffspringDistribution.counts` inverts whole
-arrays of uniforms to the same integers.
+bit-identical to the scalar calls.
+:meth:`treecut.generate.OffspringDistribution.counts` inverts whole arrays
+of uniforms to offspring counts: a geometric count by ``log1p``, a Poisson
+or finite-table count by search in running sums.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -131,34 +129,9 @@ class SplitMix64:
             j = self.below(i + 1)
             items[i], items[j] = items[j], items[i]
 
-    # Samplers used by the offspring distributions.  All are inversion
-    # style so a single uniform draw maps to one variate.
-
-    def geometric(self, p: float) -> int:
-        """Number of failures before the first success, P(j) = p(1-p)^j."""
-        if p >= 1.0:
-            return 0
-        u = self.random()
-        return int(math.floor(math.log1p(-u) / math.log1p(-p)))
-
-    def poisson(self, lam: float) -> int:
-        """Inversion from P(0) = exp(-lam) upward; rates whose P(0)
-        underflows to 0 are rejected, since the inversion cannot start."""
-        term = math.exp(-lam)
-        if term == 0.0:
-            raise ValidationError(f"poisson rate {lam} too large: exp(-rate) underflows to 0")
-        u = self.random()
-        k = 0
-        cum = term
-        while u > cum:
-            k += 1
-            term *= lam / k
-            cum += term
-            if k > 10_000_000:  # numerically unreachable for sane lambda
-                break
-        return k
-
     def from_table(self, probs) -> int:
+        """Index of the first running sum of ``probs`` above one uniform draw
+        (the last index when none is)."""
         u = self.random()
         cum = 0.0
         for j, pj in enumerate(probs):

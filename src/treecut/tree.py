@@ -16,7 +16,9 @@ around a vertex separator ("center of mass").  Every pass over the tree is
 a ``subtree_sum`` or an ``ancestor_sum`` from :mod:`treecut._kernels`;
 vertex sets below an anchor are read off an ``ancestor_sum`` of anchor
 labels, one call per set of disjoint subtrees; a root path is gathered
-through the jump tables in ``depth.bit_length()`` numpy calls.
+through the jump tables in ``depth.bit_length()`` numpy calls.  The one
+pass of another kind, ``root_orbits`` (the classes of vertices that an
+automorphism fixing the root can exchange), runs level by level.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ __all__ = [
     "RootedTree", "TreeMetrics", "CenterOfMass", "EdgeLoad", "VertexLoad",
     "TailProfile", "from_parents", "compute_metrics", "max_edge_load",
     "max_path_load", "tail_profile", "center_of_mass", "reroot", "root_path",
-    "subtree_vertices", "to_text", "from_text",
+    "root_orbits", "to_text", "from_text",
 ]
 
 
@@ -242,15 +244,6 @@ class CenterOfMass:
     delta: float
 
 
-def subtree_vertices(tree: RootedTree, v: int) -> list:
-    """All descendants of ``v`` including ``v`` itself, ascending."""
-    if v == tree.root:
-        return list(range(tree.n))
-    mark = np.zeros(tree.n, dtype=np.int64)
-    mark[v] = 1
-    return np.nonzero(_kernels.ancestor_sum(tree, mark))[0].tolist()
-
-
 def center_of_mass(tree: RootedTree, at: Optional[int] = None) -> CenterOfMass:
     """Split the tree into two balanced subtrees overlapping in one vertex.
 
@@ -356,6 +349,62 @@ def root_path(tree: RootedTree, v: int) -> list:
     for jump in tree.jumps[:int(tree.depth[v]).bit_length()]:
         path = np.concatenate((path, jump[path]))
     return path[path < tree.n][::-1].tolist()
+
+
+_orbit_cache: "weakref.WeakKeyDictionary[RootedTree, np.ndarray]" = \
+    weakref.WeakKeyDictionary()
+
+
+def root_orbits(tree: RootedTree) -> np.ndarray:
+    """The orbit of every vertex under the automorphisms fixing the root, as
+    class ids numbered level by level from the root's 0.
+
+    Two vertices share an orbit exactly when their parents do and their
+    subtrees are isomorphic.  Subtrees are compared by AHU canonical codes
+    (Aho, Hopcroft & Ullman, *The Design and Analysis of Computer
+    Algorithms*, 1974), bottom-up one level at a time: a vertex's code
+    numbers the sorted list of its children's codes within its level, by
+    ``np.unique`` over the lists padded with -1.  Lists whose lengths share
+    a bit length are padded together, so padding at most doubles them.
+    Classes are then refined top down by (class of the parent, code).
+    Cached per tree.
+    """
+    cached = _orbit_cache.get(tree)
+    if cached is not None:
+        return cached
+    counts = np.bincount(tree.depth)
+    ends = np.cumsum(counts)
+    order = np.argsort(tree.depth, kind="stable")  # level by level
+    row = np.empty(tree.n, dtype=np.int64)         # index within the level
+    row[order] = np.arange(tree.n) - np.repeat(ends - counts, counts)
+    levels = np.split(order, ends[:-1])
+
+    code = np.zeros(tree.n, dtype=np.int64)  # leaves keep 0
+    for level, kids in zip(levels[-2::-1], levels[:0:-1]):
+        rows, kid_codes = row[tree.parent[kids]], code[kids]
+        by_row = np.lexsort((kid_codes, rows))
+        rows, kid_codes = rows[by_row], kid_codes[by_row]
+        size = np.bincount(rows, minlength=level.size)
+        slot = np.arange(rows.size) - np.repeat(np.cumsum(size) - size, size)
+        bits = np.frexp(size)[1]
+        level_code = np.zeros(level.size, dtype=np.int64)
+        for b in np.unique(bits[bits > 0]):
+            members = np.flatnonzero(bits == b)
+            padded = np.full((members.size, int(size[members].max())), -1, dtype=np.int64)
+            mine = bits[rows] == b
+            padded[np.searchsorted(members, rows[mine]), slot[mine]] = kid_codes[mine]
+            inverse = np.unique(padded, axis=0, return_inverse=True)[1].ravel()
+            level_code[members] = level_code.max() + 1 + inverse
+        code[level] = level_code
+
+    orbit = np.zeros(tree.n, dtype=np.int64)
+    for level in levels[1:]:
+        key = orbit[tree.parent[level]] * (code[level].max() + 1) + code[level]
+        inverse = np.unique(key, return_inverse=True)[1]
+        orbit[level] = orbit.max() + 1 + inverse
+    orbit.setflags(write=False)
+    _orbit_cache[tree] = orbit
+    return orbit
 
 
 # ---------------------------------------------------------------------------

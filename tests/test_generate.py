@@ -13,7 +13,8 @@ from treecut.generate import OffspringDistribution as OD
 from treecut.rng import SplitMix64
 
 from util import (brute_reroot_parent, loop_conditioned_sizes, loop_gw_survival_truncated,
-                  loop_gw_tree, loop_kesten_tree, random_tree, scalar_offspring)
+                  loop_gw_tree, loop_kesten_tree, random_tree, scalar_offspring,
+                  scalar_poisson)
 
 
 class TestOffspring:
@@ -31,7 +32,7 @@ class TestOffspring:
         with pytest.raises(ValidationError):
             OD.poisson(746.0)
         with pytest.raises(ValidationError):
-            SplitMix64(1).poisson(746.0)
+            scalar_poisson(SplitMix64(1), 746.0)
 
     def test_table_moments(self):
         d = OD.table([0.25, 0.5, 0.25])

@@ -8,11 +8,14 @@ import pytest
 from scipy.linalg import expm
 
 import treecut as T
+from treecut import bdchain, criteria, spectral
 from treecut import mixing as M
 from treecut.errors import ValidationError
+from treecut.generate import OffspringDistribution as OD
 from treecut.spectral import bottom_pairs, decompose
+from treecut.tree import root_orbits
 
-from util import dense_mixing_time, dense_tv_rows, random_tree
+from util import (dense_mixing_time, dense_tv_rows, grafted_tree, random_tree)
 
 
 def tv_by_expm(tree, t):
@@ -147,9 +150,32 @@ class TestTruncatedSearch:
         checks = []
         worst_start = M._worst_start
         monkeypatch.setattr(M, "_worst_start",
-                            lambda tree, t, eig: checks.append(t) or worst_start(tree, t, eig))
+                            lambda tree, t, eig, *candidate:
+                            checks.append(t) or worst_start(tree, t, eig, *candidate))
         assert_matches_dense(random_tree(80, seed=0), 0.25)
         assert len(checks) >= 2
+
+    def test_check_agrees_with_bracket_on_candidate(self, random_suite, monkeypatch):
+        # the all-starts check takes the candidate's value from the single-start
+        # TV that closed the bracket, so it never names the candidate itself
+        # above epsilon (its kernel row, summed in another order, used to
+        # exceed epsilon by 1e-17..1e-16 and force a second check)
+        named = []
+        worst_start = M._worst_start
+
+        def check(tree, t, eig, x, tv_x):
+            d, worst = worst_start(tree, t, eig, x, tv_x)
+            named.append((worst == x, d, tv_x))
+            return d, worst
+
+        monkeypatch.setattr(M, "_worst_start", check)
+        for eps in self.EPSILONS:
+            named.clear()
+            for tree in random_suite:
+                T.mixing_time(tree, eps)
+            assert len(named) >= len(random_suite)
+            assert all(tv_x <= eps for _, _, tv_x in named)
+            assert not any(own and d > eps for own, d, _ in named)
 
     def test_truncated_tv_within_reported_bound(self):
         for seed in range(6):
@@ -265,8 +291,11 @@ class TestPartialPath:
                                       lambda: T.spherically_symmetric([300])],
                              ids=["ssym_depth8", "star_300"])
     def test_repeated_eigenvalues_fall_back(self, make, partial_everywhere):
+        # bottom pairs cannot be certified on repeated eigenvalues; these
+        # trees used to fall back to decompose and now take orbit quotients
         tree = make()
-        assert M._modes(tree) is decompose(tree)
+        assert bottom_pairs(tree, 2.0 * np.log(np.sqrt(tree.n) / M.TAIL_TOL)) is None
+        assert isinstance(M._modes(tree), M._Orbits)
         assert_matches_dense(tree, 0.25)
 
     def test_curve_runs_one_eigensolver(self, partial_everywhere, monkeypatch):
@@ -288,6 +317,134 @@ class TestPartialPath:
         assert eig.values.size <= 8
         assert M._gap(tree) == pytest.approx(T.spectrum(tree).gap, rel=1e-9)
         assert res.tail_bound <= M.TAIL_TOL
+
+
+def ssym_binary(depth):
+    return T.spherically_symmetric([2] + [3] * (depth - 1))
+
+
+class TestOrbitQuotients:
+    """The search on orbit quotients against the dense reference and the
+    birth-and-death chain."""
+
+    @pytest.fixture
+    def orbits_everywhere(self, monkeypatch):
+        monkeypatch.setattr(M, "ORBIT_MIN_VERTICES", 2)
+        monkeypatch.setattr(M, "ORBIT_RATIO", math.inf)
+        monkeypatch.setattr(M, "_modes_cache", weakref.WeakKeyDictionary())
+
+    def assert_matches_dense(self, tree, epsilons=(0.25, 0.1)):
+        assert isinstance(M._modes(tree), M._Orbits)
+        gap = np.linalg.eigvalsh(T.laplacian(tree))[1]
+        assert abs(M._gap(tree) - gap) <= 1e-9 * gap
+        for eps in epsilons:
+            assert assert_matches_dense(tree, eps).tail_bound == 0.0
+
+    def assert_bracketed_by_dense(self, tree, epsilons=(0.25, 0.1), rtol=1e-8):
+        """t_mix against the dense kernel rows at the two ends of its bracket,
+        the comparison ``dense_mixing_time`` makes at every bisection step,
+        made at two times instead of some thirty (at ssym depth 9 the dense
+        bisection takes 14 s: its products run on subnormal numbers)."""
+        assert isinstance(M._modes(tree), M._Orbits)
+        eig = np.linalg.eigh(T.laplacian(tree))
+        assert abs(M._gap(tree) - eig[0][1]) <= 1e-9 * eig[0][1]
+        for eps in epsilons:
+            res = T.mixing_time(tree, eps, rtol=rtol)
+            rows = dense_tv_rows(tree, res.t_mix, eig)
+            assert rows.max() <= eps + 1e-12
+            assert rows.max() - rows[res.worst_start] <= 1e-12
+            assert dense_tv_rows(tree, res.t_mix * (1 - 2 * rtol), eig).max() > eps - 1e-12
+
+    @pytest.mark.parametrize("depth", [2, 4, 6, 8])
+    def test_spherically_symmetric_binary(self, depth, orbits_everywhere):
+        self.assert_matches_dense(ssym_binary(depth))
+
+    def test_large_symmetric_trees(self):
+        # both take the orbit path at the default thresholds
+        self.assert_bracketed_by_dense(ssym_binary(9))
+        self.assert_bracketed_by_dense(T.binary_of_size(1000))
+
+    @pytest.mark.parametrize("degrees", [[5], [40], [300], [3, 2, 4, 2], [4, 4, 4]])
+    def test_stars_and_other_degrees(self, degrees, orbits_everywhere):
+        self.assert_matches_dense(T.spherically_symmetric(degrees))
+
+    @pytest.mark.parametrize("size", [20, 100, 300, 511])
+    def test_binary_of_size(self, size, orbits_everywhere):
+        self.assert_matches_dense(T.binary_of_size(size))
+
+    def test_grafted_random_trees(self, orbits_everywhere):
+        for seed in range(12):
+            self.assert_matches_dense(grafted_tree(20 + 3 * seed, seed))
+
+    def test_every_start_and_fixed_starts(self, orbits_everywhere):
+        # every vertex, representative or not, reads its orbit's quotient
+        tree = grafted_tree(25, 3)
+        orbits = M._modes(tree)
+        assert orbits.starts.size < tree.n
+        for t in np.array([0.3, 1.0, 3.0]) / M._gap(tree):
+            rows = dense_tv_rows(tree, t)
+            tvs = np.array([orbits.tv(v, t) for v in range(tree.n)])
+            assert np.abs(tvs - rows).max() <= 1e-12
+            assert orbits.worst(t, None, None)[0] == pytest.approx(rows.max(), abs=1e-12)
+        for start in (0, tree.n - 1, int(orbits.starts[-1])):
+            assert_matches_dense(tree, 0.25, start=start)
+
+    @pytest.mark.parametrize("depth", [3, 6, 9])
+    def test_root_quotient_is_the_depth_chain(self, depth, orbits_everywhere):
+        # the root's quotient lumps an ssym tree onto its levels; the
+        # two-sided chain of bdchain restricted to functions symmetric about
+        # its center is the same chain, its other half being antisymmetric
+        degrees = [2] + [3] * (depth - 1)
+        orbits = M._modes(T.spherically_symmetric(degrees))
+        values = orbits.quotients[0][0]
+        chain = bdchain.project(degrees, depth + 1)
+        sqrt_pi = np.sqrt(chain.stationary)
+        S = -bdchain.generator_matrix(chain) * sqrt_pi[:, None] / sqrt_pi[None, :]
+        chain_values, vectors = np.linalg.eigh(0.5 * (S + S.T))
+        f = vectors / sqrt_pi[:, None]
+        symmetric = np.abs(f - f[::-1]).max(axis=0) <= 1e-6 * np.abs(f).max(axis=0)
+        assert values.size == symmetric.sum() == depth + 1
+        assert np.allclose(values, chain_values[symmetric], rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("depth", [9, 10, 11])
+    def test_deep_symmetric_trees_need_no_eigh_of_the_tree(self, depth, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the orbit path ran a tree-wide eigensolver")
+
+        monkeypatch.setattr(spectral, "_lanczos_top", fail)
+        monkeypatch.setattr(M, "decompose", fail)
+        degrees = [2] + [3] * (depth - 1)
+        tree = T.spherically_symmetric(degrees)
+        res = T.mixing_time(tree, 0.25)
+        gap = bdchain.bd_spectrum(bdchain.project(degrees, depth + 1)).gap
+        assert M._gap(tree) == pytest.approx(gap, rel=1e-9)
+        assert 0.6 < res.t_mix * gap < 0.8 and res.worst_start in np.flatnonzero(
+            tree.depth == depth)
+
+    def test_equitable_partitions_only(self):
+        tree = ssym_binary(4)
+        orbit = root_orbits(tree)
+        sizes, generator = M._lump(tree, orbit)
+        assert sizes.tolist() == np.bincount(tree.depth).tolist()
+        # merging two classes, or a random tree's levels, is not equitable
+        for blocks in (np.unique(np.minimum(orbit, 1), return_inverse=True)[1],
+                       np.unique(np.where(orbit == 3, 2, orbit), return_inverse=True)[1]):
+            with pytest.raises(ValidationError):
+                M._lump(tree, blocks)
+        with pytest.raises(ValidationError):
+            M._lump(random_tree(30, seed=1), random_tree(30, seed=1).depth)
+
+    def test_small_and_deep_families_never_classified(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(M, "root_orbits",
+                            lambda tree: calls.append(tree.n) or root_orbits(tree))
+        criteria.sweep("gw_size", [30, 40, 50, 60], offspring=OD.geometric(0.5),
+                       reps=10, seed=1, jobs=1)
+        for m in (64, 128, 256, 512, 1024):
+            M._modes(T.cor15_tree(m))
+        assert calls == []
+        M._modes(ssym_binary(8))
+        assert calls == [511]
 
 
 class TestHitting:

@@ -7,6 +7,8 @@ import pytest
 
 from treecut.rng import SplitMix64, derive_seed, derive_seeds, mix64, uniforms
 
+from util import scalar_geometric, scalar_poisson
+
 # Published reference outputs of the SplitMix64 sequence for seed 0.
 SEED0_REFERENCE = [
     0xE220A8397B1DCDAF,
@@ -63,13 +65,13 @@ def test_below_range_and_shuffle_permutes():
 
 def test_geometric_mean():
     g = SplitMix64(5)
-    draws = [g.geometric(0.4) for _ in range(20000)]
+    draws = [scalar_geometric(g, 0.4) for _ in range(20000)]
     assert abs(sum(draws) / len(draws) - 1.5) < 0.05
 
 
 def test_poisson_mean():
     g = SplitMix64(6)
-    draws = [g.poisson(2.5) for _ in range(20000)]
+    draws = [scalar_poisson(g, 2.5) for _ in range(20000)]
     assert abs(sum(draws) / len(draws) - 2.5) < 0.06
 
 

@@ -10,11 +10,12 @@ from treecut.errors import (CycleError, ParentIndexError, RootCountError,
                             TreeFormatError, ValidationError)
 
 from treecut import _kernels
+from treecut.tree import root_orbits
 
 from util import (best_center_split, brute_depth, brute_diameter,
                   brute_max_edge_load, brute_path_load, brute_reroot_parent,
-                  brute_subtree_size, brute_tail_value, brute_unreachable,
-                  random_tree)
+                  brute_root_orbits, brute_subtree_size, brute_tail_value,
+                  brute_unreachable, grafted_tree, random_tree)
 
 # the 14-site tree from the contour illustration: root with four branches
 FIG_PARENTS = [-1, 0, 0, 0, 0, 1, 2, 3, 4, 5, 5, 5, 11, 7]
@@ -314,6 +315,50 @@ class TestReroot:
             g0 = T.spectrum(t).gap
             g1 = T.spectrum(T.reroot(t, t.n - 1)).gap
             assert abs(g0 - g1) < 1e-10
+
+
+class TestRootOrbits:
+    def assert_orbits(self, tree):
+        orbit = root_orbits(tree)
+        keys = brute_root_orbits(tree)
+        # one class per key, numbered level by level from the root's 0
+        pairs = set(zip(orbit.tolist(), keys))
+        assert len(pairs) == len(set(orbit.tolist())) == len(set(keys))
+        assert orbit[tree.root] == 0
+        by_depth = [sorted(set(orbit[tree.depth == d].tolist())) for d in range(tree.height + 1)]
+        assert all(a[-1] < b[0] for a, b in zip(by_depth, by_depth[1:]))
+
+    @pytest.mark.parametrize("make", [
+        lambda: T.spherically_symmetric([2, 3, 3, 3]),
+        lambda: T.spherically_symmetric([3, 2, 4, 2]),
+        lambda: T.spherically_symmetric([40]),
+        lambda: T.binary_of_size(100),
+        lambda: T.segment(7),
+        lambda: T.from_parents(1, [-1]),
+        lambda: T.reroot(T.spherically_symmetric([2, 3, 3]), 5),
+    ])
+    def test_families(self, make):
+        self.assert_orbits(make())
+
+    def test_random_and_grafted(self, small_suite):
+        for tree in small_suite[:20]:
+            self.assert_orbits(tree)
+        for seed in range(20):
+            self.assert_orbits(grafted_tree(12 + seed, seed))
+
+    def test_mixed_child_counts_share_padding(self):
+        # child counts 1, 2, 3 and 9 at one level: padded blocks by bit length
+        parent = [-1, 0, 0, 0, 0, 0, 0]
+        for host, count in ((1, 1), (2, 2), (3, 3), (4, 9), (5, 3), (6, 2)):
+            parent += [host] * count
+        tree = T.from_parents(len(parent), parent)
+        self.assert_orbits(tree)
+        orbit = root_orbits(tree)
+        assert orbit[3] == orbit[5] and orbit[2] == orbit[6] and orbit[1] != orbit[2]
+
+    def test_cached(self):
+        tree = T.binary_of_size(50)
+        assert root_orbits(tree) is root_orbits(tree)
 
 
 class TestTextFormat:

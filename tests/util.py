@@ -12,6 +12,7 @@ draw per vertex, is the oracle for the array samplers of the random
 families.
 """
 
+import math
 import os
 from pathlib import Path
 
@@ -48,6 +49,19 @@ def random_tree(n, seed, tall=False):
         else:
             parent.append(rng.below(i))
     return from_parents(n, parent)
+
+
+def grafted_tree(n, seed, copies=4):
+    """A random tree with ``copies`` copies of one random subtree grafted on,
+    two of them on one vertex, so that it has a symmetric part."""
+    rng = SplitMix64(seed)
+    parent = random_tree(n, seed).parent.tolist()
+    graft = random_tree(2 + rng.below(8), derive_seed(seed, 1)).parent.tolist()
+    hosts = [rng.below(n) for _ in range(copies - 1)]
+    for host in hosts + hosts[:1]:
+        offset = len(parent)
+        parent += [host if p < 0 else offset + p for p in graft]
+    return from_parents(len(parent), parent)
 
 
 def suite_trees(count, max_n, base_seed=0xACE):
@@ -217,6 +231,31 @@ def brute_max_edge_load(tree):
     return best
 
 
+def brute_root_orbits(tree):
+    """Per vertex, a key that two vertices share exactly when an automorphism
+    fixing the root maps one to the other: the canonical parenthesis strings
+    of the subtrees along its root path, found by recursion over child lists
+    built here from the parent array."""
+    kids = [[] for _ in range(tree.n)]
+    for v, p in enumerate(tree.parent.tolist()):
+        if p >= 0:
+            kids[p].append(v)
+    memo = {}
+
+    def canon(v):
+        if v not in memo:
+            memo[v] = "(" + "".join(sorted(canon(c) for c in kids[v])) + ")"
+        return memo[v]
+
+    keys = []
+    for v in range(tree.n):
+        path = [v]
+        while tree.parent[path[-1]] >= 0:
+            path.append(int(tree.parent[path[-1]]))
+        keys.append(tuple(canon(u) for u in path))
+    return keys
+
+
 def brute_tail_value(tree):
     depths = [brute_depth(tree, v) for v in range(tree.n)]
     height = max(depths)
@@ -308,12 +347,41 @@ def dense_mixing_time(tree, epsilon, start=None, rtol=1e-8):
 # random families, one vertex and one scalar draw at a time
 # ---------------------------------------------------------------------------
 
+def scalar_geometric(rng, p):
+    """Failures before the first success, P(j) = p (1 - p)^j, by inversion
+    of one draw of ``rng``; no draw when p >= 1."""
+    if p >= 1.0:
+        return 0
+    u = rng.random()
+    return int(math.floor(math.log1p(-u) / math.log1p(-p)))
+
+
+def scalar_poisson(rng, lam):
+    """Poisson(lam) by inversion of one draw of ``rng`` from P(0) = exp(-lam)
+    upward; rates whose P(0) underflows to 0 are rejected, since the
+    inversion cannot start."""
+    term = math.exp(-lam)
+    if term == 0.0:
+        raise ValidationError(f"poisson rate {lam} too large: exp(-rate) underflows to 0")
+    u = rng.random()
+    k = 0
+    cum = term
+    while u > cum:
+        k += 1
+        term *= lam / k
+        cum += term
+        if k > 10_000_000:  # numerically unreachable for sane lambda
+            break
+    return k
+
+
 def scalar_offspring(dist, rng):
-    """One offspring count of ``dist`` from the scalar samplers of ``rng``."""
+    """One offspring count of ``dist`` from one draw of ``rng``, by the scalar
+    inversions above or ``rng.from_table``."""
     if dist.kind == "geometric":
-        return rng.geometric(dist.params[0])
+        return scalar_geometric(rng, dist.params[0])
     if dist.kind == "poisson":
-        return rng.poisson(dist.params[0])
+        return scalar_poisson(rng, dist.params[0])
     return rng.from_table(dist.params)
 
 

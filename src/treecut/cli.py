@@ -175,17 +175,27 @@ def cmd_metrics(args) -> int:
     return 0
 
 
+def _gap_fields(tree: tc.RootedTree, tol: float) -> dict:
+    """gap, t_rel and the solver path: below the dense cap what
+    ``mixing_time`` runs on, above it ``gap_iterative``."""
+    if tree.n > spectral.dense_cap():
+        gap, method = spectral.gap_iterative(tree, tol=tol), "iterative"
+    else:
+        gap, modes = mixing._gap(tree), mixing._modes(tree)
+        method = "orbits" if isinstance(modes, mixing._Orbits) else \
+            "partial" if modes.floor < np.inf else "dense"
+    return {"gap": gap, "t_rel": 1.0 / gap, "method": method}
+
+
 def cmd_spectrum(args) -> int:
     tree = _resolve_tree(args)
     payload = {"schema": SCHEMA, "sites": tree.n}
-    if tree.n <= spectral.dense_cap():
+    if args.full:  # every eigenvalue, so decompose; it refuses trees above the cap
         res = spectral.spectrum(tree)
-        payload.update(gap=res.gap, t_rel=res.t_rel, method="dense")
-        if args.full:
-            payload["eigenvalues"] = res.eigenvalues.tolist()
+        payload.update(gap=res.gap, t_rel=res.t_rel, method="dense",
+                       eigenvalues=res.eigenvalues.tolist())
     else:
-        gap = spectral.gap_iterative(tree, tol=args.tol)
-        payload.update(gap=gap, t_rel=1.0 / gap, method="iterative")
+        payload.update(_gap_fields(tree, args.tol))
     _dump(args, payload)
     return 0
 
@@ -204,13 +214,8 @@ def cmd_bounds(args) -> int:
             "hardy_interval": list(cert.interval),
         },
         "delta": cert.delta,
+        **_gap_fields(tree, spectral.LANCZOS_TOL),
     }
-    if tree.n <= spectral.dense_cap():
-        res = spectral.spectrum(tree)
-        payload.update(gap=res.gap, t_rel=res.t_rel, method="dense")
-    else:
-        gap = spectral.gap_iterative(tree)
-        payload.update(gap=gap, t_rel=1.0 / gap, method="iterative")
     _dump(args, payload)
     return 0
 
@@ -255,11 +260,20 @@ def cmd_bdchain(args) -> int:
     return 0
 
 
+# the sweep row fields, in CSV column order
+_ROW_FIELDS = ("n", "sites", "mode", "t_rel", "t_mix", "ratio", "t_rel_lower",
+              "t_rel_upper", "t_mix_lower", "max_edge_load", "max_path_load",
+              "tail_max", "max_degree", "delta")
+
+
 def _row_dict(row: criteria.FamilyRow) -> dict:
-    return {k: getattr(row, k) for k in
-            ("n", "sites", "mode", "t_rel", "t_mix", "ratio", "t_rel_lower",
-             "t_rel_upper", "t_mix_lower", "max_edge_load", "max_path_load",
-             "tail_max", "max_degree", "delta")}
+    return {k: getattr(row, k) for k in _ROW_FIELDS}
+
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    return f"{value:.12g}" if isinstance(value, float) else str(value)
 
 
 def _trend_dict(value) -> dict:
@@ -280,21 +294,9 @@ def cmd_sweep(args) -> int:
                             offspring=offspring, reps=args.reps,
                             jobs=args.jobs, threshold=args.threshold)
     if args.format == "csv":
-        cols = ("n", "sites", "mode", "t_rel", "t_mix", "ratio", "t_rel_lower",
-                "t_rel_upper", "t_mix_lower", "max_edge_load", "max_path_load",
-                "tail_max", "max_degree", "delta")
-        lines = [",".join(cols)]
+        lines = [",".join(_ROW_FIELDS)]
         for row in report.rows:
-            cells = []
-            for c in cols:
-                v = getattr(row, c)
-                if v is None:
-                    cells.append("")
-                elif isinstance(v, float):
-                    cells.append(f"{v:.12g}")
-                else:
-                    cells.append(str(v))
-            lines.append(",".join(cells))
+            lines.append(",".join(_csv_cell(v) for v in _row_dict(row).values()))
         _emit(args, "\n".join(lines) + "\n")
         return 0
     payload = {

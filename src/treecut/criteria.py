@@ -15,7 +15,7 @@ instead and are labeled "bounded".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -316,27 +316,20 @@ FAMILIES = frozenset({"segment", "star", "binary", "ssym_binary", "cor15",
 
 
 def _median_row(rows: Sequence[FamilyRow]) -> FamilyRow:
+    """Per-field medians; ``n`` from the first row, exact if all rows are."""
     if len(rows) == 1:
         return rows[0]
 
-    def med(getter):
-        vals = [getter(r) for r in rows]
+    def med(name):
+        vals = [getattr(r, name) for r in rows]
         if any(v is None for v in vals):
             return None
         return float(np.median(vals))
 
+    medians = {f.name: med(f.name) for f in fields(FamilyRow)
+               if f.name not in ("n", "mode")}
     mode = "exact" if all(r.mode == "exact" for r in rows) else "bounded"
-    return FamilyRow(
-        n=rows[0].n, sites=med(lambda r: r.sites),
-        max_degree=med(lambda r: r.max_degree),
-        max_edge_load=med(lambda r: r.max_edge_load),
-        max_path_load=med(lambda r: r.max_path_load),
-        tail_max=med(lambda r: r.tail_max), delta=med(lambda r: r.delta),
-        mode=mode, t_rel=med(lambda r: r.t_rel), t_mix=med(lambda r: r.t_mix),
-        ratio=med(lambda r: r.ratio), t_rel_lower=med(lambda r: r.t_rel_lower),
-        t_rel_upper=med(lambda r: r.t_rel_upper),
-        t_mix_lower=med(lambda r: r.t_mix_lower),
-    )
+    return FamilyRow(n=rows[0].n, mode=mode, **medians)
 
 
 def _sweep_one(args):

@@ -100,11 +100,10 @@ class OffspringDistribution:
 
         Entry i is ``min(cap, c)``, as int64, where c is the count one
         uniform u[i] gives by inversion, one draw per count (the scalar
-        samplers in ``tests/util.py`` and ``SplitMix64.from_table`` do it
-        one draw at a time): ``floor(log1p(-u) / log1p(-p))`` for the
-        geometric law, the first k whose running sum of probabilities
-        reaches u for the Poisson law, and the first index whose running
-        sum exceeds u for a table.  Geometric counts come from
+        samplers in ``tests/util.py`` do it one draw at a time):
+        ``floor(log1p(-u) / log1p(-p))`` for the geometric law, the first k
+        whose running sum of probabilities reaches u for the Poisson law,
+        and the first index whose running sum exceeds u for a table.  Geometric counts come from
         ``np.log1p``; the ratios within 1e-9 (relative) of an integer are
         recomputed with ``math.log1p``, because the two may differ in the
         last ulp and only there can that move the floor.  Poisson and table
@@ -487,13 +486,14 @@ def kesten_tree(dist: OffspringDistribution, n: int, seed: int,
     """
     if dist.mean > 1.0:
         raise ValidationError(f"needs mean <= 1, got {dist.mean}")
-    sb_table = dist.size_biased_table()
+    spine_law = OffspringDistribution.table(dist.size_biased_table())
     rng = SplitMix64(seed)
     parent = [np.array([-1])]
     size = 1
     spine = 0
     for d in range(n):
-        count = rng.from_table(sb_table)
+        count = int(spine_law.counts(rng.random_array(1),
+                                     len(spine_law.params))[0])
         kids = range(size, size + count)
         parent.append(np.full(count, spine))
         size += count

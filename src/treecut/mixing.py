@@ -48,6 +48,10 @@ through the same two start oracles: TV of one start, and the all-starts
 check, which takes the candidate's own value from the first oracle, so
 that the two cannot disagree about it by a rounding.
 
+Every gap and TV number below the dense cap comes from what ``_modes``
+chooses, the CLI's gap and ``tv_curve`` included; a curve from t = 0
+needs every mode, so it never runs on bottom pairs.
+
 Expected hitting times come from the paper's identity: hitting the root
 from v takes exactly the sum of subtree sizes along the root path of v
 (the path load), so hitting a target is the path load of the tree
@@ -99,7 +103,7 @@ class _FloorTooHigh(ValidationError):
     """A partial eigensystem omits modes that matter at the requested time."""
 
 
-def _modes(tree: RootedTree) -> Union[Eigensystem, "_Orbits"]:
+def _modes(tree: RootedTree, every: bool = False) -> Union[Eigensystem, "_Orbits"]:
     """What ``mixing_time`` searches on, chosen by the tree's size and shape.
 
     Up to the dense cap, the orbit quotients when ``_orbit_quotients``
@@ -108,14 +112,15 @@ def _modes(tree: RootedTree) -> Union[Eigensystem, "_Orbits"]:
     times the gap, where the tail 1/2 sqrt(n) exp(-t sigma) is TAIL_TOL / 2
     at t = t_rel / 2, so it serves every time from t_rel / 2 on.  Below
     that size, above the cap (which ``decompose`` refuses) and wherever
-    ``bottom_pairs`` cannot certify its pairs, it is ``decompose``; so it
-    is after ``tv_curve``, which needs every mode, has decomposed the tree.
+    ``bottom_pairs`` cannot certify its pairs, it is ``decompose``.  With
+    ``every`` (a curve from t = 0) it computes no bottom pairs; cached ones
+    give way to ``decompose`` in ``_EigenStarts``.
     """
     modes = _modes_cache.get(tree)
     if modes is None:
         if tree.n <= dense_cap():
             modes = _orbit_quotients(tree)
-            if modes is None and PARTIAL_MIN_VERTICES <= tree.n:
+            if modes is None and not every and PARTIAL_MIN_VERTICES <= tree.n:
                 modes = bottom_pairs(tree, 2.0 * np.log(np.sqrt(tree.n) / TAIL_TOL))
         if modes is None:
             modes = decompose(tree)
@@ -123,9 +128,9 @@ def _modes(tree: RootedTree) -> Union[Eigensystem, "_Orbits"]:
     return modes
 
 
-def _starts(tree: RootedTree):
+def _starts(tree: RootedTree, every: bool = False):
     """The start oracles of the search on ``_modes``."""
-    modes = _modes(tree)
+    modes = _modes(tree, every)
     return modes if isinstance(modes, _Orbits) else _EigenStarts(tree, modes)
 
 
@@ -141,28 +146,31 @@ class _EigenStarts:
 
     ``tv(x, t)`` is ``tv_from_start`` and ``worst(t, x, tv_x)`` is
     ``_worst_start``.  A partial eigensystem that cannot certify a time
-    gives way to ``decompose`` for the rest of the search.  The first
-    candidate is where the slowest mode peaks, the worst start once that
-    mode dominates.
+    gives way to ``decompose`` from then on.  The first candidate is where
+    the slowest mode peaks, the worst start once that mode dominates.
     """
 
     def __init__(self, tree: RootedTree, eig: Eigensystem):
         self.tree, self.eig = tree, eig
-        self.gap = float(eig.values[1])
-        self.first = int(np.argmax(np.abs(eig.vectors[:, 1])))
+        if tree.n > 1:  # a single vertex has no gap
+            self.gap = float(eig.values[1])
+            self.first = int(np.argmax(np.abs(eig.vectors[:, 1])))
 
-    def tv(self, x: int, t: float) -> float:
+    def _certified(self, evaluate):
         try:
-            return tv_from_start(self.tree, t, x, self.eig)
+            return evaluate(self.eig)
         except _FloorTooHigh:
             self.eig = decompose(self.tree)
-            return tv_from_start(self.tree, t, x, self.eig)
+            return evaluate(self.eig)
 
-    def worst(self, t: float, x: int, tv_x: float):
-        return _worst_start(self.tree, t, self.eig, x, tv_x)
+    def tv(self, x: int, t: float) -> float:
+        return self._certified(lambda eig: tv_from_start(self.tree, t, x, eig))
+
+    def worst(self, t: float, x: Optional[int], tv_x: Optional[float]):
+        return self._certified(lambda eig: _worst_start(self.tree, t, eig, x, tv_x))
 
     def tail(self, t: float) -> float:
-        return _kept_modes(self.tree, t, self.eig)[1]
+        return self._certified(lambda eig: _kept_modes(self.tree, t, eig))[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,34 +310,35 @@ def _kept_modes(tree: RootedTree, t: float, eig: Eigensystem):
     return k, float(tails[k])
 
 
-def _kernel(tree: RootedTree, t: float, eig: Eigensystem) -> np.ndarray:
-    """P_t from the kept modes, as W W^T with W = U_k exp(-t L_k / 2)."""
-    k, _ = _kept_modes(tree, t, eig)
-    W = eig.vectors[:, :k] * np.exp(-0.5 * t * eig.values[:k])
-    return W @ W.T
-
-
 def _check_start(tree: RootedTree, start: int) -> None:
     if not 0 <= start < tree.n:
         raise ValidationError(f"start vertex {start} out of range")
 
 
+def _check_time(t: float, name: str = "time") -> None:
+    if not (math.isfinite(t) and t >= 0):
+        raise ValidationError(f"{name} must be finite and >= 0, got {t}")
+
+
 def heat_kernel_tv(tree: RootedTree, t: float,
                    eig: Optional[Eigensystem] = None) -> float:
-    """Worst-case total-variation distance to uniform at time t."""
-    if t < 0:
-        raise ValidationError(f"time must be >= 0, got {t}")
-    return _worst_start(tree, t, decompose(tree) if eig is None else eig)[0]
+    """Worst-case total-variation distance to uniform at time t, on the
+    start oracles of ``mixing_time`` or, given ``eig``, on modes that must
+    certify t."""
+    _check_time(t)
+    if eig is None:
+        return _starts(tree).worst(t, None, None)[0]
+    return _worst_start(tree, t, eig)[0]
 
 
 def tv_from_start(tree: RootedTree, t: float, start: int,
                   eig: Optional[Eigensystem] = None) -> float:
-    """Total-variation distance to uniform at time t from one start, O(n k)."""
-    if t < 0:
-        raise ValidationError(f"time must be >= 0, got {t}")
+    """Total-variation distance to uniform at time t from one start, O(n k);
+    ``eig`` as in ``heat_kernel_tv``."""
+    _check_time(t)
     _check_start(tree, start)
     if eig is None:
-        eig = decompose(tree)
+        return _starts(tree).tv(start, t)
     k, _ = _kept_modes(tree, t, eig)
     U = eig.vectors[:, :k]
     row = U @ (U[start] * np.exp(-t * eig.values[:k]))
@@ -355,10 +364,12 @@ class MixingResult:
 
 def _worst_start(tree: RootedTree, t: float, eig: Eigensystem,
                  x: Optional[int] = None, tv_x: Optional[float] = None):
-    """d(t) over all starts and a start attaining it, from one kernel; start
-    x, when given, counts with the value ``tv_x`` that ``tv_from_start``
-    gave it."""
-    P = _kernel(tree, t, eig)
+    """d(t) over all starts and a start attaining it, from one kernel
+    P_t = W W^T of the kept modes, W = U_k exp(-t L_k / 2); start x, when
+    given, counts with the value ``tv_x`` that ``tv_from_start`` gave it."""
+    k, _ = _kept_modes(tree, t, eig)
+    W = eig.vectors[:, :k] * np.exp(-0.5 * t * eig.values[:k])
+    P = W @ W.T
     P -= 1.0 / tree.n
     dist = 0.5 * np.abs(P, out=P).sum(axis=1)
     if x is not None:
@@ -496,15 +507,18 @@ def tv_curve(tree: RootedTree, n_samples: int, t_max: Optional[float] = None,
     """
     if n_samples < 2:
         raise ValidationError("need at least two samples")
-    eig = decompose(tree)
-    _modes_cache.setdefault(tree, eig)  # the curve needs every mode anyway
+    if t_max is not None:
+        _check_time(t_max, "t_max")
+    if start is not None:
+        _check_start(tree, start)
+    starts = _starts(tree, every=True)
     if t_max is None:
         t_max = 1.5 * mixing_time(tree, 0.01, start=start).t_mix
     ts = np.linspace(0.0, float(t_max), n_samples)
     if start is None:
-        vals = [heat_kernel_tv(tree, float(t), eig) for t in ts]
+        vals = [starts.worst(t, None, None)[0] for t in ts.tolist()]
     else:
-        vals = [tv_from_start(tree, float(t), start, eig) for t in ts]
+        vals = [starts.tv(start, t) for t in ts.tolist()]
     return np.column_stack([ts, vals])
 
 

@@ -128,14 +128,3 @@ class SplitMix64:
         for i in range(len(items) - 1, 0, -1):
             j = self.below(i + 1)
             items[i], items[j] = items[j], items[i]
-
-    def from_table(self, probs) -> int:
-        """Index of the first running sum of ``probs`` above one uniform draw
-        (the last index when none is)."""
-        u = self.random()
-        cum = 0.0
-        for j, pj in enumerate(probs):
-            cum += pj
-            if u < cum:
-                return j
-        return len(probs) - 1

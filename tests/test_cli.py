@@ -115,6 +115,27 @@ class TestSpectrumBounds:
         lo, hi = b["hardy_interval"]
         assert lo * (1 - 1e-9) <= payload["gap"] <= hi * (1 + 1e-9)
 
+    @pytest.mark.parametrize("family, n, method", [("cor15", "256", "partial"),
+                                                   ("ssym_binary", "8", "orbits"),
+                                                   ("segment", "8", "dense")])
+    def test_gap_is_the_sweep_rows(self, family, n, method, capsys):
+        # one solver path per number: the printed t_rel is the sweep row's
+        flags = ["--family", family, "--n", n]
+        _, out, _ = run_cli(["sweep", "--family", family, "--sizes", n], capsys)
+        t_rel = json.loads(out)["rows"][0]["t_rel"]
+        for command in ("spectrum", "bounds"):
+            code, out, _ = run_cli([command] + flags, capsys)
+            payload = json.loads(out)
+            assert code == 0 and payload["method"] == method
+            assert payload["t_rel"] == t_rel == 1.0 / payload["gap"]
+
+    def test_full_spectrum_above_cap_exits_3(self, capsys, monkeypatch):
+        # it used to exit 0 with the iterative gap and no eigenvalues
+        monkeypatch.setenv("TREECUT_MAX_VERTICES", "20")
+        code, out, err = run_cli(["spectrum", "--family", "segment", "--n", "40",
+                                  "--full"], capsys)
+        assert (code, out) == (3, "") and "TREECUT_MAX_VERTICES" in err
+
 
 class TestBDChain:
     def test_json_fields(self, capsys):

@@ -218,6 +218,18 @@ class TestAnalyzeAndSweep:
         assert all(r.sites == r.n for r in rep.rows)  # conditioned on size
         assert all(r.ratio is not None for r in rep.rows)
 
+    def test_median_row_per_field(self):
+        rows = [C.analyze_tree(T.segment(m), 0.25, size_label=8) for m in (6, 9, 7)]
+        rows.append(C.analyze_tree(T.segment(8), 0.25, size_label=9))
+        med = C._median_row(rows)
+        assert (med.n, med.mode) == (8, "exact")
+        for name in ("sites", "t_rel", "t_mix", "ratio", "t_rel_upper", "delta"):
+            assert getattr(med, name) == np.median([getattr(r, name) for r in rows])
+        assert med.t_mix_lower is None  # None in every exact row
+        bounded = C.FamilyRow(**{**rows[0].__dict__, "mode": "bounded", "t_rel": None})
+        med = C._median_row([rows[3], bounded, rows[1]])
+        assert (med.n, med.mode, med.t_rel) == (9, "bounded", None)
+
     def test_sweep_needs_seed_for_random(self):
         with pytest.raises(ValidationError):
             C.sweep("gw_size", [10], offspring=OD.geometric(0.5))

@@ -104,6 +104,116 @@ class TestMixingTime:
         assert np.all(np.diff(table[:, 1]) <= 1e-12)
 
 
+class TestPublicTV:
+    """``heat_kernel_tv``, ``tv_from_start`` and ``tv_curve`` on the start
+    oracles ``mixing_time`` uses."""
+
+    CALLS = {
+        "heat_kernel_tv": lambda t: T.heat_kernel_tv(T.segment(5), t),
+        "tv_from_start": lambda t: T.tv_from_start(T.segment(5), t, 0),
+        "tv_curve": lambda t: T.tv_curve(T.segment(5), 3, t_max=t),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -0.1])
+    def test_non_finite_or_negative_time_rejected(self, name, t):
+        # inf used to give 0.5 and nan nan; t_max=-1 named the sample -0.5
+        with pytest.raises(ValidationError, match=f"got {t}$"):
+            self.CALLS[name](t)
+
+    def test_single_vertex(self):
+        tree = T.segment(0)
+        assert T.heat_kernel_tv(tree, 1.0) == 0.0
+        assert T.tv_from_start(tree, 1.0, 0) == 0.0
+        assert T.tv_curve(tree, 3)[:, 1].tolist() == [0.0, 0.0, 0.0]
+        assert T.tv_curve(tree, 3, start=0)[:, 1].tolist() == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("make, kind",
+                             [(lambda: T.cor15_tree(256), "partial"),
+                              (lambda: ssym_binary(7), "orbits")],
+                             ids=["cor15_256", "ssym_depth7"])
+    def test_matches_dense_rows(self, make, kind):
+        tree = make()
+        modes = M._modes(tree)
+        assert kind == ("orbits" if isinstance(modes, M._Orbits) else "partial")
+        assert kind == "orbits" or modes.floor < np.inf
+        eig = np.linalg.eigh(T.laplacian(tree))
+        t_rel = 1.0 / M._gap(tree)
+        for t in (0.1 * t_rel, 0.5 * t_rel, t_rel, 4.0 * t_rel):
+            rows = dense_tv_rows(tree, t, eig)
+            # the tail covers the dropped modes, 1e-12 sqrt(n) the error of
+            # the bottom pairs (relative Ritz residual 1e-10), which the l1
+            # norm of a row gathers over n entries: on cor15_tree(256) it
+            # reaches 1.1e-11 at 4 t_rel
+            bound = M._starts(tree).tail(t) + 1e-12 * np.sqrt(tree.n)
+            assert abs(T.heat_kernel_tv(tree, t) - rows.max()) <= bound
+            for x in (0, tree.n // 2, tree.n - 1):
+                assert abs(T.tv_from_start(tree, t, x) - rows[x]) <= bound
+
+    def test_partial_path_decomposes_only_before_the_floor(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("decompose ran where the bottom pairs certify")
+
+        tree = T.cor15_tree(256)
+        t_rel = 1.0 / M._gap(tree)
+        monkeypatch.setattr(M, "decompose", fail)
+        for t in (0.5 * t_rel, 4.0 * t_rel):
+            assert T.tv_from_start(tree, t, 0) <= T.heat_kernel_tv(tree, t)
+        with pytest.raises(AssertionError, match="decompose ran"):
+            T.heat_kernel_tv(tree, 0.1 * t_rel)
+
+    def test_worst_falls_back_before_the_floor(self):
+        # at 0.1 t_rel the bottom pairs certify nothing; the check used to
+        # raise _FloorTooHigh unless a single-start TV had switched first
+        tree = T.cor15_tree(256)
+        eig = bottom_pairs(tree, 2.0 * np.log(np.sqrt(tree.n) / M.TAIL_TOL))
+        assert eig.floor < np.inf
+        t = 0.1 / eig.values[1]
+        with pytest.raises(M._FloorTooHigh):
+            M._worst_start(tree, t, eig)
+        d, worst = M._EigenStarts(tree, eig).worst(t, None, None)
+        rows = dense_tv_rows(tree, t)
+        assert abs(d - rows.max()) <= M.TAIL_TOL + 1e-12
+        assert rows.max() - rows[worst] <= 1e-12
+
+    def test_curve_on_orbits_needs_no_eigh_of_the_tree(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("tv_curve ran a tree-wide eigensolver")
+
+        monkeypatch.setattr(spectral, "_lanczos_top", fail)
+        monkeypatch.setattr(M, "decompose", fail)
+        tree = ssym_binary(10)
+        t_rel = 1.0 / M._gap(tree)
+        assert 0.0 < T.tv_from_start(tree, t_rel, tree.n - 1) <= T.heat_kernel_tv(tree, t_rel)
+        table = T.tv_curve(tree, 5)
+        assert table[0, 1] == pytest.approx(1 - 1 / tree.n, abs=1e-12)
+        assert np.all(np.diff(table[:, 1]) < 0) and table[-1, 1] < 0.01
+        start = int(np.flatnonzero(tree.depth == 10)[0])
+        assert np.all(T.tv_curve(tree, 5, start=start)[:, 1] <= table[:, 1] + 1e-12)
+
+    def test_curve_matches_dense_rows(self):
+        tree = ssym_binary(8)
+        assert isinstance(M._modes(tree), M._Orbits)
+        eig = np.linalg.eigh(T.laplacian(tree))
+        for t, tv in T.tv_curve(tree, 6):
+            assert abs(tv - dense_tv_rows(tree, t, eig).max()) <= 1e-11
+
+    def test_curve_after_partial_search(self, monkeypatch):
+        # a tree searched on bottom pairs keeps them; the curve from t = 0
+        # switches to decompose where they cannot certify
+        monkeypatch.setattr(M, "PARTIAL_MIN_VERTICES", 2)
+        monkeypatch.setattr(M, "_modes_cache", weakref.WeakKeyDictionary())
+        tree = random_tree(120, seed=2, tall=True)
+        t_mix = T.mixing_time(tree, 0.25).t_mix
+        partial = M._modes(tree)
+        assert partial.floor < np.inf
+        table = T.tv_curve(tree, 5, t_max=t_mix)
+        assert M._modes(tree) is partial
+        eig = np.linalg.eigh(T.laplacian(tree))
+        for t, tv in table:
+            assert abs(tv - dense_tv_rows(tree, t, eig).max()) <= 1e-12
+
+
 def assert_matches_dense(tree, eps, start=None, rtol=1e-8):
     """t_mix within rtol of the full-GEMM bisection; worst_start attains d."""
     res = T.mixing_time(tree, eps, start=start, rtol=rtol)

@@ -7,7 +7,7 @@ import pytest
 
 from treecut.rng import SplitMix64, derive_seed, derive_seeds, mix64, uniforms
 
-from util import scalar_geometric, scalar_poisson
+from util import scalar_geometric, scalar_poisson, scalar_table
 
 # Published reference outputs of the SplitMix64 sequence for seed 0.
 SEED0_REFERENCE = [
@@ -80,7 +80,7 @@ def test_table_sampler_frequencies():
     probs = [0.2, 0.3, 0.5]
     counts = [0, 0, 0]
     for _ in range(30000):
-        counts[g.from_table(probs)] += 1
+        counts[scalar_table(g, probs)] += 1
     for c, p in zip(counts, probs):
         assert math.isclose(c / 30000, p, abs_tol=0.02)
 

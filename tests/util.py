@@ -375,14 +375,26 @@ def scalar_poisson(rng, lam):
     return k
 
 
+def scalar_table(rng, probs):
+    """Index of the first running sum of ``probs`` above one draw of ``rng``
+    (the last index when none is)."""
+    u = rng.random()
+    cum = 0.0
+    for j, pj in enumerate(probs):
+        cum += pj
+        if u < cum:
+            return j
+    return len(probs) - 1
+
+
 def scalar_offspring(dist, rng):
     """One offspring count of ``dist`` from one draw of ``rng``, by the scalar
-    inversions above or ``rng.from_table``."""
+    inversions above."""
     if dist.kind == "geometric":
         return scalar_geometric(rng, dist.params[0])
     if dist.kind == "poisson":
         return scalar_poisson(rng, dist.params[0])
-    return rng.from_table(dist.params)
+    return scalar_table(rng, dist.params)
 
 
 def loop_grow(rng, dist, max_gen, max_vertices, abort_over=None):
@@ -434,7 +446,7 @@ def loop_kesten_tree(dist, n, seed, max_vertices=1_000_000):
     parent = [-1]
     spine = 0
     for d in range(n):
-        count = rng.from_table(sb_table)
+        count = scalar_table(rng, sb_table)
         kids = []
         for _ in range(count):
             kids.append(len(parent))

@@ -20,8 +20,6 @@ import json
 import sys
 from typing import Optional
 
-import numpy as np
-
 from . import bdchain as bd
 from . import criteria, generate, mixing, spectral
 from . import tree as tc
@@ -181,9 +179,7 @@ def _gap_fields(tree: tc.RootedTree, tol: float) -> dict:
     if tree.n > spectral.dense_cap():
         gap, method = spectral.gap_iterative(tree, tol=tol), "iterative"
     else:
-        gap, modes = mixing._gap(tree), mixing._modes(tree)
-        method = "orbits" if isinstance(modes, mixing._Orbits) else \
-            "partial" if modes.floor < np.inf else "dense"
+        gap, method = mixing._gap(tree), mixing._starts(tree).method
     return {"gap": gap, "t_rel": 1.0 / gap, "method": method}
 
 

@@ -15,6 +15,7 @@ instead and are labeled "bounded".
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Callable, List, Optional, Sequence
 
@@ -127,8 +128,10 @@ def analyze_tree(tree: RootedTree, epsilon: float, size_label: float) -> FamilyR
     symmetric trees, bottom eigenpairs from ``mixing.PARTIAL_MIN_VERTICES``
     vertices on).  Bounded rows read the hitting times of the center of
     mass from the recentered tree that the Hardy lower bound already
-    holds.
+    holds.  ``ValidationError`` unless 0 < epsilon < 1.
     """
+    if not 0.0 < epsilon < 1.0:
+        raise ValidationError(f"epsilon must be in (0, 1), got {epsilon}")
     metrics = compute_metrics(tree)
     com, recentered = _recentered(tree)
     base = dict(
@@ -157,9 +160,15 @@ def analyze_tree(tree: RootedTree, epsilon: float, size_label: float) -> FamilyR
                      t_mix_lower=0.5 * eps_eff * hit, **base)
 
 
+def _check_threshold(threshold: float) -> None:
+    if not (math.isfinite(threshold) and threshold > 0):
+        raise ValidationError(f"threshold must be finite and > 0, got {threshold}")
+
+
 def _verdict_fit(rows: Sequence[FamilyRow], quotient: Callable[[FamilyRow], float],
                  name: str, threshold: float, min_points: int,
                  direction: str) -> Diagnostic:
+    _check_threshold(threshold)
     values = tuple(quotient(r) for r in rows)
     if len(rows) < min_points:
         return Diagnostic(name, "insufficient data (diagnostic)", None,
@@ -228,6 +237,7 @@ def retraction_trend(reports: Sequence[RetractionReport],
     the maximal load (falling ratio).  All three together predict cutoff
     for the retracted family.
     """
+    _check_threshold(threshold)
     if len(reports) < min_points:
         return {"verdict": "insufficient data (diagnostic)", "fits": {}}
     sites = [r.sites for r in reports]
@@ -294,6 +304,8 @@ def _build_family_member(family: str, size: int, seed: int,
     if family == "binary":
         return binary_of_size(size)
     if family == "ssym_binary":
+        if size < 1:
+            raise ValidationError(f"ssym_binary needs depth >= 1, got {size}")
         return spherically_symmetric([2] + [3] * (size - 1))
     if family == "cor15":
         return cor15_tree(size)
@@ -356,6 +368,7 @@ def sweep(family: str, sizes: Sequence[int], epsilon: float = 0.25,
         raise ValidationError(f"family {family!r} is random and needs a seed")
     if reps < 1 or jobs < 1:
         raise ValidationError("reps and jobs must be >= 1")
+    _check_threshold(threshold)
     sizes = sorted(int(s) for s in sizes)
     if not sizes:
         raise ValidationError("need at least one size")

@@ -486,6 +486,8 @@ def kesten_tree(dist: OffspringDistribution, n: int, seed: int,
     """
     if dist.mean > 1.0:
         raise ValidationError(f"needs mean <= 1, got {dist.mean}")
+    if n < 0:
+        raise ValidationError(f"spine depth must be >= 0, got {n}")
     spine_law = OffspringDistribution.table(dist.size_biased_table())
     rng = SplitMix64(seed)
     parent = [np.array([-1])]

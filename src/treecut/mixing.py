@@ -46,7 +46,10 @@ check fails, its time becomes the lower end, its worst start the
 candidate, and the bracket grows again.  Every path serves the search
 through the same two start oracles: TV of one start, and the all-starts
 check, which takes the candidate's own value from the first oracle, so
-that the two cannot disagree about it by a rounding.
+that the two cannot disagree about it by a rounding.  The oracles hold
+every TV formula (``_EigenStarts`` the truncated eigenpair rows and
+kernel, ``_Orbits`` the quotient sums); ``heat_kernel_tv`` and
+``tv_from_start`` validate their arguments and call them.
 
 Every gap and TV number below the dense cap comes from what ``_modes``
 chooses, the CLI's gap and ``tv_curve`` included; a curve from t = 0
@@ -55,7 +58,8 @@ needs every mode, so it never runs on bottom pairs.
 Expected hitting times come from the paper's identity: hitting the root
 from v takes exactly the sum of subtree sizes along the root path of v
 (the path load), so hitting a target is the path load of the tree
-re-rooted there, an exact integer from two O(n) tree passes.  The test
+re-rooted there, an exact integer from two O(n) tree passes; the
+hitting-time bounds read the largest path load directly.  The test
 suite verifies the identity against a dense solve of (D - A) h = 1.
 """
 
@@ -70,9 +74,9 @@ import numpy as np
 
 from . import _kernels
 from .errors import DegenerateInputError, ValidationError
-from .spectral import Eigensystem, bottom_pairs, decompose, dense_cap
-from .tree import (RootedTree, center_of_mass, compute_metrics, max_path_load,
-                   reroot, root_orbits, root_path)
+from .spectral import _recentered, Eigensystem, bottom_pairs, decompose, dense_cap
+from .tree import (RootedTree, compute_metrics, max_path_load, reroot,
+                   root_orbits, root_path)
 
 __all__ = [
     "MixingResult", "HittingProfile", "MixingUpperReport", "MixingLowerBounds",
@@ -99,10 +103,6 @@ _modes_cache: "weakref.WeakKeyDictionary[RootedTree, Union[Eigensystem, _Orbits]
     weakref.WeakKeyDictionary()
 
 
-class _FloorTooHigh(ValidationError):
-    """A partial eigensystem omits modes that matter at the requested time."""
-
-
 def _modes(tree: RootedTree, every: bool = False) -> Union[Eigensystem, "_Orbits"]:
     """What ``mixing_time`` searches on, chosen by the tree's size and shape.
 
@@ -114,7 +114,7 @@ def _modes(tree: RootedTree, every: bool = False) -> Union[Eigensystem, "_Orbits
     that size, above the cap (which ``decompose`` refuses) and wherever
     ``bottom_pairs`` cannot certify its pairs, it is ``decompose``.  With
     ``every`` (a curve from t = 0) it computes no bottom pairs; cached ones
-    give way to ``decompose`` in ``_EigenStarts``.
+    give way to ``decompose`` in ``_EigenStarts._kept``.
     """
     modes = _modes_cache.get(tree)
     if modes is None:
@@ -142,35 +142,64 @@ def _gap(tree: RootedTree) -> float:
 
 
 class _EigenStarts:
-    """The start oracles on eigenpairs of Q (``decompose`` or ``bottom_pairs``).
+    """The start oracles on eigenpairs of Q (``decompose`` or ``bottom_pairs``),
+    named ``"partial"`` or ``"dense"`` by the floor they were built with.
 
-    ``tv(x, t)`` is ``tv_from_start`` and ``worst(t, x, tv_x)`` is
-    ``_worst_start``.  A partial eigensystem that cannot certify a time
-    gives way to ``decompose`` from then on.  The first candidate is where
-    the slowest mode peaks, the worst start once that mode dominates.
+    ``tv(x, t)`` is one row of the kept modes' kernel, O(n k).
+    ``worst(t, x, tv_x)`` is d(t) and a start attaining it, from one kernel
+    P_t = W W^T of the kept modes, W = U_k exp(-t L_k / 2); start x, when
+    given, counts with the value ``tv_x`` that ``tv`` gave it.  The first
+    candidate is where the slowest mode peaks.
     """
 
     def __init__(self, tree: RootedTree, eig: Eigensystem):
         self.tree, self.eig = tree, eig
+        self.method = "partial" if eig.floor < np.inf else "dense"
         if tree.n > 1:  # a single vertex has no gap
             self.gap = float(eig.values[1])
             self.first = int(np.argmax(np.abs(eig.vectors[:, 1])))
 
-    def _certified(self, evaluate):
-        try:
-            return evaluate(self.eig)
-        except _FloorTooHigh:
+    def _kept(self, t: float):
+        """Smallest mode count k whose dropped tail is <= TAIL_TOL, and that tail.
+
+        Dropping the modes j >= k leaves row x of P_t short by
+        r = sum_{j>=k} exp(-t lambda_j) u_j(x) u_j, and |r|_2 <= exp(-t lambda_k)
+        since the u_j are orthonormal, so every start's TV distance moves by
+        at most 1/2 |r|_1 <= 1/2 sqrt(n) exp(-t lambda_k).  Once every stored
+        mode is kept, lambda_k is the eigensystem's floor (the tail is 0 for
+        a full one); where even that tail exceeds TAIL_TOL, the oracles run
+        on ``decompose`` from then on.  The tail covers the dropped modes
+        only, not the kept bottom pairs' own error (relative Ritz residual
+        ``spectral.LANCZOS_TOL``).
+        """
+        eig = self.eig
+        rest = np.exp(-t * eig.floor) if eig.floor < np.inf else 0.0
+        tails = 0.5 * np.sqrt(self.tree.n) * np.append(np.exp(-t * eig.values), rest)
+        k = int(np.argmax(tails <= TAIL_TOL))
+        if tails[k] > TAIL_TOL:
             self.eig = decompose(self.tree)
-            return evaluate(self.eig)
+            return self._kept(t)
+        return k, float(tails[k])
 
     def tv(self, x: int, t: float) -> float:
-        return self._certified(lambda eig: tv_from_start(self.tree, t, x, eig))
+        k, _ = self._kept(t)
+        U = self.eig.vectors[:, :k]
+        row = U @ (U[x] * np.exp(-t * self.eig.values[:k]))
+        return 0.5 * float(np.abs(row - 1.0 / self.tree.n).sum())
 
     def worst(self, t: float, x: Optional[int], tv_x: Optional[float]):
-        return self._certified(lambda eig: _worst_start(self.tree, t, eig, x, tv_x))
+        k, _ = self._kept(t)
+        W = self.eig.vectors[:, :k] * np.exp(-0.5 * t * self.eig.values[:k])
+        P = W @ W.T
+        P -= 1.0 / self.tree.n
+        dist = 0.5 * np.abs(P, out=P).sum(axis=1)
+        if x is not None:
+            dist[x] = tv_x
+        worst = int(np.argmax(dist))
+        return float(dist[worst]), worst
 
     def tail(self, t: float) -> float:
-        return self._certified(lambda eig: _kept_modes(self.tree, t, eig))[1]
+        return self._kept(t)[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,6 +215,7 @@ class _Orbits:
     start at t_rel.
     """
 
+    method = "orbits"
     starts: np.ndarray
     orbit: np.ndarray
     quotients: tuple
@@ -292,24 +322,6 @@ def _lump(tree: RootedTree, blocks: np.ndarray):
     return sizes, np.diag(c.sum(axis=1)) - c * sizes[:, None] / np.outer(root, root)
 
 
-def _kept_modes(tree: RootedTree, t: float, eig: Eigensystem):
-    """Smallest mode count k whose dropped tail is <= TAIL_TOL, and that tail.
-
-    Dropping the modes j >= k leaves row x of P_t short by
-    r = sum_{j>=k} exp(-t lambda_j) u_j(x) u_j, and |r|_2 <= exp(-t lambda_k)
-    since the u_j are orthonormal, so every start's TV distance moves by at
-    most 1/2 |r|_1 <= 1/2 sqrt(n) exp(-t lambda_k).  Once every stored mode
-    is kept, lambda_k is the eigensystem's floor (the tail is 0 for a full
-    one).  ``_FloorTooHigh`` when even that tail exceeds TAIL_TOL.
-    """
-    rest = np.exp(-t * eig.floor) if eig.floor < np.inf else 0.0
-    tails = 0.5 * np.sqrt(tree.n) * np.append(np.exp(-t * eig.values), rest)
-    k = int(np.argmax(tails <= TAIL_TOL))
-    if tails[k] > TAIL_TOL:
-        raise _FloorTooHigh(f"modes below {eig.floor} do not certify time {t}")
-    return k, float(tails[k])
-
-
 def _check_start(tree: RootedTree, start: int) -> None:
     if not 0 <= start < tree.n:
         raise ValidationError(f"start vertex {start} out of range")
@@ -320,29 +332,19 @@ def _check_time(t: float, name: str = "time") -> None:
         raise ValidationError(f"{name} must be finite and >= 0, got {t}")
 
 
-def heat_kernel_tv(tree: RootedTree, t: float,
-                   eig: Optional[Eigensystem] = None) -> float:
+def heat_kernel_tv(tree: RootedTree, t: float) -> float:
     """Worst-case total-variation distance to uniform at time t, on the
-    start oracles of ``mixing_time`` or, given ``eig``, on modes that must
-    certify t."""
+    start oracles of ``mixing_time``."""
     _check_time(t)
-    if eig is None:
-        return _starts(tree).worst(t, None, None)[0]
-    return _worst_start(tree, t, eig)[0]
+    return _starts(tree).worst(t, None, None)[0]
 
 
-def tv_from_start(tree: RootedTree, t: float, start: int,
-                  eig: Optional[Eigensystem] = None) -> float:
-    """Total-variation distance to uniform at time t from one start, O(n k);
-    ``eig`` as in ``heat_kernel_tv``."""
+def tv_from_start(tree: RootedTree, t: float, start: int) -> float:
+    """Total-variation distance to uniform at time t from one start, on the
+    start oracles of ``mixing_time``."""
     _check_time(t)
     _check_start(tree, start)
-    if eig is None:
-        return _starts(tree).tv(start, t)
-    k, _ = _kept_modes(tree, t, eig)
-    U = eig.vectors[:, :k]
-    row = U @ (U[start] * np.exp(-t * eig.values[:k]))
-    return 0.5 * float(np.abs(row - 1.0 / tree.n).sum())
+    return _starts(tree).tv(start, t)
 
 
 @dataclass(frozen=True)
@@ -352,7 +354,9 @@ class MixingResult:
     ``tv_curve`` holds the (t, TV) pairs of the start the search followed
     last, sorted by t; each is a lower bound on d(t).  ``worst_start``
     attains the max at t_mix.  ``tail_bound`` is the certified truncation
-    error of the TV evaluation that accepted t_mix (0 when t_mix = 0).
+    error of the TV evaluation that accepted t_mix (0 when t_mix = 0): it
+    covers the dropped modes only, not the error of kept bottom pairs
+    (relative Ritz residual ``spectral.LANCZOS_TOL``), which can exceed it.
     """
 
     epsilon: float
@@ -360,22 +364,6 @@ class MixingResult:
     worst_start: int
     tv_curve: np.ndarray
     tail_bound: float = 0.0
-
-
-def _worst_start(tree: RootedTree, t: float, eig: Eigensystem,
-                 x: Optional[int] = None, tv_x: Optional[float] = None):
-    """d(t) over all starts and a start attaining it, from one kernel
-    P_t = W W^T of the kept modes, W = U_k exp(-t L_k / 2); start x, when
-    given, counts with the value ``tv_x`` that ``tv_from_start`` gave it."""
-    k, _ = _kept_modes(tree, t, eig)
-    W = eig.vectors[:, :k] * np.exp(-0.5 * t * eig.values[:k])
-    P = W @ W.T
-    P -= 1.0 / tree.n
-    dist = 0.5 * np.abs(P, out=P).sum(axis=1)
-    if x is not None:
-        dist[x] = tv_x
-    worst = int(np.argmax(dist))
-    return float(dist[worst]), worst
 
 
 def mixing_time(tree: RootedTree, epsilon: float, start: Optional[int] = None,
@@ -561,13 +549,12 @@ class MixingUpperReport:
 
 
 def mixing_upper_report(tree: RootedTree) -> MixingUpperReport:
+    """The worst root-hitting time is the largest path load."""
     metrics = compute_metrics(tree)
-    if tree.n == 1:
-        return MixingUpperReport(0.0, 0.0, 0.0)
-    hp = hitting_profile(tree, tree.root)
+    load = max_path_load(metrics).value
     return MixingUpperReport(
-        max_hitting=float(hp.expected.max()),
-        double_path_load=2.0 * max_path_load(metrics).value,
+        max_hitting=float(load),
+        double_path_load=2.0 * load,
         sites_times_diameter=float(tree.n * metrics.diameter),
     )
 
@@ -589,21 +576,19 @@ def mixing_lower_bounds(tree: RootedTree, epsilon: float) -> MixingLowerBounds:
 
     The argument requires the root to be a balanced split vertex and
     epsilon at most the achieved delta, so the tree is re-rooted at its
-    center of mass first (the mixing time does not depend on the root).
+    center of mass first (the mixing time does not depend on the root); the
+    hitting times of the center are the path loads of the re-rooted tree.
+    ``ValidationError`` unless 0 < epsilon <= delta.
     """
-    com = center_of_mass(tree)
-    if epsilon > com.delta + 1e-12:
+    com, base = _recentered(tree)
+    if not 0.0 < epsilon <= com.delta + 1e-12:
         raise ValidationError(
-            f"epsilon {epsilon} exceeds the center-of-mass delta {com.delta}")
-    recentered = com.vertex != tree.root
-    base = reroot(tree, com.vertex) if recentered else tree
-    hp = hitting_profile(base, com.vertex)
+            f"epsilon must be in (0, delta = {com.delta}], got {epsilon}")
     metrics = compute_metrics(base)
-    max_hit = float(hp.expected.max())
+    load = max_path_load(metrics).value
     return MixingLowerBounds(
         epsilon=epsilon, delta=com.delta, center=com.vertex,
-        recentered=recentered,
-        hitting_bound=0.5 * epsilon * max_hit,
-        degree_bound=epsilon / (2.0 * metrics.max_degree)
-        * max_path_load(metrics).value,
+        recentered=com.vertex != tree.root,
+        hitting_bound=0.5 * epsilon * load,
+        degree_bound=epsilon / (2.0 * metrics.max_degree) * load,
     )

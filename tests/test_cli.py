@@ -27,6 +27,12 @@ class TestGen:
         assert code == 0
         assert out == "4\n-1 0 1 2\n"
 
+    def test_kesten_negative_depth(self, capsys):
+        # used to print a single-vertex tree and exit 0
+        code, out, err = run_cli(["gen", "--family", "kesten", "--n", "-2",
+                                  "--seed", "1", "--offspring", "geom:0.5"], capsys)
+        assert (code, out) == (2, "") and "depth" in err
+
     def test_random_family_requires_seed(self, capsys):
         code, _, err = run_cli(["gen", "--family", "gw_size", "--n", "10",
                                 "--offspring", "geom:0.5"], capsys)
@@ -173,6 +179,30 @@ class TestSweep:
         code, _, err = run_cli(["sweep", "--family", "segment",
                                 "--sizes", "0"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("eps", ["nan", "-1", "0", "5"])
+    def test_bounded_rows_reject_epsilon(self, eps, capsys, monkeypatch):
+        # above the cap these printed t_mix_lower nan, -27.5, 0 and 14.40
+        monkeypatch.setenv("TREECUT_MAX_VERTICES", "10")
+        code, out, err = run_cli(["sweep", "--family", "segment", "--sizes", "20",
+                                  "--eps", eps, "--format", "csv"], capsys)
+        assert (code, out) == (2, "") and "epsilon" in err
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "0", "-0.05"])
+    def test_threshold_rejected(self, threshold, capsys):
+        # nan and inf used to print "threshold": NaN / Infinity, which is
+        # not JSON; a threshold <= 0 made the flat verdict unreachable
+        code, out, err = run_cli(["sweep", "--family", "segment", "--sizes",
+                                  "4,8,16,32", f"--threshold={threshold}"], capsys)
+        assert (code, out) == (2, "") and "threshold" in err
+
+    def test_ssym_binary_needs_depth(self, capsys):
+        # sizes -1, 0 and 1 used to give three identical 3-vertex rows
+        code, out, err = run_cli(["sweep", "--family", "ssym_binary",
+                                  "--sizes=-1,0,1,2"], capsys)
+        assert (code, out) == (2, "") and "depth" in err
+        code, out, _ = run_cli(["gen", "--family", "ssym_binary", "--n", "0"], capsys)
+        assert (code, out) == (2, "")
 
 
 class TestExitCodes:

@@ -1,5 +1,7 @@
 """Trend fits, cutoff diagnostics, family sweeps."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -233,6 +235,30 @@ class TestAnalyzeAndSweep:
     def test_sweep_needs_seed_for_random(self):
         with pytest.raises(ValidationError):
             C.sweep("gw_size", [10], offspring=OD.geometric(0.5))
+
+    @pytest.mark.parametrize("cap", ["50", "4096"], ids=["bounded", "exact"])
+    @pytest.mark.parametrize("eps", [math.nan, -1.0, 0.0, 1.0, 5.0])
+    def test_analyze_tree_rejects_epsilon(self, cap, eps, monkeypatch):
+        monkeypatch.setenv("TREECUT_MAX_VERTICES", cap)
+        with pytest.raises(ValidationError, match="epsilon"):
+            C.analyze_tree(T.segment(64), eps, 64)
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, 0.0, -0.05])
+    def test_threshold_rejected(self, threshold):
+        rows = C.sweep("segment", [8, 16, 32, 64]).rows
+        reports = [C.retraction_report(T.segment(m), m) for m in (8, 16, 32, 64)]
+        for check in (lambda: C.sweep("segment", [8, 16], threshold=threshold),
+                      lambda: C.no_cutoff_check(rows, threshold),
+                      lambda: C.tail_cutoff_check(rows[:1], threshold),
+                      lambda: C.retraction_trend(reports[:1], threshold)):
+            with pytest.raises(ValidationError, match="threshold"):
+                check()
+
+    def test_ssym_binary_needs_depth(self):
+        for size in (-1, 0):
+            with pytest.raises(ValidationError, match="depth"):
+                C.sweep("ssym_binary", [size, 2])
+        assert C.sweep("ssym_binary", [1]).rows[0].sites == 3
 
     def test_sweep_unknown_family(self):
         with pytest.raises(ValidationError):

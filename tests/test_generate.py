@@ -232,6 +232,10 @@ class TestBranchingFamilies:
             t = T.kesten_tree(OD.geometric(0.5), 12, seed=seed)
             assert t.height == 12
 
+    def test_kesten_negative_depth_rejected(self):
+        with pytest.raises(ValidationError, match="depth"):
+            T.kesten_tree(OD.geometric(0.5), -2, seed=1)
+
     def test_kesten_determinism_and_criticality(self):
         a = T.kesten_tree(OD.geometric(0.5), 10, seed=5)
         b = T.kesten_tree(OD.geometric(0.5), 10, seed=5)

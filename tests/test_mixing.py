@@ -163,14 +163,12 @@ class TestPublicTV:
             T.heat_kernel_tv(tree, 0.1 * t_rel)
 
     def test_worst_falls_back_before_the_floor(self):
-        # at 0.1 t_rel the bottom pairs certify nothing; the check used to
-        # raise _FloorTooHigh unless a single-start TV had switched first
+        # at 0.1 t_rel the bottom pairs certify nothing, and the all-starts
+        # check switches to decompose without a single-start TV first
         tree = T.cor15_tree(256)
         eig = bottom_pairs(tree, 2.0 * np.log(np.sqrt(tree.n) / M.TAIL_TOL))
         assert eig.floor < np.inf
         t = 0.1 / eig.values[1]
-        with pytest.raises(M._FloorTooHigh):
-            M._worst_start(tree, t, eig)
         d, worst = M._EigenStarts(tree, eig).worst(t, None, None)
         rows = dense_tv_rows(tree, t)
         assert abs(d - rows.max()) <= M.TAIL_TOL + 1e-12
@@ -258,10 +256,10 @@ class TestTruncatedSearch:
         # the first candidate is not the worst start at its bracket end, so
         # the all-starts check fails once and the search resumes from there
         checks = []
-        worst_start = M._worst_start
-        monkeypatch.setattr(M, "_worst_start",
-                            lambda tree, t, eig, *candidate:
-                            checks.append(t) or worst_start(tree, t, eig, *candidate))
+        worst = M._EigenStarts.worst
+        monkeypatch.setattr(M._EigenStarts, "worst",
+                            lambda self, t, *candidate:
+                            checks.append(t) or worst(self, t, *candidate))
         assert_matches_dense(random_tree(80, seed=0), 0.25)
         assert len(checks) >= 2
 
@@ -271,14 +269,14 @@ class TestTruncatedSearch:
         # above epsilon (its kernel row, summed in another order, used to
         # exceed epsilon by 1e-17..1e-16 and force a second check)
         named = []
-        worst_start = M._worst_start
+        worst_start = M._EigenStarts.worst
 
-        def check(tree, t, eig, x, tv_x):
-            d, worst = worst_start(tree, t, eig, x, tv_x)
+        def check(self, t, x, tv_x):
+            d, worst = worst_start(self, t, x, tv_x)
             named.append((worst == x, d, tv_x))
             return d, worst
 
-        monkeypatch.setattr(M, "_worst_start", check)
+        monkeypatch.setattr(M._EigenStarts, "worst", check)
         for eps in self.EPSILONS:
             named.clear()
             for tree in random_suite:
@@ -293,7 +291,7 @@ class TestTruncatedSearch:
             eig = decompose(tree)
             t_rel = 1.0 / eig.values[1]
             for t in (0.02 * t_rel, 0.3 * t_rel, t_rel, 4.0 * t_rel):
-                k, bound = M._kept_modes(tree, t, eig)
+                k, bound = M._EigenStarts(tree, eig)._kept(t)
                 rows = dense_tv_rows(tree, t, (eig.values, eig.vectors))
                 # the bound covers the dropped modes; 1e-14 covers rounding
                 assert abs(T.heat_kernel_tv(tree, t) - rows.max()) <= bound + 1e-14
@@ -319,9 +317,9 @@ class TestTruncatedSearch:
         # the curve (epsilon 0.5), where log TV bends most, plain regula
         # falsi without the Illinois halving needs 11.5 in the median.
         calls = []
-        tv_from_start = M.tv_from_start
-        monkeypatch.setattr(M, "tv_from_start",
-                            lambda *args: calls.append(1) or tv_from_start(*args))
+        tv = M._EigenStarts.tv
+        monkeypatch.setattr(M._EigenStarts, "tv",
+                            lambda *args: calls.append(1) or tv(*args))
 
         def counts(eps):
             out = []
@@ -371,24 +369,35 @@ class TestPartialPath:
             partial += M._modes(tree) is not decompose(tree)
         assert partial >= 100
 
-    def test_partial_tv_within_reported_bound(self):
+    def test_partial_tv_within_reported_bound(self, monkeypatch):
         # the tail bound covers the dropped modes; 1e-11 covers the
         # eigenpairs' own error (relative Ritz residual 1e-10)
+        decompositions = []
+        monkeypatch.setattr(M, "decompose",
+                            lambda tree: decompositions.append(tree) or decompose(tree))
         for seed in (0, 2, 4):
             tree = random_tree(200 + 20 * seed, seed=seed, tall=True)
             eig = bottom_pairs(tree, 2.0 * np.log(np.sqrt(tree.n) / M.TAIL_TOL))
             assert eig.floor < np.inf
+            starts = M._EigenStarts(tree, eig)
             t_rel = 1.0 / eig.values[1]
             for t in (0.5 * t_rel, t_rel, 4.0 * t_rel):
-                k, bound = M._kept_modes(tree, t, eig)
+                k, bound = starts._kept(t)
                 rows = dense_tv_rows(tree, t)
                 assert k <= eig.values.size and bound <= M.TAIL_TOL
-                assert abs(T.heat_kernel_tv(tree, t, eig) - rows.max()) <= bound + 1e-11
+                assert abs(starts.worst(t, None, None)[0] - rows.max()) <= bound + 1e-11
                 for x in (0, tree.n // 2, tree.n - 1):
-                    assert abs(T.tv_from_start(tree, t, x, eig) - rows[x]) <= bound + 1e-11
-            # before t_rel / 2 the floor no longer certifies the tail
-            with pytest.raises(ValidationError):
-                T.tv_from_start(tree, 0.25 * t_rel, 0, eig)
+                    assert abs(starts.tv(x, t) - rows[x]) <= bound + 1e-11
+            assert starts.eig is eig and not decompositions
+            # before t_rel / 2 the floor no longer certifies the tail: the
+            # oracles switch to decompose once, for every later call
+            starts.tv(0, 0.25 * t_rel)
+            assert starts.eig.floor == np.inf and len(decompositions) == 1
+            for t in (0.25 * t_rel, t_rel):
+                starts.tv(0, t)
+                starts.worst(t, None, None)
+            assert len(decompositions) == 1
+            decompositions.clear()
 
     def test_early_time_falls_back_to_dense(self, partial_everywhere):
         # at epsilon 0.6 the search reaches times before t_rel / 2
@@ -623,6 +632,21 @@ class TestLowerBounds:
     def test_epsilon_exceeding_delta_rejected(self):
         with pytest.raises(ValidationError):
             T.mixing_lower_bounds(T.segment(1), 0.9)
+
+    @pytest.mark.parametrize("eps", [math.nan, -1.0, 0.0])
+    def test_nonpositive_epsilon_rejected(self, eps):
+        # -1 used to give hitting_bound -27.5 on segment(20), nan nan
+        with pytest.raises(ValidationError, match="epsilon"):
+            T.mixing_lower_bounds(T.segment(20), eps)
+
+    def test_bounds_are_the_recentered_path_load(self, small_suite):
+        for tree in small_suite[:20]:
+            com = T.center_of_mass(tree)
+            hp = T.hitting_profile(tree, com.vertex)
+            lb = T.mixing_lower_bounds(tree, com.delta)
+            assert lb.hitting_bound == 0.5 * com.delta * hp.expected.max()
+            rep = T.mixing_upper_report(tree)
+            assert rep.max_hitting == T.hitting_profile(tree, tree.root).expected.max()
 
     def test_comb_family_bound_below_exact(self):
         tree = T.cor15_tree(64)

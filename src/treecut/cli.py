@@ -52,22 +52,12 @@ def _parse_int_list(text: str) -> list:
 
 
 def _build_tree_from_flags(args) -> tc.RootedTree:
-    family = args.family
-    if family is None:
+    if args.family is None:
         raise ValidationError("no input: give a tree file or --family")
-    offspring = _parse_offspring(args.offspring) if getattr(args, "offspring", None) else None
-    needs_seed = family in criteria._RANDOM_FAMILIES
-    if needs_seed and args.seed is None:
-        raise ValidationError(f"family {family!r} is random: --seed is required")
-    if family == "peres_sousi":
-        if args.k is None:
-            raise ValidationError("peres_sousi needs --k")
-        return generate.peres_sousi(args.k)
     if args.n is None:
-        raise ValidationError(f"family {family!r} needs --n")
-    return criteria._build_family_member(family, args.n,
-                                         args.seed if args.seed is not None else 0,
-                                         offspring)
+        raise ValidationError(f"family {args.family!r} needs --n")
+    offspring = _parse_offspring(args.offspring) if args.offspring else None
+    return criteria._build_family_member(args.family, args.n, args.seed, offspring)
 
 
 def _resolve_tree(args) -> tc.RootedTree:
@@ -137,8 +127,7 @@ def _dump(args, payload: dict) -> None:
 
 def _add_family_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", choices=sorted(criteria.FAMILIES))
-    p.add_argument("--n", type=int, help="family size parameter")
-    p.add_argument("--k", type=int, help="doubly-exponential comb parameter")
+    p.add_argument("--n", type=int, help="family size parameter (k for peres_sousi)")
     p.add_argument("--seed", type=int)
     p.add_argument("--offspring",
                    help="geom:P | poisson:L | table:p0,p1,... (branching families)")
@@ -173,11 +162,11 @@ def cmd_metrics(args) -> int:
     return 0
 
 
-def _gap_fields(tree: tc.RootedTree, tol: float) -> dict:
+def _gap_fields(tree: tc.RootedTree) -> dict:
     """gap, t_rel and the solver path: below the dense cap what
     ``mixing_time`` runs on, above it ``gap_iterative``."""
     if tree.n > spectral.dense_cap():
-        gap, method = spectral.gap_iterative(tree, tol=tol), "iterative"
+        gap, method = spectral.gap_iterative(tree), "iterative"
     else:
         gap, method = mixing._gap(tree), mixing._starts(tree).method
     return {"gap": gap, "t_rel": 1.0 / gap, "method": method}
@@ -191,7 +180,7 @@ def cmd_spectrum(args) -> int:
         payload.update(gap=res.gap, t_rel=res.t_rel, method="dense",
                        eigenvalues=res.eigenvalues.tolist())
     else:
-        payload.update(_gap_fields(tree, args.tol))
+        payload.update(_gap_fields(tree))
     _dump(args, payload)
     return 0
 
@@ -202,15 +191,11 @@ def cmd_bounds(args) -> int:
     payload = {
         "schema": SCHEMA, "sites": tree.n,
         "bounds": {
-            "hardy_lower": lower.value,
-            "cor24": spectral.bound_log_diameter(tree),
-            "cor25": spectral.bound_summable_weights(tree, lambda k: k * k),
-            "cor26": spectral.bound_path_load(tree),
-            "tail32": spectral.bound_tail(tree),
+            "hardy_lower": lower.value, **spectral._upper_bounds(tree),
             "hardy_interval": list(cert.interval),
         },
         "delta": cert.delta,
-        **_gap_fields(tree, spectral.LANCZOS_TOL),
+        **_gap_fields(tree),
     }
     _dump(args, payload)
     return 0
@@ -316,22 +301,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_gen)
 
-    for name, func, extra in (
-        ("metrics", cmd_metrics, ()),
-        ("spectrum", cmd_spectrum, ("full", "tol")),
-        ("bounds", cmd_bounds, ()),
-    ):
+    for name, func in (("metrics", cmd_metrics), ("spectrum", cmd_spectrum),
+                       ("bounds", cmd_bounds)):
         p = sub.add_parser(name, help=f"compute {name} for a tree")
         p.add_argument("tree", nargs="?", help="tree file in canonical text form")
         _add_family_flags(p)
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--out")
-        if "full" in extra:
+        if name == "spectrum":
             p.add_argument("--full", action="store_true",
                            help="include all eigenvalues")
-        if "tol" in extra:
-            p.add_argument("--tol", type=float, default=1e-10,
-                           help="iterative solver tolerance")
         p.set_defaults(func=func)
 
     p = sub.add_parser("mix", help="epsilon-mixing time or TV curve")

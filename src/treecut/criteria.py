@@ -29,9 +29,7 @@ from .generate import (OffspringDistribution, binary_of_size, cor15_tree,
                        spherically_symmetric)
 from .mixing import _gap, mixing_time
 from .rng import derive_seed
-from .spectral import (_lower_at, _recentered, bound_log_diameter,
-                       bound_path_load, bound_summable_weights, bound_tail,
-                       dense_cap)
+from .spectral import _upper_bounds, dense_cap, hardy_lower
 from .tree import (RootedTree, compute_metrics, max_edge_load, max_path_load,
                    root_path, tail_profile)
 
@@ -130,34 +128,35 @@ def analyze_tree(tree: RootedTree, epsilon: float, size_label: float) -> FamilyR
     mass from the recentered tree that the Hardy lower bound already
     holds.  ``ValidationError`` unless 0 < epsilon < 1.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValidationError(f"epsilon must be in (0, 1), got {epsilon}")
+    _check_epsilon(epsilon)
     metrics = compute_metrics(tree)
-    com, recentered = _recentered(tree)
+    lower = hardy_lower(tree)
     base = dict(
         n=float(size_label), sites=float(tree.n),
         max_degree=float(metrics.max_degree),
         max_edge_load=float(max_edge_load(metrics).value),
         max_path_load=float(max_path_load(metrics).value),
         tail_max=float(tail_profile(metrics).value),
-        delta=com.delta,
+        delta=lower.delta,
     )
-    lower = _lower_at(com, recentered)
-    upper = min(bound_log_diameter(tree),
-                bound_summable_weights(tree, lambda k: k * k),
-                bound_path_load(tree), bound_tail(tree))
+    upper = min(_upper_bounds(tree).values())
     if tree.n <= dense_cap():
         t_rel = 1.0 / _gap(tree)
         t_mix = mixing_time(tree, epsilon).t_mix
         return FamilyRow(mode="exact", t_rel=t_rel, t_mix=t_mix,
                          ratio=t_mix / t_rel, t_rel_lower=lower.value,
                          t_rel_upper=upper, t_mix_lower=None, **base)
-    eps_eff = min(epsilon, com.delta)
+    eps_eff = min(epsilon, lower.delta)
     # hitting times of the center are the path loads of the tree rooted there
-    hit = float(compute_metrics(recentered).path_load.max())
+    hit = float(compute_metrics(lower.recentered).path_load.max())
     return FamilyRow(mode="bounded", t_rel=None, t_mix=None, ratio=None,
                      t_rel_lower=lower.value, t_rel_upper=upper,
                      t_mix_lower=0.5 * eps_eff * hit, **base)
+
+
+def _check_epsilon(epsilon: float) -> None:
+    if not 0.0 < epsilon < 1.0:
+        raise ValidationError(f"epsilon must be in (0, 1), got {epsilon}")
 
 
 def _check_threshold(threshold: float) -> None:
@@ -293,10 +292,27 @@ def retraction_alpha(tree: RootedTree, spine: Sequence[int]) -> float:
 # family sweeps
 # ---------------------------------------------------------------------------
 
-def _build_family_member(family: str, size: int, seed: int,
-                         offspring: Optional[OffspringDistribution]) -> RootedTree:
+_RANDOM_FAMILIES = frozenset({"gw", "gw_survival", "gw_size", "kesten"})
+FAMILIES = frozenset({"segment", "star", "binary", "ssym_binary", "cor15",
+                      "peres_sousi"}) | _RANDOM_FAMILIES
+
+
+def _check_family(family: str, seed: Optional[int],
+                  offspring: Optional[OffspringDistribution]) -> None:
+    """The family is known, and a random one has a seed and an offspring law."""
+    if family not in FAMILIES:
+        raise ValidationError(f"unknown family {family!r}; known: {sorted(FAMILIES)}")
+    if family in _RANDOM_FAMILIES and seed is None:
+        raise ValidationError(f"family {family!r} is random and needs a seed")
     if family in _RANDOM_FAMILIES and offspring is None:
         raise ValidationError(f"family {family!r} needs an offspring distribution")
+
+
+def _build_family_member(family: str, size: int, seed: Optional[int],
+                         offspring: Optional[OffspringDistribution]) -> RootedTree:
+    """Member ``size`` of ``family``, for ``sweep`` and the CLI alike;
+    random families also read ``seed`` and ``offspring``."""
+    _check_family(family, seed, offspring)
     if family == "segment":
         return segment(size)
     if family == "star":
@@ -317,14 +333,7 @@ def _build_family_member(family: str, size: int, seed: int,
         return gw_survival_truncated(offspring, size, seed)
     if family == "gw_size":
         return gw_conditioned_size(offspring, size, seed)[0]
-    if family == "kesten":
-        return kesten_tree(offspring, size, seed)
-    raise ValidationError(f"unknown family {family!r}; known: {sorted(FAMILIES)}")
-
-
-_RANDOM_FAMILIES = frozenset({"gw", "gw_survival", "gw_size", "kesten"})
-FAMILIES = frozenset({"segment", "star", "binary", "ssym_binary", "cor15",
-                      "peres_sousi"}) | _RANDOM_FAMILIES
+    return kesten_tree(offspring, size, seed)
 
 
 def _median_row(rows: Sequence[FamilyRow]) -> FamilyRow:
@@ -362,19 +371,17 @@ def sweep(family: str, sizes: Sequence[int], epsilon: float = 0.25,
     evaluation order and workers can run concurrently (``jobs``).  With
     ``reps > 1`` each row reports the per-size median.
     """
-    if family not in FAMILIES:
-        raise ValidationError(f"unknown family {family!r}; known: {sorted(FAMILIES)}")
-    if family in _RANDOM_FAMILIES and seed is None:
-        raise ValidationError(f"family {family!r} is random and needs a seed")
+    _check_family(family, seed, offspring)
     if reps < 1 or jobs < 1:
         raise ValidationError("reps and jobs must be >= 1")
+    _check_epsilon(epsilon)
     _check_threshold(threshold)
     sizes = sorted(int(s) for s in sizes)
     if not sizes:
         raise ValidationError("need at least one size")
 
     tasks = [(family, size, epsilon,
-              derive_seed(seed, size, rep) if seed is not None else 0, offspring)
+              derive_seed(seed, size, rep) if seed is not None else None, offspring)
              for size in sizes for rep in range(reps)]
     if jobs > 1:
         # spawn context: forking is unsafe once the OpenBLAS thread pool

@@ -78,7 +78,7 @@ class OffspringDistribution:
 
     @staticmethod
     def poisson(lam: float) -> "OffspringDistribution":
-        if lam < 0:
+        if not lam >= 0:  # rejects nan too
             raise ValidationError(f"poisson rate must be >= 0, got {lam}")
         if math.exp(-lam) == 0.0:
             raise ValidationError(f"poisson rate {lam} too large: exp(-rate) underflows to 0")
@@ -87,7 +87,7 @@ class OffspringDistribution:
     @staticmethod
     def table(probs: Sequence[float]) -> "OffspringDistribution":
         probs = tuple(float(p) for p in probs)
-        if not probs or any(p < 0 for p in probs):
+        if not probs or not all(p >= 0 for p in probs):  # rejects nan too
             raise ValidationError("table probabilities must be nonnegative and nonempty")
         if abs(sum(probs) - 1.0) > 1e-12:
             raise ValidationError(f"table probabilities sum to {sum(probs)}, not 1")
@@ -200,10 +200,20 @@ class OffspringDistribution:
 # deterministic families
 # ---------------------------------------------------------------------------
 
+def _check_size(total: int) -> None:
+    """Refuse a construction of ``total`` vertices (a lower bound will do)
+    above ``HARD_VERTEX_CAP``; called before anything is allocated."""
+    if total > HARD_VERTEX_CAP:
+        raise ResourceLimitError(
+            f"construction would have at least {total} vertices, above the "
+            f"hard cap {HARD_VERTEX_CAP}")
+
+
 def segment(n: int) -> RootedTree:
     """Path with n edges (n+1 vertices), rooted at an endpoint."""
     if n < 0:
         raise ValidationError(f"segment edge count must be >= 0, got {n}")
+    _check_size(n + 1)
     return from_parents(n + 1, np.arange(-1, n))
 
 
@@ -211,6 +221,7 @@ def binary_of_size(m: int) -> RootedTree:
     """Complete binary tree with exactly m vertices, filled level by level."""
     if m < 1:
         raise ValidationError(f"binary tree size must be >= 1, got {m}")
+    _check_size(m)
     return from_parents(m, (np.arange(m) - 1) // 2)  # the root gets -1 // 2 == -1
 
 
@@ -230,6 +241,13 @@ def spherically_symmetric(degrees: Sequence[int]) -> RootedTree:
     for k, d in enumerate(degrees[1:], start=1):
         if d < 2:
             raise ValidationError(f"interior degree at depth {k} must be >= 2, got {d}")
+    total = width = 1
+    for k, d in enumerate(degrees):
+        width *= d if k == 0 else d - 1
+        total += width
+        if total > HARD_VERTEX_CAP:
+            break  # the count only grows: stop before it gets huge
+    _check_size(total)
     parent = [-1]
     level = [0]
     for k, d in enumerate(degrees):
@@ -262,11 +280,7 @@ def hanging_sizes(tree: RootedTree, v: int) -> np.ndarray:
 def _segment_with_binaries(seg_edges: int, attachments) -> RootedTree:
     """Segment 0..seg_edges with a level-filled binary tree of the given
     size hanging at each listed distance (size 0 attaches nothing)."""
-    total = seg_edges + 1 + sum(max(size, 0) for _, size in attachments)
-    if total > HARD_VERTEX_CAP:
-        raise ResourceLimitError(
-            f"construction would have {total} vertices, above the hard cap "
-            f"{HARD_VERTEX_CAP}")
+    _check_size(seg_edges + 1 + sum(max(size, 0) for _, size in attachments))
     parent = [-1] + list(range(seg_edges))
     for dist, size in attachments:
         if size <= 0:

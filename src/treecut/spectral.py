@@ -132,7 +132,7 @@ def _one_pair(thetas: np.ndarray, done: np.ndarray) -> int:
 
 
 def _lanczos_top(apply: Callable[[np.ndarray], np.ndarray],
-                 project: Callable[[np.ndarray], None], start, tol: float,
+                 project: Callable[[np.ndarray], None], start,
                  wanted: Callable[[np.ndarray, np.ndarray], int] = _one_pair):
     """Top Ritz pairs of a symmetric positive semi-definite operator.
 
@@ -141,7 +141,7 @@ def _lanczos_top(apply: Callable[[np.ndarray], np.ndarray],
     the start and to each new Lanczos vector.  A check solves the
     tridiagonal matrix and tells ``wanted(thetas, done)`` the Ritz values,
     descending, and which of them have relative Ritz residual at most
-    ``tol``; it names how many top pairs k the caller needs (one by
+    ``LANCZOS_TOL``; it names how many top pairs k the caller needs (one by
     default).  The run stops once those have all converged (k = 0 stops it
     at once), when the Krylov space is exhausted, or after
     ``LANCZOS_MAX_STEPS`` steps.  The next check comes ceil(k/4) steps
@@ -178,7 +178,7 @@ def _lanczos_top(apply: Callable[[np.ndarray], np.ndarray],
         T = np.diag(alphas) + np.diag(betas[:j], 1) + np.diag(betas[:j], -1)
         vals, vecs = np.linalg.eigh(T)
         thetas, vecs = vals[::-1], vecs[:, ::-1]
-        done = np.abs(beta * vecs[-1]) <= tol * np.maximum(thetas, 1e-300)
+        done = np.abs(beta * vecs[-1]) <= LANCZOS_TOL * np.maximum(thetas, 1e-300)
         k = wanted(thetas, done)
         if (k <= j + 1 and done[:k].all()) or beta <= 1e-14 * max(thetas[0], 1.0):
             break
@@ -187,7 +187,7 @@ def _lanczos_top(apply: Callable[[np.ndarray], np.ndarray],
     return thetas, done, basis[:j + 1].T @ vecs[:, :k]
 
 
-def _pinv_top(tree: RootedTree, tol: float, wanted=_one_pair):
+def _pinv_top(tree: RootedTree, wanted=_one_pair):
     """``_lanczos_top`` on the pseudo-inverse of Q over the mean-zero
     subspace, from the seeded start: its top Ritz pairs are the bottom
     eigenpairs of Q.  Each application is one O(n) tree solve: the
@@ -204,18 +204,19 @@ def _pinv_top(tree: RootedTree, tol: float, wanted=_one_pair):
         v -= v.mean()
 
     start = SplitMix64(LANCZOS_SEED).random_array(tree.n) - 0.5
-    return _lanczos_top(apply_pinv, center, start, tol, wanted)
+    return _lanczos_top(apply_pinv, center, start, wanted)
 
 
-def gap_iterative(tree: RootedTree, tol: float = LANCZOS_TOL) -> float:
+def gap_iterative(tree: RootedTree) -> float:
     """Spectral gap without a dense solve, for trees above the dense cap.
 
     The gap is 1/theta for the top Ritz value theta of the pseudo-inverse
-    of Q on the mean-zero subspace (``_pinv_top``).
+    of Q on the mean-zero subspace (``_pinv_top``), converged to relative
+    Ritz residual ``LANCZOS_TOL`` like every Lanczos solve here.
     """
     if tree.n < 2:
         raise DegenerateInputError("the spectral gap is undefined for a single vertex")
-    theta = float(_pinv_top(tree, tol)[0][0])
+    theta = float(_pinv_top(tree)[0][0])
     if theta <= 0:
         raise ResourceLimitError("iterative gap solver failed to find a positive Ritz value")
     return 1.0 / theta
@@ -285,7 +286,7 @@ def bottom_pairs(tree: RootedTree, span: float) -> Optional[Eigensystem]:
             need.extend((sigma, count_below(tree, sigma) - 1))
         return need[1] if len(thetas) <= 3 * need[1] + 40 else 0
 
-    thetas, done, vectors = _pinv_top(tree, LANCZOS_TOL, wanted)
+    thetas, done, vectors = _pinv_top(tree, wanted)
     if not need:
         return None
     sigma, p = need
@@ -356,7 +357,7 @@ def hardy_constant(tree: RootedTree, part: Iterable[int]) -> float:
     def on_edges(g):
         g[sub.root] = 0.0
 
-    return float(_lanczos_top(gram, on_edges, np.ones(sub.n), LANCZOS_TOL)[0][0])
+    return float(_lanczos_top(gram, on_edges, np.ones(sub.n))[0][0])
 
 
 @dataclass(frozen=True)
@@ -541,6 +542,15 @@ def bound_path_load(tree: RootedTree) -> float:
 def bound_tail(tree: RootedTree) -> float:
     """32 times the maximal k * (number of vertices at depth >= k)."""
     return 32.0 * tail_profile(compute_metrics(tree)).value
+
+
+def _upper_bounds(tree: RootedTree) -> dict:
+    """The four closed-form upper bounds on the relaxation time, by the
+    paper's labels (``cor25`` with weights k^2): what ``treecut bounds``
+    prints, and what a sweep row takes the minimum of."""
+    return {"cor24": bound_log_diameter(tree),
+            "cor25": bound_summable_weights(tree, lambda k: k * k),
+            "cor26": bound_path_load(tree), "tail32": bound_tail(tree)}
 
 
 @dataclass(frozen=True)

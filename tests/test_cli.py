@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+import shlex
 import subprocess
 import sys
 
@@ -10,7 +12,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from treecut.cli import _json_text, main
+import treecut as T
+from treecut.cli import _json_text, build_parser, main
+from treecut.criteria import FAMILIES
 
 from util import REPO_ROOT, subprocess_env
 
@@ -19,6 +23,17 @@ def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# small members of every family, as gen/metrics flags
+_FAMILY_FLAGS = {
+    "segment": ["--n", "5"], "star": ["--n", "5"], "binary": ["--n", "9"],
+    "ssym_binary": ["--n", "3"], "cor15": ["--n", "6"], "peres_sousi": ["--n", "2"],
+    "gw": ["--n", "5", "--offspring", "geom:0.5", "--seed", "2"],
+    "gw_survival": ["--n", "4", "--offspring", "geom:0.4", "--seed", "3"],
+    "gw_size": ["--n", "25", "--offspring", "geom:0.5", "--seed", "4"],
+    "kesten": ["--n", "5", "--offspring", "geom:0.5", "--seed", "5"],
+}
 
 
 class TestGen:
@@ -38,6 +53,42 @@ class TestGen:
                                 "--offspring", "geom:0.5"], capsys)
         assert code == 2
         assert "seed" in err
+        # one check for gen and sweep, so one message
+        code, _, sweep_err = run_cli(["sweep", "--family", "gw_size", "--sizes", "10",
+                                      "--offspring", "geom:0.5"], capsys)
+        assert code == 2 and sweep_err == err
+
+    def test_peres_sousi_takes_n(self, capsys):
+        # --n is k, as in sweep --sizes; the separate --k flag is gone
+        code, out, _ = run_cli(["gen", "--family", "peres_sousi", "--n", "2"], capsys)
+        assert code == 0 and out == T.to_text(T.peres_sousi(2))
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--family", "peres_sousi", "--k", "2"],
+        ["spectrum", "--family", "segment", "--n", "8", "--tol", "1e-6"]],
+        ids=["k", "tol"])
+    def test_deleted_flags_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("family, law", [("gw", "poisson:nan"),
+                                             ("gw", "table:0.5,0.5,nan"),
+                                             ("kesten", "poisson:nan")])
+    @pytest.mark.parametrize("command", ["gen", "sweep"])
+    def test_nan_offspring_law(self, command, family, law, capsys):
+        # gen used to print a wrong tree and exit 0; sweep and kesten failed
+        # later, with messages about single vertices or bounds
+        size = ["--n", "5"] if command == "gen" else ["--sizes", "5"]
+        code, out, err = run_cli([command, "--family", family, *size, "--seed", "1",
+                                  "--offspring", law], capsys)
+        assert (code, out) == (2, "") and "offspring" in err
+
+    def test_oversized_family_member_exits_3(self, capsys):
+        # 2^41 - 1 vertices: refused before anything is allocated
+        code, out, err = run_cli(["gen", "--family", "ssym_binary", "--n", "40"],
+                                 capsys)
+        assert (code, out) == (3, "") and "hard cap" in err
 
     def test_poisson_rate_too_large_exit_code(self, capsys):
         code, _, err = run_cli(["gen", "--family", "gw_size", "--n", "10",
@@ -46,17 +97,16 @@ class TestGen:
         assert code == 2
         assert "poisson" in err
 
-    def test_gen_to_file_and_round_trip(self, tmp_path, capsys):
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_gen_to_file_and_round_trip(self, family, tmp_path, capsys):
+        flags = ["--family", family] + _FAMILY_FLAGS[family]
         path = tmp_path / "t.txt"
-        code, _, _ = run_cli(["gen", "--family", "gw_size", "--n", "25",
-                              "--offspring", "geom:0.5", "--seed", "4",
-                              "--out", str(path)], capsys)
+        code, _, _ = run_cli(["gen", *flags, "--out", str(path)], capsys)
         assert code == 0
         code, out1, _ = run_cli(["metrics", str(path)], capsys)
         assert code == 0
         # identical metrics when the family is regenerated directly
-        code, out2, _ = run_cli(["metrics", "--family", "gw_size", "--n", "25",
-                                 "--offspring", "geom:0.5", "--seed", "4"], capsys)
+        code, out2, _ = run_cli(["metrics", *flags], capsys)
         assert out1 == out2
 
 
@@ -134,6 +184,23 @@ class TestSpectrumBounds:
             payload = json.loads(out)
             assert code == 0 and payload["method"] == method
             assert payload["t_rel"] == t_rel == 1.0 / payload["gap"]
+
+    @pytest.mark.parametrize("family, n, cap", [("cor15", "256", None),
+                                                ("ssym_binary", "8", None),
+                                                ("segment", "8", None),
+                                                ("segment", "20", "10")],
+                             ids=["partial", "orbits", "dense", "bounded"])
+    def test_upper_bounds_are_the_sweep_rows(self, family, n, cap, capsys, monkeypatch):
+        # one bound set: the row's t_rel_upper is the least bound printed
+        if cap is not None:
+            monkeypatch.setenv("TREECUT_MAX_VERTICES", cap)
+        _, out, _ = run_cli(["sweep", "--family", family, "--sizes", n], capsys)
+        row = json.loads(out)["rows"][0]
+        assert row["mode"] == ("exact" if cap is None else "bounded")
+        code, out, _ = run_cli(["bounds", "--family", family, "--n", n], capsys)
+        b = json.loads(out)["bounds"]
+        assert code == 0
+        assert min(b["cor24"], b["cor25"], b["cor26"], b["tail32"]) == row["t_rel_upper"]
 
     def test_full_spectrum_above_cap_exits_3(self, capsys, monkeypatch):
         # it used to exit 0 with the iterative gap and no eigenvalues
@@ -237,6 +304,20 @@ class TestExitCodes:
     def test_missing_file(self, capsys):
         code, _, err = run_cli(["metrics", "/nonexistent/tree.txt"], capsys)
         assert code == 2
+
+
+def test_readme_commands_parse():
+    # every treecut line of the README's shell blocks, continuations joined,
+    # parses: a deleted flag cannot linger in the docs
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```sh\n(.*?)```", readme, flags=re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line, comments=True) for line in lines
+                if line.startswith("treecut ")]
+    assert len(commands) >= 10
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])
 
 
 def test_byte_identical_runs():

@@ -260,6 +260,30 @@ class TestAnalyzeAndSweep:
                 C.sweep("ssym_binary", [size, 2])
         assert C.sweep("ssym_binary", [1]).rows[0].sites == 3
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_sweep_checks_epsilon_before_building(self, jobs, monkeypatch):
+        # epsilon used to be checked per row, after building members and
+        # (with jobs > 1) after starting the worker processes
+        import concurrent.futures
+        calls = []
+        build = C._build_family_member
+        monkeypatch.setattr(C, "_build_family_member",
+                            lambda *args: calls.append(args) or build(*args))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            lambda *args, **kwargs: calls.append("pool"))
+        with pytest.raises(ValidationError, match="epsilon"):
+            C.sweep("gw_size", [1500], epsilon=math.nan, seed=1,
+                    offspring=OD.geometric(0.5), jobs=jobs)
+        assert calls == []
+
+    @pytest.mark.parametrize("seed, offspring, match", [
+        (None, OD.geometric(0.5), "seed"), (1, None, "offspring")])
+    def test_random_family_checked_up_front(self, seed, offspring, match):
+        for check in (lambda: C.sweep("kesten", [5], seed=seed, offspring=offspring),
+                      lambda: C._build_family_member("kesten", 5, seed, offspring)):
+            with pytest.raises(ValidationError, match=match):
+                check()
+
     def test_sweep_unknown_family(self):
         with pytest.raises(ValidationError):
             C.sweep("moebius", [4])

@@ -47,6 +47,15 @@ class TestOffspring:
         with pytest.raises(ValidationError):
             OD.geometric(0.0)
 
+    @pytest.mark.parametrize("build", [lambda: OD.poisson(float("nan")),
+                                       lambda: OD.table([0.5, 0.5, float("nan")]),
+                                       lambda: OD.geometric(float("nan"))],
+                             ids=["poisson", "table", "geometric"])
+    def test_nan_parameters_rejected(self, build):
+        # poisson:nan and table:...,nan used to build laws that grew wrong trees
+        with pytest.raises(ValidationError):
+            build()
+
     def test_pmf_table_matches_kind(self):
         probs = OD.geometric(0.5).pmf_table()
         assert probs[0] == pytest.approx(0.5)
@@ -129,6 +138,20 @@ class TestDeterministicFamilies:
         sizes = T.hanging_sizes(t, 16)
         assert sizes[0] == 4096 and sizes[4] == 1024 and sizes[16] == 256
         assert T.max_edge_load(m).value >= 16 * 256
+
+    @pytest.mark.parametrize("build, size", [
+        (T.segment, 100),  # n edges, n + 1 vertices
+        (T.binary_of_size, 101),
+        (lambda depth: T.spherically_symmetric([2] + [3] * (depth - 1)), 6),  # 127
+        (lambda leaves: T.spherically_symmetric([leaves]), 100),  # a star
+    ], ids=["segment", "binary", "ssym", "star"])
+    def test_hard_cap_before_allocation(self, build, size, monkeypatch):
+        # only _segment_with_binaries used to check: spherically_symmetric
+        # appended one Python int per vertex of a 2^41-vertex request
+        monkeypatch.setattr(generate, "HARD_VERTEX_CAP", 100)
+        with pytest.raises(ResourceLimitError, match="hard cap"):
+            build(size)
+        assert build(size - 1).n <= 100
 
     def test_peres_sousi_validation(self):
         with pytest.raises(ValidationError):

@@ -23,9 +23,9 @@ import numpy as np
 
 from . import _kernels
 from .errors import ValidationError
-from .generate import (OffspringDistribution, binary_of_size, cor15_tree,
-                       gw_conditioned_size, gw_survival_truncated, gw_tree,
-                       kesten_tree, peres_sousi, segment,
+from .generate import (OffspringDistribution, _check_size, binary_of_size,
+                       cor15_tree, gw_conditioned_size, gw_survival_truncated,
+                       gw_tree, kesten_tree, peres_sousi, segment,
                        spherically_symmetric)
 from .mixing import _gap, mixing_time
 from .rng import derive_seed
@@ -322,6 +322,7 @@ def _build_family_member(family: str, size: int, seed: Optional[int],
     if family == "ssym_binary":
         if size < 1:
             raise ValidationError(f"ssym_binary needs depth >= 1, got {size}")
+        _check_size(2 ** (min(size, 62) + 1) - 1)  # before the degree list
         return spherically_symmetric([2] + [3] * (size - 1))
     if family == "cor15":
         return cor15_tree(size)

@@ -307,10 +307,12 @@ def retraction(tree: RootedTree, v: int) -> RootedTree:
 
 def cor15_tree(n: int) -> RootedTree:
     """Segment of n edges with a binary tree of size floor(n/(i+1)^2) at
-    distance i from the root, for every i in 0..n."""
+    distance i from the root, for every i in 0..n; the sizes are 0 from
+    i = isqrt(n) on, so only the first isqrt(n) are listed."""
     if n < 1:
         raise ValidationError(f"family parameter must be >= 1, got {n}")
-    return _segment_with_binaries(n, [(i, n // (i + 1) ** 2) for i in range(n + 1)])
+    return _segment_with_binaries(
+        n, [(i, n // (i + 1) ** 2) for i in range(math.isqrt(n))])
 
 
 def peres_sousi(k: int) -> RootedTree:

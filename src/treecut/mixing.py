@@ -7,7 +7,11 @@ Near the mixing time almost every mode is negligible, so each TV
 evaluation keeps only the first k modes, k the smallest count whose tail
 1/2 sqrt(n) exp(-t lambda_k) is at most ``TAIL_TOL``; that tail bounds the
 change of every start's TV distance and needs no eigenvector.  One start
-then costs O(n k) and all starts O(n^2 k), never the full n x n GEMM.
+then costs O(n k).  The all-starts check bounds every start's TV in O(n k)
+by the triangle inequality over the kept modes and computes exact rows,
+O(n k) each, only for the m starts whose bound can reach the maximum:
+O(n k) + O(m n k), in row blocks of ``BLOCK_ELEMENTS`` entries, never the
+n x n kernel of a tree larger than one block.
 
 So the search needs only the eigenpairs below a floor.  From
 ``PARTIAL_MIN_VERTICES`` vertices up to the dense cap they come from
@@ -48,7 +52,7 @@ through the same two start oracles: TV of one start, and the all-starts
 check, which takes the candidate's own value from the first oracle, so
 that the two cannot disagree about it by a rounding.  The oracles hold
 every TV formula (``_EigenStarts`` the truncated eigenpair rows and
-kernel, ``_Orbits`` the quotient sums); ``heat_kernel_tv`` and
+their bounds, ``_Orbits`` the quotient sums); ``heat_kernel_tv`` and
 ``tv_from_start`` validate their arguments and call them.
 
 Every gap and TV number below the dense cap comes from what ``_modes``
@@ -97,6 +101,8 @@ PARTIAL_MIN_VERTICES = 512
 # the speed, and binary_of_size(1000) (4.4 n) wins fourfold.
 ORBIT_MIN_VERTICES = 160
 ORBIT_RATIO = 5
+# entries of P_t that the all-starts check computes at once (1 MB)
+BLOCK_ELEMENTS = 1 << 17
 
 # per tree: the eigensystem or the orbit quotients the search runs on
 _modes_cache: "weakref.WeakKeyDictionary[RootedTree, Union[Eigensystem, _Orbits]]" = \
@@ -146,14 +152,17 @@ class _EigenStarts:
     named ``"partial"`` or ``"dense"`` by the floor they were built with.
 
     ``tv(x, t)`` is one row of the kept modes' kernel, O(n k).
-    ``worst(t, x, tv_x)`` is d(t) and a start attaining it, from one kernel
-    P_t = W W^T of the kept modes, W = U_k exp(-t L_k / 2); start x, when
-    given, counts with the value ``tv_x`` that ``tv`` gave it.  The first
-    candidate is where the slowest mode peaks.
+    ``worst(t, x, tv_x)`` is d(t) and a start attaining it, from rows of
+    the kernel P_t = W W^T of the kept modes, W = U_k exp(-t L_k / 2), for
+    the starts whose ``bound`` can reach d(t): O(n k) for the bounds and
+    O(m n k) for m such starts; start x, when given, counts with the value
+    ``tv_x`` that ``tv`` gave it.  ``rows`` is the number of kernel rows
+    the last ``worst`` computed.  The first candidate is where the slowest
+    mode peaks.
     """
 
     def __init__(self, tree: RootedTree, eig: Eigensystem):
-        self.tree, self.eig = tree, eig
+        self.tree, self.eig, self.rows = tree, eig, 0
         self.method = "partial" if eig.floor < np.inf else "dense"
         if tree.n > 1:  # a single vertex has no gap
             self.gap = float(eig.values[1])
@@ -187,12 +196,71 @@ class _EigenStarts:
         row = U @ (U[x] * np.exp(-t * self.eig.values[:k]))
         return 0.5 * float(np.abs(row - 1.0 / self.tree.n).sum())
 
-    def worst(self, t: float, x: Optional[int], tv_x: Optional[float]):
+    def bound(self, t: float) -> np.ndarray:
+        """Per start y, a bound on the TV distance of row y of the kept
+        modes' kernel as ``worst`` computes it, O(n k) for all starts.
+
+        With e_j = exp(-t lambda_j), row y of P_t - 1/n is
+        sum_{1<=j<k} e_j u_j(y) u_j + e_0 (u_0(y) u_0 - c^2) + (e_0 - 1) c^2
+        for any c with n c^2 = 1, so by the triangle inequality its TV is at
+        most B_y = 1/2 sum_{1<=j<k} e_j |u_j(y)| |u_j|_1 plus the mode-0 term
+        1/2 (e_0 (|u_0(y)| |u_0 - c|_1 + sqrt(n) |u_0(y) - c|) + |e_0 - 1|).
+        That term is 0 for the exact constant of ``bottom_pairs``, not for
+        ``eigh``'s (c takes u_0's sign): its eigenvalue 0 is off by about
+        1e-15, which moves TV by 2e-11 at 10 t_rel on segment(300).
+        Rounding moves a computed row's TV by about (k + 2) 2^-53 (1 + 2 B_y)
+        from the k-term products and their sum over the row; the returned
+        B_y + TAIL_TOL + (k + 2) 2^-52 (1 + B_y) covers that with room.
+        """
         k, _ = self._kept(t)
+        U, n = self.eig.vectors[:, :k], self.tree.n
+        e = np.exp(-t * self.eig.values[:k])
+        c = math.copysign(1.0 / math.sqrt(n), U[:, 0].sum())
+        off = np.abs(U[:, 0] - c)
+        A = np.abs(U[:, 1:])
+        b = 0.5 * (A @ (e[1:] * A.sum(axis=0)) + abs(e[0] - 1.0)
+                   + e[0] * (np.abs(U[:, 0]) * off.sum() + math.sqrt(n) * off))
+        return b + TAIL_TOL + (k + 2) * 2.0 ** -52 * (1.0 + b)
+
+    def worst(self, t: float, x: Optional[int], tv_x: Optional[float]):
+        """d(t) and the lowest start attaining it, by a screened, blocked check.
+
+        Rows of the kept modes' kernel come ``BLOCK_ELEMENTS // n`` at a
+        time.  Where that is every row (n <= 362), the kernel is one block
+        and every start gets its row: the symmetric product W W^T, whose
+        bits a row block does not reproduce, so that automorphic starts,
+        which tie exactly, still resolve as they did.  Otherwise only starts
+        whose ``bound`` reaches the threshold get a row: tau = ``tv_x`` with
+        a candidate, else the TV of the start of largest bound.  A screened
+        start's TV is below tau <= d(t), so it can neither attain nor tie
+        the maximum, and counts as -inf.  When more than half the starts
+        survive, the rows come as contiguous slices, with no gather.
+        ``rows`` records how many were computed.
+        """
+        k, _ = self._kept(t)
+        n = self.tree.n
         W = self.eig.vectors[:, :k] * np.exp(-0.5 * t * self.eig.values[:k])
-        P = W @ W.T
-        P -= 1.0 / self.tree.n
-        dist = 0.5 * np.abs(P, out=P).sum(axis=1)
+
+        def tvs(rows):
+            P = W[rows] @ W.T
+            P -= 1.0 / n
+            return 0.5 * np.abs(P, out=P).sum(axis=1)
+
+        height = max(1, BLOCK_ELEMENTS // n)
+        self.rows, live = 0, np.arange(n)
+        if height < n:  # more than one block: screen
+            bound = self.bound(t)
+            if x is None:
+                self.rows, tau = 1, float(tvs([int(np.argmax(bound))])[0])
+            else:
+                tau = tv_x
+            live = np.flatnonzero(bound >= tau)
+        every = 2 * live.size > n
+        dist = np.full(n, -np.inf)
+        for s in range(0, n if every else live.size, height):
+            rows = slice(s, s + height) if every else live[s:s + height]
+            dist[rows] = tvs(rows)
+        self.rows += n if every else live.size
         if x is not None:
             dist[x] = tv_x
         worst = int(np.argmax(dist))

@@ -90,6 +90,14 @@ class TestGen:
                                  capsys)
         assert (code, out) == (3, "") and "hard cap" in err
 
+    @pytest.mark.parametrize("family, n", [("cor15", "8000000"),
+                                           ("ssym_binary", "2000000")])
+    def test_oversized_member_exits_3_before_listing_it(self, family, n, capsys):
+        # some 21 million vertices and 2^2000001 - 1: refused before cor15
+        # lists its attachments or ssym_binary its degrees
+        code, out, err = run_cli(["gen", "--family", family, "--n", n], capsys)
+        assert (code, out) == (3, "") and "hard cap" in err
+
     def test_poisson_rate_too_large_exit_code(self, capsys):
         code, _, err = run_cli(["gen", "--family", "gw_size", "--n", "10",
                                 "--offspring", "poisson:800", "--seed", "1"],

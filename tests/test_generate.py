@@ -1,12 +1,14 @@
 """Tree family generators, offspring laws, contours."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treecut as T
-from treecut import generate
+from treecut import criteria, generate
 from treecut.errors import (RejectionCapError, ResourceLimitError,
                             ValidationError)
 from treecut.generate import OffspringDistribution as OD
@@ -125,6 +127,14 @@ class TestDeterministicFamilies:
         expected = (n + 1) + sum(n // (i + 1) ** 2 for i in range(n + 1))
         assert T.cor15_tree(n).n == expected
 
+    def test_cor15_lists_only_nonempty_binaries(self):
+        # floor(n/(i+1)^2) is 0 from i = isqrt(n) on: the same trees as
+        # with an attachment listed at every distance 0..n
+        for n in range(1, 301):
+            full = generate._segment_with_binaries(
+                n, [(i, n // (i + 1) ** 2) for i in range(n + 1)])
+            assert np.array_equal(T.cor15_tree(n).parent, full.parent)
+
     def test_cor15_root_split_balance(self):
         c = T.center_of_mass(T.cor15_tree(64), at=0)
         assert c.vertex == 0
@@ -152,6 +162,22 @@ class TestDeterministicFamilies:
         with pytest.raises(ResourceLimitError, match="hard cap"):
             build(size)
         assert build(size - 1).n <= 100
+
+    @pytest.mark.parametrize("build", [
+        lambda: T.cor15_tree(200_000),
+        lambda: criteria._build_family_member("ssym_binary", 2_000_000, None, None),
+    ], ids=["cor15", "ssym_binary"])
+    def test_refused_before_listing_the_construction(self, build, monkeypatch):
+        # cor15 used to list n + 1 attachments (17 MB here) and ssym_binary
+        # a degree list of n entries (16 MB) before the cap refused them
+        monkeypatch.setattr(generate, "HARD_VERTEX_CAP", 100)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="hard cap"):
+                build()
+            assert tracemalloc.get_traced_memory()[1] < 1_000_000
+        finally:
+            tracemalloc.stop()
 
     def test_peres_sousi_validation(self):
         with pytest.raises(ValidationError):

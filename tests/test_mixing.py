@@ -1,6 +1,7 @@
 """Heat-kernel TV distances, mixing times, hitting profiles."""
 
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -436,6 +437,109 @@ class TestPartialPath:
         assert eig.values.size <= 8
         assert M._gap(tree) == pytest.approx(T.spectrum(tree).gap, rel=1e-9)
         assert res.tail_bound <= M.TAIL_TOL
+
+
+def one_kernel_rows(starts, t, x=None, tv_x=None):
+    """Every start's TV from one n x n kernel of the modes ``starts`` keeps at
+    t, the candidate x counted with ``tv_x``: the all-starts check without
+    screen or blocks."""
+    k, _ = starts._kept(t)
+    rows = dense_tv_rows(starts.tree, t, (starts.eig.values[:k], starts.eig.vectors[:, :k]))
+    if x is not None:
+        rows[x] = tv_x
+    return rows
+
+
+class TestScreenedCheck:
+    """The screened, blocked all-starts check of ``_EigenStarts`` against one
+    kernel of the same modes."""
+
+    @pytest.fixture(scope="class")
+    def cases(self, random_suite):
+        """(starts, an early time and t_mix, the worst start at t_mix) on
+        eigenpairs: dense below 512 vertices, bottom pairs on cor15_tree(256)."""
+        named = [T.cor15_tree(64), T.cor15_tree(128), T.cor15_tree(256), T.segment(300),
+                 T.binary_of_size(100), T.spherically_symmetric([40])]
+        out = []
+        for tree in list(random_suite) + named:
+            starts = M._starts(tree)
+            assert isinstance(starts, M._EigenStarts)
+            res = M._search(tree, 0.25, None, 1e-8, starts)
+            out.append((starts, (0.3 / starts.gap, res.t_mix), res.worst_start))
+        assert sum(s.method == "partial" for s, _, _ in out) == 1
+        return out
+
+    @pytest.mark.parametrize("one_row", [False, True], ids=["budget", "one_row"])
+    def test_matches_one_kernel(self, cases, one_row, monkeypatch):
+        if one_row:
+            monkeypatch.setattr(M, "BLOCK_ELEMENTS", 1)
+        ties = 0
+        for starts, times, x_mix in cases:
+            for t in times:
+                for x in (None, x_mix):
+                    tv_x = None if x is None else starts.tv(x, t)
+                    rows = one_kernel_rows(starts, t, x, tv_x)
+                    d, worst = starts.worst(t, x, tv_x)
+                    assert abs(d - rows.max()) <= 1e-12
+                    ref = int(np.argmax(rows))
+                    if worst != ref:
+                        # starts swapped by an automorphism tie exactly, and a
+                        # row block rounds them apart differently from the
+                        # symmetric n x n product
+                        assert rows[ref] - rows[worst] <= 1e-15
+                        ties += 1
+        # within the budget a kernel of up to 362 rows is one block, the
+        # symmetric product itself: its starts and values are the same bits
+        assert one_row or ties == 0
+
+    def test_bound_covers_every_start(self, cases):
+        # late times keep one mode besides the constant: there the bound is
+        # tight, and its mode-0 term must cover eigh's near-constant vector
+        # and nonzero first eigenvalue (2e-11 of TV on segment(300))
+        for starts, times, _ in cases:
+            for t in times + (10.0 / starts.gap, 20.0 / starts.gap):
+                assert np.all(one_kernel_rows(starts, t) <= starts.bound(t))
+
+    def test_bound_covers_a_perturbed_constant_mode(self):
+        # the bound holds for whatever vectors it is given: a constant mode
+        # off by 1e-9 noise and an eigenvalue 0 off by 1e-13 move TV by
+        # 1e-9, which the mode-0 term has to cover
+        rng = np.random.default_rng(5)
+        for tree in (T.cor15_tree(64), T.segment(300), random_tree(200, seed=4)):
+            eig = decompose(tree)
+            vectors = eig.vectors.copy()
+            vectors[:, 0] += 1e-9 * rng.standard_normal(tree.n)
+            values = eig.values.copy()
+            values[0] = -1e-13
+            starts = M._EigenStarts(tree, spectral.Eigensystem(values, vectors))
+            for t in (0.3, 1.0, 10.0):
+                assert np.all(one_kernel_rows(starts, t / starts.gap)
+                              <= starts.bound(t / starts.gap))
+
+    def test_few_rows_on_cor15_512(self):
+        tree = T.cor15_tree(512)
+        starts = M._starts(tree)
+        res = M._search(tree, 0.25, None, 1e-8, starts)
+        t, x = res.t_mix, res.worst_start
+        for candidate in ((x, starts.tv(x, t)), (None, None)):
+            assert starts.worst(t, *candidate) == (pytest.approx(0.25, abs=1e-6), x)
+            assert starts.rows <= 0.05 * tree.n
+
+    @pytest.mark.parametrize("make", [lambda: T.cor15_tree(512), lambda: T.segment(1500)],
+                             ids=["cor15_512", "segment_1500"])
+    def test_peak_allocation_below_a_quarter_kernel(self, make):
+        tree = make()
+        starts = M._starts(tree)
+        res = M._search(tree, 0.25, None, 1e-8, starts)
+        t, x = res.t_mix, res.worst_start
+        tracemalloc.start()
+        try:
+            for candidate in ((x, starts.tv(x, t)), (None, None)):
+                tracemalloc.reset_peak()
+                starts.worst(t, *candidate)
+                assert tracemalloc.get_traced_memory()[1] < tree.n ** 2 * 8 / 4
+        finally:
+            tracemalloc.stop()
 
 
 def ssym_binary(depth):

@@ -12,7 +12,7 @@ from .generate import (Contour, OffspringDistribution, binary_of_size, contour,
                        peres_sousi, retraction, segment, spherically_symmetric)
 from .mixing import (HittingProfile, MixingResult, heat_kernel_tv,
                      hitting_profile, mixing_lower_bounds, mixing_time,
-                     mixing_upper_report, tv_curve, tv_from_start)
+                     tv_curve, tv_from_start)
 from .spectral import (Eigensystem, HardyCertificate, SpectrumResult,
                        WeightScheme, bound_log_diameter, bound_path_load,
                        bound_summable_weights, bound_tail, bottom_pairs,

@@ -7,11 +7,15 @@ Near the mixing time almost every mode is negligible, so each TV
 evaluation keeps only the first k modes, k the smallest count whose tail
 1/2 sqrt(n) exp(-t lambda_k) is at most ``TAIL_TOL``; that tail bounds the
 change of every start's TV distance and needs no eigenvector.  One start
-then costs O(n k).  The all-starts check bounds every start's TV in O(n k)
-by the triangle inequality over the kept modes and computes exact rows,
-O(n k) each, only for the m starts whose bound can reach the maximum:
-O(n k) + O(m n k), in row blocks of ``BLOCK_ELEMENTS`` entries, never the
-n x n kernel of a tree larger than one block.
+then costs O(n k).  Mode 0 is the exact constant, whose term of the
+kernel is exactly 1/n, so a row of P_t - 1/n needs only the other kept
+modes.  The all-starts check bounds every start's TV in O(n k) by the
+triangle inequality over those modes and computes exact rows, O(n k) each,
+only for the m starts whose bound can reach the maximum: O(n k) + O(m n k),
+in row blocks of ``BLOCK_ELEMENTS`` entries, never the n x n kernel.  It
+names the lowest start within a few ulps of the maximum, so that which of
+the starts an automorphism swaps (they tie exactly) it names does not
+depend on how BLAS rounds a block.
 
 So the search needs only the eigenpairs below a floor.  From
 ``PARTIAL_MIN_VERTICES`` vertices up to the dense cap they come from
@@ -83,9 +87,9 @@ from .tree import (RootedTree, compute_metrics, max_path_load, reroot,
                    root_orbits, root_path)
 
 __all__ = [
-    "MixingResult", "HittingProfile", "MixingUpperReport", "MixingLowerBounds",
+    "MixingResult", "HittingProfile", "MixingLowerBounds",
     "heat_kernel_tv", "tv_from_start", "mixing_time", "tv_curve",
-    "hitting_profile", "mixing_upper_report", "mixing_lower_bounds",
+    "hitting_profile", "mixing_lower_bounds",
 ]
 
 
@@ -151,14 +155,15 @@ class _EigenStarts:
     """The start oracles on eigenpairs of Q (``decompose`` or ``bottom_pairs``),
     named ``"partial"`` or ``"dense"`` by the floor they were built with.
 
-    ``tv(x, t)`` is one row of the kept modes' kernel, O(n k).
-    ``worst(t, x, tv_x)`` is d(t) and a start attaining it, from rows of
-    the kernel P_t = W W^T of the kept modes, W = U_k exp(-t L_k / 2), for
-    the starts whose ``bound`` can reach d(t): O(n k) for the bounds and
-    O(m n k) for m such starts; start x, when given, counts with the value
-    ``tv_x`` that ``tv`` gave it.  ``rows`` is the number of kernel rows
-    the last ``worst`` computed.  The first candidate is where the slowest
-    mode peaks.
+    Mode 0 is the exact constant (``Eigensystem``), whose term of P_t is
+    exactly 1/n, so row y of P_t - 1/n for the k kept modes is
+    W[y] W^T with W = U[:, 1:k] exp(-t lambda[1:k] / 2) (``_weights``).
+    ``tv(x, t)`` is the TV of one such row, O(n k).  ``worst(t, x, tv_x)``
+    is d(t) and a worst start, from the rows of the starts whose
+    ``bound`` can reach d(t): O(n k) for the bounds and O(m n k) for m such
+    starts; start x, when given, counts with the value ``tv_x`` that ``tv``
+    gave it.  ``rows`` is the number of kernel rows the last ``worst``
+    computed.  The first candidate is where the slowest mode peaks.
     """
 
     def __init__(self, tree: RootedTree, eig: Eigensystem):
@@ -192,78 +197,74 @@ class _EigenStarts:
 
     def tv(self, x: int, t: float) -> float:
         k, _ = self._kept(t)
-        U = self.eig.vectors[:, :k]
-        row = U @ (U[x] * np.exp(-t * self.eig.values[:k]))
-        return 0.5 * float(np.abs(row - 1.0 / self.tree.n).sum())
+        U = self.eig.vectors[:, 1:k]
+        row = U @ (U[x] * np.exp(-t * self.eig.values[1:k]))
+        return 0.5 * float(np.abs(row).sum())
 
-    def bound(self, t: float) -> np.ndarray:
-        """Per start y, a bound on the TV distance of row y of the kept
-        modes' kernel as ``worst`` computes it, O(n k) for all starts.
-
-        With e_j = exp(-t lambda_j), row y of P_t - 1/n is
-        sum_{1<=j<k} e_j u_j(y) u_j + e_0 (u_0(y) u_0 - c^2) + (e_0 - 1) c^2
-        for any c with n c^2 = 1, so by the triangle inequality its TV is at
-        most B_y = 1/2 sum_{1<=j<k} e_j |u_j(y)| |u_j|_1 plus the mode-0 term
-        1/2 (e_0 (|u_0(y)| |u_0 - c|_1 + sqrt(n) |u_0(y) - c|) + |e_0 - 1|).
-        That term is 0 for the exact constant of ``bottom_pairs``, not for
-        ``eigh``'s (c takes u_0's sign): its eigenvalue 0 is off by about
-        1e-15, which moves TV by 2e-11 at 10 t_rel on segment(300).
-        Rounding moves a computed row's TV by about (k + 2) 2^-53 (1 + 2 B_y)
-        from the k-term products and their sum over the row; the returned
-        B_y + TAIL_TOL + (k + 2) 2^-52 (1 + B_y) covers that with room.
-        """
+    def _weights(self, t: float) -> np.ndarray:
         k, _ = self._kept(t)
-        U, n = self.eig.vectors[:, :k], self.tree.n
-        e = np.exp(-t * self.eig.values[:k])
-        c = math.copysign(1.0 / math.sqrt(n), U[:, 0].sum())
-        off = np.abs(U[:, 0] - c)
-        A = np.abs(U[:, 1:])
-        b = 0.5 * (A @ (e[1:] * A.sum(axis=0)) + abs(e[0] - 1.0)
-                   + e[0] * (np.abs(U[:, 0]) * off.sum() + math.sqrt(n) * off))
+        return self.eig.vectors[:, 1:k] * np.exp(-0.5 * t * self.eig.values[1:k])
+
+    @staticmethod
+    def bound(W: np.ndarray) -> np.ndarray:
+        """Per start y, a bound on the TV distance of row y of W W^T as
+        ``worst`` computes it, O(n k) for all starts.
+
+        By the triangle inequality over the modes, that TV is at most
+        B_y = 1/2 sum_j |W_yj| |W_j|_1 = 1/2 sum_{1<=j<k} e_j |u_j(y)| |u_j|_1,
+        e_j = exp(-t lambda_j).  Rounding: an entry W[y] W[z]^T, a dot product
+        of k - 1 terms, is off by at most (k - 1) 2^-53 sum_j |W_yj W_zj|, so
+        the row's TV by (k - 1) 2^-53 B_y, plus about log2(n) 2^-53 B_y from
+        its sum over the row, and B_y's own computation by as much again.
+        The returned B_y + TAIL_TOL + (k + 2) 2^-52 (1 + B_y) covers that.
+        For a start ``worst`` screens out (B_y < tau <= m <= 1, m the
+        maximum) it stays more than (k + 2) 2^-52 above the computed TV,
+        TAIL_TOL being far above the log2(n) terms; that is at least the tie
+        width (k + 2) 2^-53 (1 + m), so a screened start cannot tie.
+        """
+        k = W.shape[1] + 1
+        A = np.abs(W)
+        b = 0.5 * (A @ A.sum(axis=0))
         return b + TAIL_TOL + (k + 2) * 2.0 ** -52 * (1.0 + b)
 
     def worst(self, t: float, x: Optional[int], tv_x: Optional[float]):
-        """d(t) and the lowest start attaining it, by a screened, blocked check.
+        """d(t) and a worst start, by a screened, blocked check.
 
-        Rows of the kept modes' kernel come ``BLOCK_ELEMENTS // n`` at a
-        time.  Where that is every row (n <= 362), the kernel is one block
-        and every start gets its row: the symmetric product W W^T, whose
-        bits a row block does not reproduce, so that automorphic starts,
-        which tie exactly, still resolve as they did.  Otherwise only starts
-        whose ``bound`` reaches the threshold get a row: tau = ``tv_x`` with
-        a candidate, else the TV of the start of largest bound.  A screened
-        start's TV is below tau <= d(t), so it can neither attain nor tie
-        the maximum, and counts as -inf.  When more than half the starts
-        survive, the rows come as contiguous slices, with no gather.
-        ``rows`` records how many were computed.
+        Only starts whose ``bound`` reaches the threshold get a row:
+        tau = ``tv_x`` with a candidate, else the TV of the start of largest
+        bound.  A screened start's TV is below tau, at most the maximum m,
+        and counts as -inf.  The rows come ``BLOCK_ELEMENTS // n`` at a
+        time; ``rows`` records how many were computed.  Starts swapped by
+        an automorphism tie exactly, but the last bits of a row depend on
+        the block BLAS computes it in.  So the start named is the lowest
+        whose value lies within the tie width delta = (k + 2) 2^-53 (1 + m)
+        of m, and d is its value: the same start for every block size, and
+        when it is the candidate, d is ``tv_x`` even where a start that
+        ties with it rounds higher.
         """
-        k, _ = self._kept(t)
-        n = self.tree.n
-        W = self.eig.vectors[:, :k] * np.exp(-0.5 * t * self.eig.values[:k])
+        W = self._weights(t)
+        n, k = self.tree.n, W.shape[1] + 1
 
         def tvs(rows):
             P = W[rows] @ W.T
-            P -= 1.0 / n
             return 0.5 * np.abs(P, out=P).sum(axis=1)
 
-        height = max(1, BLOCK_ELEMENTS // n)
-        self.rows, live = 0, np.arange(n)
-        if height < n:  # more than one block: screen
-            bound = self.bound(t)
-            if x is None:
-                self.rows, tau = 1, float(tvs([int(np.argmax(bound))])[0])
-            else:
-                tau = tv_x
-            live = np.flatnonzero(bound >= tau)
-        every = 2 * live.size > n
+        bound = self.bound(W)
+        if x is None:
+            self.rows, tau = 1, float(tvs([int(np.argmax(bound))])[0])
+        else:
+            self.rows, tau = 0, tv_x
+        live = np.flatnonzero(bound >= tau)
         dist = np.full(n, -np.inf)
-        for s in range(0, n if every else live.size, height):
-            rows = slice(s, s + height) if every else live[s:s + height]
+        height = max(1, BLOCK_ELEMENTS // n)
+        for s in range(0, live.size, height):
+            rows = live[s:s + height]
             dist[rows] = tvs(rows)
-        self.rows += n if every else live.size
+        self.rows += live.size
         if x is not None:
             dist[x] = tv_x
-        worst = int(np.argmax(dist))
+        top = dist.max()
+        worst = int(np.argmax(dist >= top - (k + 2) * 2.0 ** -53 * (1.0 + top)))
         return float(dist[worst]), worst
 
     def tail(self, t: float) -> float:
@@ -421,7 +422,9 @@ class MixingResult:
 
     ``tv_curve`` holds the (t, TV) pairs of the start the search followed
     last, sorted by t; each is a lower bound on d(t).  ``worst_start``
-    attains the max at t_mix.  ``tail_bound`` is the certified truncation
+    attains the max at t_mix: on eigenpairs, the lowest start within a few
+    ulps of it (``_EigenStarts.worst``), so that it does not depend on BLAS
+    rounding.  ``tail_bound`` is the certified truncation
     error of the TV evaluation that accepted t_mix (0 when t_mix = 0): it
     covers the dropped modes only, not the error of kept bottom pairs
     (relative Ritz residual ``spectral.LANCZOS_TOL``), which can exceed it.
@@ -599,32 +602,6 @@ def hitting_profile(tree: RootedTree, target: int) -> HittingProfile:
     h = compute_metrics(reroot(tree, target)).path_load.astype(np.float64)
     return HittingProfile(target=target, expected=h,
                           max_vertex=int(np.argmax(h)))
-
-
-@dataclass(frozen=True)
-class MixingUpperReport:
-    """Order comparators for the hitting-time upper bound on mixing.
-
-    The universal prefactor of the hitting-time bound is not numeric, so
-    these are comparators for trend checks, not certified bounds:
-    the worst expected root-hitting time, twice the maximal path load
-    (which dominates it), and the vertex-count-times-diameter form.
-    """
-
-    max_hitting: float
-    double_path_load: float
-    sites_times_diameter: float
-
-
-def mixing_upper_report(tree: RootedTree) -> MixingUpperReport:
-    """The worst root-hitting time is the largest path load."""
-    metrics = compute_metrics(tree)
-    load = max_path_load(metrics).value
-    return MixingUpperReport(
-        max_hitting=float(load),
-        double_path_load=2.0 * load,
-        sites_times_diameter=float(tree.n * metrics.diameter),
-    )
 
 
 @dataclass(frozen=True)

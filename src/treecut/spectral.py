@@ -54,18 +54,22 @@ def dense_cap() -> int:
     if raw is None:
         return DEFAULT_DENSE_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise ValidationError(f"TREECUT_MAX_VERTICES is not an integer: {raw!r}") from None
+    if cap < 1:
+        raise ValidationError(f"TREECUT_MAX_VERTICES must be at least 1, got {cap}")
+    return cap
 
 
 @dataclass(frozen=True, eq=False)
 class Eigensystem:
     """Eigenpairs of Q = D - A, values ascending, vectors as columns.
 
-    ``decompose`` gives all of them; ``bottom_pairs`` only those below
-    ``floor``, which every omitted eigenvalue is at least (infinite when
-    none is omitted).
+    The first pair is exactly the constant mode: eigenvalue 0.0 and every
+    entry of its vector 1 / sqrt(n).  ``decompose`` gives all of them;
+    ``bottom_pairs`` only those below ``floor``, which every omitted
+    eigenvalue is at least (infinite when none is omitted).
     """
 
     values: np.ndarray
@@ -97,7 +101,11 @@ def laplacian(tree: RootedTree) -> np.ndarray:
 
 
 def decompose(tree: RootedTree) -> Eigensystem:
-    """Cached dense eigendecomposition; refuses trees above the dense cap."""
+    """Cached dense eigendecomposition; refuses trees above the dense cap.
+
+    ``eigh``'s first pair (eigenvalue about 1e-15, a near-constant vector)
+    is replaced by the exact constant mode.
+    """
     cached = _eig_cache.get(tree)
     if cached is not None:
         return cached
@@ -107,6 +115,7 @@ def decompose(tree: RootedTree) -> Eigensystem:
             f"tree has {tree.n} vertices, above the dense cap {cap}; "
             "use gap_iterative for gap-only queries or raise TREECUT_MAX_VERTICES")
     values, vectors = np.linalg.eigh(laplacian(tree))
+    values[0], vectors[:, 0] = 0.0, 1.0 / np.sqrt(tree.n)
     eig = Eigensystem(values=values, vectors=vectors)
     _eig_cache[tree] = eig
     return eig

@@ -52,7 +52,7 @@ class TestSpectrum:
     def test_invariants(self, small_suite):
         for t in small_suite[:20]:
             res = T.spectrum(t)
-            assert abs(res.eigenvalues[0]) < 1e-10
+            assert res.eigenvalues[0] == 0.0
             assert res.gap > 0
             assert np.all(np.diff(res.eigenvalues) >= -1e-12)
 
@@ -66,6 +66,11 @@ class TestSpectrum:
             T.spectrum(T.segment(12))
         gap = T.gap_iterative(T.segment(12))
         assert gap == pytest.approx(4 * np.sin(np.pi / 26) ** 2, rel=1e-8)
+        for cap in ("0", "-5", "ten"):
+            # -5 used to refuse every tree as "above the dense cap -5"
+            monkeypatch.setenv("TREECUT_MAX_VERTICES", cap)
+            with pytest.raises(ValidationError, match="TREECUT_MAX_VERTICES"):
+                T.dense_cap()
 
 
 class TestGapIterative:

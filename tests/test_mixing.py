@@ -469,9 +469,11 @@ class TestScreenedCheck:
         assert sum(s.method == "partial" for s, _, _ in out) == 1
         return out
 
-    def test_matches_one_kernel(self, cases, monkeypatch):
-        # the named start is the same for every block height: one kernel
-        # block, one row at a time, seven rows at a time
+    @pytest.mark.parametrize("one_row", [False, True], ids=["budget", "one_row"])
+    def test_matches_one_kernel(self, cases, one_row, monkeypatch):
+        # the named start is the same for every block height: the default
+        # budget (one kernel block up to 362 rows) against seven rows at a
+        # time, or against one row at a time
         default = M.BLOCK_ELEMENTS
         for starts, times, x_mix in cases:
             n = starts.tree.n
@@ -481,7 +483,7 @@ class TestScreenedCheck:
                     tv_x = None if x is None else starts.tv(x, t)
                     rows = one_kernel_rows(starts, t, x, tv_x)
                     named = set()
-                    for budget in (default, 1, 7 * n):
+                    for budget in (default, 1 if one_row else 7 * n):
                         monkeypatch.setattr(M, "BLOCK_ELEMENTS", budget)
                         d, worst = starts.worst(t, x, tv_x)
                         assert abs(d - rows.max()) <= 1e-12

@@ -184,11 +184,14 @@ class _EigenStarts:
         a full one); where even that tail exceeds TAIL_TOL, the oracles run
         on ``decompose`` from then on.  The tail covers the dropped modes
         only, not the kept bottom pairs' own error (relative Ritz residual
-        ``spectral.LANCZOS_TOL``).
-        """
-        eig = self.eig
-        rest = np.exp(-t * eig.floor) if eig.floor < np.inf else 0.0
-        tails = 0.5 * np.sqrt(self.tree.n) * np.append(np.exp(-t * eig.values), rest)
+        ``spectral.LANCZOS_TOL``).  The values ascend, so the tails are
+        evaluated only up to the first value past ln(sqrt(n) / (2 TAIL_TOL)) / t
+        by a relative 1e-9, whose tail is below TAIL_TOL whatever the rounding."""
+        eig, half = self.eig, 0.5 * math.sqrt(self.tree.n)
+        cut = math.log(half / TAIL_TOL) / t * (1.0 + 1e-9) if t > 0 else math.inf
+        tails = half * np.exp(-t * eig.values[:eig.values.searchsorted(cut) + 1])
+        if tails.size == eig.values.size:  # every stored mode: the floor bounds the rest
+            tails = np.append(tails, half * np.exp(-t * eig.floor) if eig.floor < np.inf else 0.0)
         k = int(np.argmax(tails <= TAIL_TOL))
         if tails[k] > TAIL_TOL:
             self.eig = decompose(self.tree)
@@ -231,16 +234,16 @@ class _EigenStarts:
         """d(t) and a worst start, by a screened, blocked check.
 
         Only starts whose ``bound`` reaches the threshold get a row:
-        tau = ``tv_x`` with a candidate, else the TV of the start of largest
-        bound.  A screened start's TV is below tau, at most the maximum m,
-        and counts as -inf.  The rows come ``BLOCK_ELEMENTS // n`` at a
-        time; ``rows`` records how many were computed.  Starts swapped by
-        an automorphism tie exactly, but the last bits of a row depend on
-        the block BLAS computes it in.  So the start named is the lowest
-        whose value lies within the tie width delta = (k + 2) 2^-53 (1 + m)
-        of m, and d is its value: the same start for every block size, and
-        when it is the candidate, d is ``tv_x`` even where a start that
-        ties with it rounds higher.
+        tau = ``tv_x`` with a candidate x, else the TV of the start x of
+        largest bound.  A screened start's TV is below tau, at most the
+        maximum m, and counts as -inf.  Rows other than x's come
+        ``BLOCK_ELEMENTS // n`` at a time; ``rows`` counts every row made.
+        Starts swapped by an automorphism tie exactly, but the last bits
+        of a row depend on the block BLAS computes it in.  So the start
+        named is the lowest whose value lies within the tie width
+        delta = (k + 2) 2^-53 (1 + m) of m, and d is its value: the same
+        start for every block size, and when it is the candidate, d is
+        ``tv_x`` even where a start that ties with it rounds higher.
         """
         W = self._weights(t)
         n, k = self.tree.n, W.shape[1] + 1
@@ -250,19 +253,19 @@ class _EigenStarts:
             return 0.5 * np.abs(P, out=P).sum(axis=1)
 
         bound = self.bound(W)
+        self.rows = int(x is None)
         if x is None:
-            self.rows, tau = 1, float(tvs([int(np.argmax(bound))])[0])
-        else:
-            self.rows, tau = 0, tv_x
-        live = np.flatnonzero(bound >= tau)
+            x = int(np.argmax(bound))
+            tv_x = float(tvs([x])[0])
+        live = np.flatnonzero(bound >= tv_x)
+        live = live[live != x]
         dist = np.full(n, -np.inf)
         height = max(1, BLOCK_ELEMENTS // n)
         for s in range(0, live.size, height):
             rows = live[s:s + height]
             dist[rows] = tvs(rows)
         self.rows += live.size
-        if x is not None:
-            dist[x] = tv_x
+        dist[x] = tv_x
         top = dist.max()
         worst = int(np.argmax(dist >= top - (k + 2) * 2.0 ** -53 * (1.0 + top)))
         return float(dist[worst]), worst

@@ -90,9 +90,7 @@ _eig_cache: "weakref.WeakKeyDictionary[RootedTree, Eigensystem]" = \
 
 def laplacian(tree: RootedTree) -> np.ndarray:
     """Dense symmetric Laplacian Q = D - A; every row sums to zero."""
-    Q = np.zeros((tree.n, tree.n), dtype=np.float64)
-    deg = tree.degrees()
-    np.fill_diagonal(Q, deg)
+    Q = np.diag(tree.degrees().astype(np.float64))
     nonroot = np.nonzero(tree.parent >= 0)[0]
     pars = tree.parent[nonroot]
     Q[nonroot, pars] = -1.0
@@ -135,14 +133,9 @@ LANCZOS_MAX_STEPS = 1000
 LANCZOS_SEED = 0x5EED  # start vector of the gap solve
 
 
-def _one_pair(thetas: np.ndarray, done: np.ndarray) -> int:
-    """The ``wanted`` of callers that need only the top Ritz pair."""
-    return 1
-
-
 def _lanczos_top(apply: Callable[[np.ndarray], np.ndarray],
                  project: Callable[[np.ndarray], None], start,
-                 wanted: Callable[[np.ndarray, np.ndarray], int] = _one_pair):
+                 wanted: Optional[Callable[[np.ndarray, np.ndarray], int]] = None):
     """Top Ritz pairs of a symmetric positive semi-definite operator.
 
     Lanczos from ``start`` with two-pass full reorthogonalization; ``project``
@@ -156,14 +149,15 @@ def _lanczos_top(apply: Callable[[np.ndarray], np.ndarray],
     ``LANCZOS_MAX_STEPS`` steps.  The next check comes ceil(k/4) steps
     later (every step for one pair), or at once if the new residual norm
     is small enough against a Gershgorin bound of the matrix that the
-    space may be exhausted.  The basis doubles its rows as it fills.
+    space may be exhausted.  The basis starts with 32 rows, enough for
+    one-pair solves, and doubles as it fills.
     Returns ``thetas``, ``done`` and the Ritz vectors of the pairs last
     wanted, as columns.
     """
     q = np.array(start, dtype=np.float64)
     project(q)
     q /= np.linalg.norm(q)
-    basis = np.empty((8, q.size))
+    basis = np.empty((32, q.size))
     alphas, betas = [], []
     check, bound = 1, 0.0
     for j in range(LANCZOS_MAX_STEPS):
@@ -188,7 +182,7 @@ def _lanczos_top(apply: Callable[[np.ndarray], np.ndarray],
         vals, vecs = np.linalg.eigh(T)
         thetas, vecs = vals[::-1], vecs[:, ::-1]
         done = np.abs(beta * vecs[-1]) <= LANCZOS_TOL * np.maximum(thetas, 1e-300)
-        k = wanted(thetas, done)
+        k = wanted(thetas, done) if wanted else 1
         if (k <= j + 1 and done[:k].all()) or beta <= 1e-14 * max(thetas[0], 1.0):
             break
         check = j + 1 + -(-k // 4)
@@ -196,7 +190,7 @@ def _lanczos_top(apply: Callable[[np.ndarray], np.ndarray],
     return thetas, done, basis[:j + 1].T @ vecs[:, :k]
 
 
-def _pinv_top(tree: RootedTree, wanted=_one_pair):
+def _pinv_top(tree: RootedTree, wanted=None):
     """``_lanczos_top`` on the pseudo-inverse of Q over the mean-zero
     subspace, from the seeded start: its top Ritz pairs are the bottom
     eigenpairs of Q.  Each application is one O(n) tree solve: the
@@ -331,16 +325,27 @@ def rayleigh(tree: RootedTree, f) -> float:
 # the discrete Hardy inequality on a rooted tree
 # ---------------------------------------------------------------------------
 
+def _hardy_top(tree: RootedTree) -> float:
+    """Top eigenvalue of the Gram operator of the ancestor-incidence map
+    (vertices versus edges, the root pinned to 0), whose entry (e, f)
+    counts the vertices below both edges: block-diagonal over the components
+    of the tree minus its root.  A Ritz value from the edge indicator, so a
+    lower bound, converged to relative residual ``LANCZOS_TOL``."""
+    def gram(g):
+        return _kernels.subtree_sum(tree, _kernels.ancestor_sum(tree, g))
+
+    def on_edges(g):
+        g[tree.root] = 0.0
+
+    return float(_lanczos_top(gram, on_edges, np.ones(tree.n))[0][0])
+
+
 def hardy_constant(tree: RootedTree, part: Iterable[int]) -> float:
     """Optimal constant of the Hardy inequality restricted to a root part.
 
     ``part`` must induce a subtree containing the root.  The constant is
     the top eigenvalue of the Gram operator of the ancestor-incidence map
-    (vertices of the part versus edges of the part).  The part is relabelled
-    as a tree of its own, on which the operator is ``ancestor_sum`` then
-    ``subtree_sum``, kept on the non-root vertices (the edges).
-    ``_lanczos_top`` finds it from the edge indicator; the Ritz value
-    returned is a lower bound converged to relative residual ``LANCZOS_TOL``.
+    of the part, which is relabelled as a tree of its own for ``_hardy_top``.
     """
     part = np.unique(np.fromiter(part, dtype=np.int64))
     if part.size and not 0 <= part[0] <= part[-1] < tree.n:
@@ -358,15 +363,7 @@ def hardy_constant(tree: RootedTree, part: Iterable[int]) -> float:
     if part.size == 1:
         return 0.0
     sub_parent[is_root] = -1
-    sub = from_parents(part.size, sub_parent)
-
-    def gram(g):
-        return _kernels.subtree_sum(sub, _kernels.ancestor_sum(sub, g))
-
-    def on_edges(g):
-        g[sub.root] = 0.0
-
-    return float(_lanczos_top(gram, on_edges, np.ones(sub.n))[0][0])
+    return _hardy_top(from_parents(part.size, sub_parent))
 
 
 @dataclass(frozen=True)
@@ -375,9 +372,9 @@ class HardyCertificate:
 
     ``interval = [1/A, 1/(delta*A)]`` for the split at ``vertex`` with
     balance ``delta``; the exact gap of the walk lies inside it.  ``A`` is
-    the larger Hardy constant of the two parts, each a Lanczos Ritz value:
-    a lower bound on the exact constant, converged to relative residual
-    ``LANCZOS_TOL``.
+    the larger Hardy constant of the two parts, from one Lanczos solve
+    (``hardy_interval``): a Ritz value, so a lower bound on the exact
+    constant, converged to relative residual ``LANCZOS_TOL``.
     """
 
     A: float
@@ -391,6 +388,8 @@ def hardy_interval(tree: RootedTree) -> HardyCertificate:
 
     The split vertex is recomputed from the tree's own balance, not taken
     from the stored root, and the delta actually achieved is reported.
+    Each part is the split vertex x plus whole components of T - x, so one
+    ``_hardy_top`` on T re-rooted at x gives the larger part constant.
     """
     return _interval_at(*_recentered(tree))
 
@@ -412,7 +411,7 @@ def _hardy_pair(tree: RootedTree) -> Tuple[HardyCertificate, HardyLowerBound]:
 def _interval_at(com: CenterOfMass, base: RootedTree) -> HardyCertificate:
     if base.n < 2:
         raise DegenerateInputError("no gap to enclose for a single vertex")
-    A = max(hardy_constant(base, com.part_a), hardy_constant(base, com.part_b))
+    A = _hardy_top(base)
     return HardyCertificate(A=A, interval=(1.0 / A, 1.0 / (com.delta * A)),
                             delta=com.delta, vertex=com.vertex)
 
@@ -601,11 +600,9 @@ def _lower_at(com: CenterOfMass, base: RootedTree) -> HardyLowerBound:
     g = np.zeros(base.n, dtype=np.float64)
     g[root_path(base, mel.edge)[1:]] = 1.0 / d
     S = _kernels.ancestor_sum(base, g)
-    numerator = float(S @ S)
-    denominator = float(g @ g)
     return HardyLowerBound(value=com.delta * mel.value, delta=com.delta,
                            edge=mel.edge, recentered=base, g=g,
-                           numerator=numerator, denominator=denominator)
+                           numerator=float(S @ S), denominator=float(g @ g))
 
 
 def nu_exact(tree: RootedTree, B: Iterable[int], cap: int = 12) -> float:

@@ -286,6 +286,32 @@ class TestTruncatedSearch:
             assert all(tv_x <= eps for _, _, tv_x in named)
             assert not any(own and d > eps for own, d, _ in named)
 
+    def test_kept_prefix_matches_every_mode(self):
+        # _kept evaluates only a prefix of the modes; (k, tail) must be those
+        # of the tails of every stored mode plus the floor, bit for bit, on
+        # dense and bottom-pair eigensystems (small t sends the latter to
+        # decompose, as the full formula does)
+        def every_mode(tree, eig, t):
+            rest = np.exp(-t * eig.floor) if eig.floor < np.inf else 0.0
+            tails = 0.5 * np.sqrt(tree.n) * np.append(np.exp(-t * eig.values), rest)
+            k = int(np.argmax(tails <= M.TAIL_TOL))
+            if tails[k] > M.TAIL_TOL:
+                return every_mode(tree, decompose(tree), t)
+            return k, float(tails[k])
+
+        trees = [T.cor15_tree(64), T.segment(300), T.binary_of_size(200)] + [
+            T.gw_conditioned_size(OD.geometric(0.5), 30 + seed % 31, seed)[0]
+            for seed in range(40)]
+        partial = 0
+        for tree in trees:
+            span = 2.0 * np.log(np.sqrt(tree.n) / M.TAIL_TOL)
+            eigs = [eig for eig in (decompose(tree), bottom_pairs(tree, span)) if eig is not None]
+            partial += len(eigs) - 1
+            for eig in eigs:
+                for t in [0.0] + np.geomspace(1e-3, 1e5, 400).tolist():
+                    assert M._EigenStarts(tree, eig)._kept(t) == every_mode(tree, eig, t)
+        assert partial >= 2
+
     def test_truncated_tv_within_reported_bound(self):
         for seed in range(6):
             tree = random_tree(30 + 10 * seed, seed=seed, tall=seed % 2 == 0)
@@ -516,6 +542,30 @@ class TestScreenedCheck:
         for candidate in ((x, starts.tv(x, t)), (None, None)):
             assert starts.worst(t, *candidate) == (pytest.approx(0.25, abs=1e-6), x)
             assert starts.rows <= 0.05 * tree.n
+
+    def test_one_row_per_live_start(self, cases):
+        # without a candidate the start of largest bound sets the threshold
+        # tau and its row is computed once: rows is the number of live
+        # starts, and d and the named start are those of a check that
+        # computes every live row in blocks
+        for starts, times, _ in cases:
+            n = starts.tree.n
+            for t in times:
+                W = starts._weights(t)
+                k = W.shape[1] + 1
+                bound = starts.bound(W)
+                tau = 0.5 * np.abs(W[[int(np.argmax(bound))]] @ W.T).sum()
+                live = np.flatnonzero(bound >= tau)
+                dist = np.full(n, -np.inf)
+                height = max(1, M.BLOCK_ELEMENTS // n)
+                for s in range(0, live.size, height):
+                    rows = live[s:s + height]
+                    dist[rows] = 0.5 * np.abs(W[rows] @ W.T).sum(axis=1)
+                delta = (k + 2) * 2.0 ** -53 * (1.0 + dist.max())
+                d, worst = starts.worst(t, None, None)
+                assert starts.rows == live.size
+                assert worst == int(np.argmax(dist >= dist.max() - delta))
+                assert abs(d - dist[worst]) <= delta
 
     @pytest.mark.parametrize("make", [lambda: T.cor15_tree(512), lambda: T.segment(1500)],
                              ids=["cor15_512", "segment_1500"])

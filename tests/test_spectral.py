@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import treecut as T
+from treecut import spectral as S
 from treecut.errors import (DegenerateInputError, ResourceLimitError,
                             ValidationError)
 from treecut.rng import SplitMix64
@@ -266,6 +267,37 @@ class TestHardyInterval:
             lam = T.spectrum(t).gap
             lo, hi = cert.interval
             assert lo * (1 - 1e-8) <= lam <= hi * (1 + 1e-8)
+
+    @pytest.fixture(scope="class")
+    def splits(self, small_suite):
+        """(tree, split, tree re-rooted at the split vertex) on the small
+        suite, cor15_tree(64), ssym depth 5 and a star."""
+        named = [T.cor15_tree(64), T.spherically_symmetric([2, 3, 3, 3, 3]),
+                 T.spherically_symmetric([25])]
+        out = [(t,) + S._recentered(t) for t in list(small_suite) + named]
+        assert sum(com.vertex != t.root for t, com, _ in out) >= 20
+        return out
+
+    def test_one_solve_is_the_larger_part_constant(self, splits):
+        # the Gram operator of the re-rooted tree is block-diagonal over the
+        # components of T - x, and each part is x plus some of them
+        for t, com, base in splits:
+            A = T.hardy_interval(t).A
+            parts = (com.part_a, com.part_b)
+            assert A == pytest.approx(max(dense_hardy_constant(base, p) for p in parts),
+                                      rel=1e-9)
+            assert A == pytest.approx(max(T.hardy_constant(base, p) for p in parts),
+                                      rel=1e-12)
+
+    def test_one_lanczos_solve_and_no_part_tree(self, splits, monkeypatch):
+        calls = []
+        solve = S._lanczos_top
+        monkeypatch.setattr(S, "_lanczos_top", lambda *a: calls.append(a) or solve(*a))
+        monkeypatch.setattr(S, "from_parents", None)  # any call would fail
+        for t, com, base in splits:
+            calls.clear()
+            S._interval_at(com, base)
+            assert len(calls) == 1
 
 
 class TestWeightedPathBound:

@@ -163,12 +163,8 @@ def cmd_metrics(args) -> int:
 
 
 def _gap_fields(tree: tc.RootedTree) -> dict:
-    """gap, t_rel and the solver path: below the dense cap what
-    ``mixing_time`` runs on, above it ``gap_iterative``."""
-    if tree.n > spectral.dense_cap():
-        gap, method = spectral.gap_iterative(tree), "iterative"
-    else:
-        gap, method = mixing._gap(tree), mixing._starts(tree).method
+    """gap, t_rel and the solver path, as ``mixing._gap`` chose them."""
+    gap, method = mixing._gap(tree)
     return {"gap": gap, "t_rel": 1.0 / gap, "method": method}
 
 

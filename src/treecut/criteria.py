@@ -8,8 +8,9 @@ verdict is issued.  Every verdict carries its slope and R^2 and is labeled
 "diagnostic": these are trend readings, not proofs.
 
 A sweep generates each family member, computes the combinatorial load
-quantities, and adds the exact relaxation and mixing times while the tree
-fits under the dense cap; larger members carry certified bound pairs
+quantities, and adds the exact relaxation and mixing times wherever
+``mixing._modes``, the one chooser of the solver path, serves the tree;
+members it refuses (above the dense cap) carry certified bound pairs
 instead and are labeled "bounded".
 """
 
@@ -22,14 +23,14 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from . import _kernels
-from .errors import ValidationError
+from .errors import ResourceLimitError, ValidationError
 from .generate import (OffspringDistribution, _check_size, binary_of_size,
                        cor15_tree, gw_conditioned_size, gw_survival_truncated,
                        gw_tree, kesten_tree, peres_sousi, segment,
                        spherically_symmetric)
-from .mixing import _gap, mixing_time
+from .mixing import _gap, _modes, mixing_time
 from .rng import derive_seed
-from .spectral import _upper_bounds, dense_cap, hardy_lower
+from .spectral import _upper_bounds, hardy_lower
 from .tree import (RootedTree, compute_metrics, max_edge_load, max_path_load,
                    root_path, tail_profile)
 
@@ -81,7 +82,7 @@ class Diagnostic:
 def product_ratio(tree: RootedTree, epsilon: float) -> float:
     """t_mix(epsilon) times the spectral gap, both exact, from what
     ``mixing_time`` searches on."""
-    return mixing_time(tree, epsilon).t_mix * _gap(tree)
+    return mixing_time(tree, epsilon).t_mix * _gap(tree)[0]
 
 
 @dataclass(frozen=True)
@@ -89,7 +90,8 @@ class FamilyRow:
     """One family member: combinatorial loads plus exact or bounded times.
 
     Exact rows carry t_rel, t_mix(epsilon) and their ratio.  Bounded rows
-    (above the dense cap) carry the certified pair instead: t_rel between
+    (trees that ``mixing._modes`` refuses, above the dense cap) carry the
+    certified pair instead: t_rel between
     ``t_rel_lower`` and ``t_rel_upper``, and ``t_mix_lower`` bounding the
     mixing time at target level min(epsilon, delta)/2 from below (no
     numeric upper bound on mixing exists without a universal constant).
@@ -120,13 +122,16 @@ class FamilyReport:
 
 
 def analyze_tree(tree: RootedTree, epsilon: float, size_label: float) -> FamilyRow:
-    """Row for one tree: exact spectra under the dense cap, bounds above it.
+    """Row for one tree: exact times where ``mixing._modes`` serves it,
+    bounds where it refuses.
 
     t_rel comes from what ``mixing_time`` searches on (orbit quotients on
     symmetric trees, bottom eigenpairs from ``mixing.PARTIAL_MIN_VERTICES``
-    vertices on).  Bounded rows read the hitting times of the center of
-    mass from the recentered tree that the Hardy lower bound already
-    holds.  ``ValidationError`` unless 0 < epsilon < 1.
+    vertices on).  The refusal is read before ``mixing_time``, which
+    answers 0 at epsilon >= 1 - 1/n without asking the chooser.  Bounded
+    rows compute no gap; they read the hitting times of the center of mass
+    from the recentered tree that the Hardy lower bound already holds.
+    ``ValidationError`` unless 0 < epsilon < 1.
     """
     _check_epsilon(epsilon)
     metrics = compute_metrics(tree)
@@ -140,8 +145,8 @@ def analyze_tree(tree: RootedTree, epsilon: float, size_label: float) -> FamilyR
         delta=lower.delta,
     )
     upper = min(_upper_bounds(tree).values())
-    if tree.n <= dense_cap():
-        t_rel = 1.0 / _gap(tree)
+    if not isinstance(_modes(tree), ResourceLimitError):
+        t_rel = 1.0 / _gap(tree)[0]
         t_mix = mixing_time(tree, epsilon).t_mix
         return FamilyRow(mode="exact", t_rel=t_rel, t_mix=t_mix,
                          ratio=t_mix / t_rel, t_rel_lower=lower.value,

@@ -38,9 +38,9 @@ start is the worst of them, and every eigenvalue of Q is one of some
 start's quotient (averaging an eigenvector f with f(x) != 0 over the
 stabiliser of x leaves a class-constant one), so the gap is the least
 second eigenvalue among them.  ``_modes`` takes this path from
-``ORBIT_MIN_VERTICES`` vertices up to the dense cap when the starts times
-the largest quotient stay within ``ORBIT_RATIO`` n; that product is at
-least (height + 1)^2, so deep trees are never classified.
+``ORBIT_MIN_VERTICES`` vertices on when the starts times the largest
+quotient stay within ``ORBIT_RATIO`` n; that product is at least
+(height + 1)^2, so deep trees are never classified.
 
 The worst-case distance d(t) = max over starts x of TV_x(t) is
 non-increasing, and so is every TV_x.  ``mixing_time`` brackets the
@@ -59,9 +59,15 @@ every TV formula (``_EigenStarts`` the truncated eigenpair rows and
 their bounds, ``_Orbits`` the quotient sums); ``heat_kernel_tv`` and
 ``tv_from_start`` validate their arguments and call them.
 
-Every gap and TV number below the dense cap comes from what ``_modes``
-chooses, the CLI's gap and ``tv_curve`` included; a curve from t = 0
-needs every mode, so it never runs on bottom pairs.
+One chooser, ``_modes``, decides for every tree what serves it: orbit
+quotients, bottom pairs or ``decompose`` up to the dense cap, a refusal
+above it.  Apart from ``decompose``'s own guard, it is the only place
+that compares n with the cap and the size thresholds.  Every gap and TV
+number comes from what it chose, the CLI's gap and ``tv_curve``
+included; a curve from t = 0 needs every mode, so it never runs on
+bottom pairs.  On a refusal the start oracles raise
+``ResourceLimitError``, and only ``_gap`` answers, with
+``spectral.gap_iterative``.
 
 Expected hitting times come from the paper's identity: hitting the root
 from v takes exactly the sum of subtree sizes along the root path of v
@@ -76,13 +82,14 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
 from . import _kernels
-from .errors import DegenerateInputError, ValidationError
-from .spectral import _recentered, Eigensystem, bottom_pairs, decompose, dense_cap
+from .errors import DegenerateInputError, ResourceLimitError, ValidationError
+from .spectral import (_over_cap, _recentered, Eigensystem, bottom_pairs,
+                       decompose, dense_cap, gap_iterative)
 from .tree import (RootedTree, compute_metrics, max_path_load, reroot,
                    root_orbits, root_path)
 
@@ -113,25 +120,32 @@ _modes_cache: "weakref.WeakKeyDictionary[RootedTree, Union[Eigensystem, _Orbits]
     weakref.WeakKeyDictionary()
 
 
-def _modes(tree: RootedTree, every: bool = False) -> Union[Eigensystem, "_Orbits"]:
-    """What ``mixing_time`` searches on, chosen by the tree's size and shape.
+def _modes(tree: RootedTree, every: bool = False
+           ) -> Union[Eigensystem, "_Orbits", ResourceLimitError]:
+    """The chooser: what serves the tree's gap and TV numbers, by its size
+    and shape, for every n.
 
-    Up to the dense cap, the orbit quotients when ``_orbit_quotients``
-    finds them small.  Otherwise, from ``PARTIAL_MIN_VERTICES`` up to the
-    cap, ``bottom_pairs`` with the floor sigma = 2 ln(sqrt(n) / TAIL_TOL)
-    times the gap, where the tail 1/2 sqrt(n) exp(-t sigma) is TAIL_TOL / 2
-    at t = t_rel / 2, so it serves every time from t_rel / 2 on.  Below
-    that size, above the cap (which ``decompose`` refuses) and wherever
+    Above the dense cap it refuses: it returns, unraised, the
+    ``ResourceLimitError`` that ``decompose`` would raise there.  Up to the
+    cap, from ``ORBIT_MIN_VERTICES`` vertices on, the orbit quotients when
+    ``_orbit_quotients`` finds them small.  Otherwise, from
+    ``PARTIAL_MIN_VERTICES`` on, ``bottom_pairs`` with the floor
+    sigma = 2 ln(sqrt(n) / TAIL_TOL) times the gap, where the tail
+    1/2 sqrt(n) exp(-t sigma) is TAIL_TOL / 2 at t = t_rel / 2, so it
+    serves every time from t_rel / 2 on.  Below that size and wherever
     ``bottom_pairs`` cannot certify its pairs, it is ``decompose``.  With
     ``every`` (a curve from t = 0) it computes no bottom pairs; cached ones
     give way to ``decompose`` in ``_EigenStarts._kept``.
     """
+    cap = dense_cap()
+    if tree.n > cap:
+        return _over_cap(tree.n, cap)
     modes = _modes_cache.get(tree)
     if modes is None:
-        if tree.n <= dense_cap():
+        if ORBIT_MIN_VERTICES <= tree.n:
             modes = _orbit_quotients(tree)
-            if modes is None and not every and PARTIAL_MIN_VERTICES <= tree.n:
-                modes = bottom_pairs(tree, 2.0 * np.log(np.sqrt(tree.n) / TAIL_TOL))
+        if modes is None and not every and PARTIAL_MIN_VERTICES <= tree.n:
+            modes = bottom_pairs(tree, 2.0 * np.log(np.sqrt(tree.n) / TAIL_TOL))
         if modes is None:
             modes = decompose(tree)
         _modes_cache[tree] = modes
@@ -139,16 +153,24 @@ def _modes(tree: RootedTree, every: bool = False) -> Union[Eigensystem, "_Orbits
 
 
 def _starts(tree: RootedTree, every: bool = False):
-    """The start oracles of the search on ``_modes``."""
+    """The start oracles of the search on ``_modes``; its refusal above the
+    dense cap is raised (``ResourceLimitError``)."""
     modes = _modes(tree, every)
+    if isinstance(modes, ResourceLimitError):
+        raise modes
     return modes if isinstance(modes, _Orbits) else _EigenStarts(tree, modes)
 
 
-def _gap(tree: RootedTree) -> float:
-    """The spectral gap from what ``_modes`` chose."""
+def _gap(tree: RootedTree) -> Tuple[float, str]:
+    """The spectral gap and the path that computed it (``method``): the
+    start oracles' where ``_modes`` serves the tree, ``gap_iterative``
+    (``"iterative"``) where it refuses."""
     if tree.n < 2:
         raise DegenerateInputError("the spectral gap is undefined for a single vertex")
-    return _starts(tree).gap
+    if isinstance(_modes(tree), ResourceLimitError):
+        return gap_iterative(tree), "iterative"
+    starts = _starts(tree)
+    return starts.gap, starts.method
 
 
 class _EigenStarts:
@@ -320,20 +342,18 @@ class _Orbits:
 def _orbit_quotients(tree: RootedTree) -> Optional[_Orbits]:
     """The orbit quotients of every start, or None where they are not small.
 
-    Built only from ``ORBIT_MIN_VERTICES`` vertices on, and only when the
-    starts (root orbits) times the largest quotient stay within
-    ``ORBIT_RATIO`` n.  Every root orbit meets a class of every quotient,
-    so that product is at least starts^2; the vertices of a root orbit
-    share their depth and subtree size, so starts are at least the pairs
-    of those, and at least height + 1.  The tree is classified only if
-    pairs^2 is within the bound, and the classes of each start are found
-    only if starts^2 is.  The classes of start x are (root orbit, depth of
-    the lowest common ancestor with x), that depth read off one
-    ``ancestor_sum`` of x's root path.
+    Built only when the starts (root orbits) times the largest quotient
+    stay within ``ORBIT_RATIO`` n; ``_modes`` asks only from
+    ``ORBIT_MIN_VERTICES`` vertices on.  Every root orbit meets a class of
+    every quotient, so that product is at least starts^2; the vertices of
+    a root orbit share their depth and subtree size, so starts are at
+    least the pairs of those, and at least height + 1.  The tree is
+    classified only if pairs^2 is within the bound, and the classes of
+    each start are found only if starts^2 is.  The classes of start x are
+    (root orbit, depth of the lowest common ancestor with x), that depth
+    read off one ``ancestor_sum`` of x's root path.
     """
     limit = ORBIT_RATIO * tree.n
-    if tree.n < ORBIT_MIN_VERTICES:
-        return None
     pairs = np.unique(compute_metrics(tree).subtree_size * tree.n + tree.depth).size
     if pairs ** 2 > limit:
         return None

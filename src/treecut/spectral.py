@@ -62,6 +62,13 @@ def dense_cap() -> int:
     return cap
 
 
+def _over_cap(n: int, cap: int) -> ResourceLimitError:
+    """The refusal of a tree of n vertices above the dense cap ``cap``."""
+    return ResourceLimitError(
+        f"tree has {n} vertices, above the dense cap {cap}; "
+        "use gap_iterative for gap-only queries or raise TREECUT_MAX_VERTICES")
+
+
 @dataclass(frozen=True, eq=False)
 class Eigensystem:
     """Eigenpairs of Q = D - A, values ascending, vectors as columns.
@@ -109,9 +116,7 @@ def decompose(tree: RootedTree) -> Eigensystem:
         return cached
     cap = dense_cap()
     if tree.n > cap:
-        raise ResourceLimitError(
-            f"tree has {tree.n} vertices, above the dense cap {cap}; "
-            "use gap_iterative for gap-only queries or raise TREECUT_MAX_VERTICES")
+        raise _over_cap(tree.n, cap)
     values, vectors = np.linalg.eigh(laplacian(tree))
     values[0], vectors[:, 0] = 0.0, 1.0 / np.sqrt(tree.n)
     eig = Eigensystem(values=values, vectors=vectors)

@@ -310,16 +310,16 @@ def center_of_mass(tree: RootedTree, at: Optional[int] = None) -> CenterOfMass:
     side = _kernels.ancestor_sum(tree, mark)
     side[side == 0] = up_mark
 
-    def part(m):
+    def part(m):  # ascending vertex ids, so the tie-break needs no sort
         members = side == m
         members[x] = True
-        return frozenset(np.nonzero(members)[0].tolist())
+        return np.nonzero(members)[0].tolist()
 
     part_a, part_b = part(1), part(2)
-    if (len(part_a), sorted(part_a)) > (len(part_b), sorted(part_b)):
+    if (len(part_a), part_a) > (len(part_b), part_b):
         part_a, part_b = part_b, part_a
     delta = min(len(part_a), len(part_b)) / n
-    return CenterOfMass(x, part_a, part_b, delta)
+    return CenterOfMass(x, frozenset(part_a), frozenset(part_b), delta)
 
 
 def reroot(tree: RootedTree, new_root: int) -> RootedTree:

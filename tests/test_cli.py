@@ -158,12 +158,14 @@ class TestSpectrumBounds:
 
     def test_spectrum_iterative_above_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("TREECUT_MAX_VERTICES", "20")
-        code, out, _ = run_cli(["spectrum", "--family", "segment", "--n", "40"],
-                               capsys)
-        payload = json.loads(out)
-        assert payload["method"] == "iterative"
         expect = 4 * np.sin(np.pi / (2 * 41)) ** 2
-        assert payload["gap"] == pytest.approx(expect, rel=1e-8)
+        for command in ("spectrum", "bounds"):
+            code, out, _ = run_cli([command, "--family", "segment", "--n", "40"],
+                                   capsys)
+            payload = json.loads(out)
+            assert (code, payload["method"]) == (0, "iterative")
+            assert payload["gap"] == T.gap_iterative(T.segment(40))
+            assert payload["gap"] == pytest.approx(expect, rel=1e-8)
 
     def test_bounds_schema(self, capsys):
         code, out, _ = run_cli(["bounds", "--family", "segment", "--n", "4"],

@@ -184,12 +184,19 @@ class TestAnalyzeAndSweep:
         assert row.t_rel_lower <= row.t_rel <= row.t_rel_upper
 
     def test_bounded_row_above_cap(self, monkeypatch):
+        def no_gap(tree):
+            raise AssertionError("a bounded row computed a gap")
+
         monkeypatch.setenv("TREECUT_MAX_VERTICES", "50")
-        row = C.analyze_tree(T.segment(64), 0.25, 64)
-        assert row.mode == "bounded"
-        assert row.t_rel is None and row.t_mix is None
-        assert row.t_rel_lower <= row.t_rel_upper
-        assert row.t_mix_lower > 0
+        monkeypatch.setattr(T.spectral, "gap_iterative", no_gap)
+        monkeypatch.setattr(T.mixing, "gap_iterative", no_gap)
+        # 0.999 >= 1 - 1/65, where mixing_time answers 0 without the chooser
+        for eps in (0.25, 0.999):
+            row = C.analyze_tree(T.segment(64), eps, 64)
+            assert row.mode == "bounded"
+            assert row.t_rel is None and row.t_mix is None
+            assert row.t_rel_lower <= row.t_rel_upper
+            assert row.t_mix_lower > 0
 
     def test_sweep_segments(self):
         rep = C.sweep("segment", [8, 16, 32, 64])

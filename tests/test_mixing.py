@@ -11,7 +11,7 @@ from scipy.linalg import expm
 import treecut as T
 from treecut import bdchain, criteria, spectral
 from treecut import mixing as M
-from treecut.errors import ValidationError
+from treecut.errors import ResourceLimitError, ValidationError
 from treecut.generate import OffspringDistribution as OD
 from treecut.spectral import bottom_pairs, decompose
 from treecut.tree import root_orbits
@@ -139,7 +139,7 @@ class TestPublicTV:
         assert kind == ("orbits" if isinstance(modes, M._Orbits) else "partial")
         assert kind == "orbits" or modes.floor < np.inf
         eig = np.linalg.eigh(T.laplacian(tree))
-        t_rel = 1.0 / M._gap(tree)
+        t_rel = 1.0 / M._gap(tree)[0]
         for t in (0.1 * t_rel, 0.5 * t_rel, t_rel, 4.0 * t_rel):
             rows = dense_tv_rows(tree, t, eig)
             # the tail covers the dropped modes, 1e-12 sqrt(n) the error of
@@ -156,7 +156,7 @@ class TestPublicTV:
             raise AssertionError("decompose ran where the bottom pairs certify")
 
         tree = T.cor15_tree(256)
-        t_rel = 1.0 / M._gap(tree)
+        t_rel = 1.0 / M._gap(tree)[0]
         monkeypatch.setattr(M, "decompose", fail)
         for t in (0.5 * t_rel, 4.0 * t_rel):
             assert T.tv_from_start(tree, t, 0) <= T.heat_kernel_tv(tree, t)
@@ -182,7 +182,7 @@ class TestPublicTV:
         monkeypatch.setattr(spectral, "_lanczos_top", fail)
         monkeypatch.setattr(M, "decompose", fail)
         tree = ssym_binary(10)
-        t_rel = 1.0 / M._gap(tree)
+        t_rel = 1.0 / M._gap(tree)[0]
         assert 0.0 < T.tv_from_start(tree, t_rel, tree.n - 1) <= T.heat_kernel_tv(tree, t_rel)
         table = T.tv_curve(tree, 5)
         assert table[0, 1] == pytest.approx(1 - 1 / tree.n, abs=1e-12)
@@ -196,6 +196,21 @@ class TestPublicTV:
         eig = np.linalg.eigh(T.laplacian(tree))
         for t, tv in T.tv_curve(tree, 6):
             assert abs(tv - dense_tv_rows(tree, t, eig).max()) <= 1e-11
+
+    def test_chooser_refuses_above_cap(self, monkeypatch):
+        # the cap is read before the cache: a tree served under a higher
+        # cap is refused once the cap falls below it
+        tree = T.segment(40)
+        assert M._gap(tree)[1] == "dense"
+        monkeypatch.setenv("TREECUT_MAX_VERTICES", "20")
+        assert isinstance(M._modes(tree), ResourceLimitError)
+        assert M._gap(tree) == (T.gap_iterative(tree), "iterative")
+        for query in (lambda: T.mixing_time(tree, 0.25),
+                      lambda: T.heat_kernel_tv(tree, 1.0),
+                      lambda: T.tv_from_start(tree, 1.0, 0),
+                      lambda: T.tv_curve(tree, 3, t_max=1.0)):
+            with pytest.raises(ResourceLimitError, match="TREECUT_MAX_VERTICES"):
+                query()
 
     def test_curve_after_partial_search(self, monkeypatch):
         # a tree searched on bottom pairs keeps them; the curve from t = 0
@@ -431,7 +446,7 @@ class TestPartialPath:
         tree = random_tree(120, seed=2, tall=True)
         assert M._modes(tree).floor < np.inf
         res = assert_matches_dense(tree, 0.6)
-        assert res.t_mix < 0.5 / M._gap(tree)
+        assert res.t_mix < 0.5 / M._gap(tree)[0]
 
     @pytest.mark.parametrize("make", [lambda: T.spherically_symmetric([2] + [3] * 7),
                                       lambda: T.spherically_symmetric([300])],
@@ -461,7 +476,7 @@ class TestPartialPath:
         eig = M._modes(tree)
         assert tree.n >= M.PARTIAL_MIN_VERTICES and eig.floor < np.inf
         assert eig.values.size <= 8
-        assert M._gap(tree) == pytest.approx(T.spectrum(tree).gap, rel=1e-9)
+        assert M._gap(tree)[0] == pytest.approx(T.spectrum(tree).gap, rel=1e-9)
         assert res.tail_bound <= M.TAIL_TOL
 
 
@@ -601,7 +616,7 @@ class TestOrbitQuotients:
     def assert_matches_dense(self, tree, epsilons=(0.25, 0.1)):
         assert isinstance(M._modes(tree), M._Orbits)
         gap = np.linalg.eigvalsh(T.laplacian(tree))[1]
-        assert abs(M._gap(tree) - gap) <= 1e-9 * gap
+        assert abs(M._gap(tree)[0] - gap) <= 1e-9 * gap
         for eps in epsilons:
             assert assert_matches_dense(tree, eps).tail_bound == 0.0
 
@@ -612,7 +627,7 @@ class TestOrbitQuotients:
         bisection takes 14 s: its products run on subnormal numbers)."""
         assert isinstance(M._modes(tree), M._Orbits)
         eig = np.linalg.eigh(T.laplacian(tree))
-        assert abs(M._gap(tree) - eig[0][1]) <= 1e-9 * eig[0][1]
+        assert abs(M._gap(tree)[0] - eig[0][1]) <= 1e-9 * eig[0][1]
         for eps in epsilons:
             res = T.mixing_time(tree, eps, rtol=rtol)
             rows = dense_tv_rows(tree, res.t_mix, eig)
@@ -646,7 +661,7 @@ class TestOrbitQuotients:
         tree = grafted_tree(25, 3)
         orbits = M._modes(tree)
         assert orbits.starts.size < tree.n
-        for t in np.array([0.3, 1.0, 3.0]) / M._gap(tree):
+        for t in np.array([0.3, 1.0, 3.0]) / M._gap(tree)[0]:
             rows = dense_tv_rows(tree, t)
             tvs = np.array([orbits.tv(v, t) for v in range(tree.n)])
             assert np.abs(tvs - rows).max() <= 1e-12
@@ -682,7 +697,7 @@ class TestOrbitQuotients:
         tree = T.spherically_symmetric(degrees)
         res = T.mixing_time(tree, 0.25)
         gap = bdchain.bd_spectrum(bdchain.project(degrees, depth + 1)).gap
-        assert M._gap(tree) == pytest.approx(gap, rel=1e-9)
+        assert M._gap(tree)[0] == pytest.approx(gap, rel=1e-9)
         assert 0.6 < res.t_mix * gap < 0.8 and res.worst_start in np.flatnonzero(
             tree.depth == depth)
 

@@ -14,11 +14,12 @@ from .mixing import (HittingProfile, MixingResult, heat_kernel_tv,
                      hitting_profile, mixing_lower_bounds, mixing_time,
                      tv_curve, tv_from_start)
 from .spectral import (Eigensystem, HardyCertificate, SpectrumResult,
-                       WeightScheme, bound_log_diameter, bound_path_load,
+                       bound_log_diameter, bound_path_load,
                        bound_summable_weights, bound_tail, bottom_pairs,
                        count_below, dense_cap, decompose, gap_iterative,
                        hardy_constant, hardy_interval, hardy_lower, laplacian,
-                       nu_exact, rayleigh, spectrum, weighted_path_bound)
+                       nu_exact, rayleigh, retraction_weights, spectrum,
+                       weighted_path_bound)
 from .tree import (CenterOfMass, RootedTree, TreeMetrics, center_of_mass,
                    compute_metrics, from_parents, from_text, max_edge_load,
                    max_path_load, reroot, root_path, tail_profile, to_text)

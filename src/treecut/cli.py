@@ -16,6 +16,7 @@ array to the C encoder in one call and indents the result itself.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -146,6 +147,7 @@ def cmd_metrics(args) -> int:
     mpl = tc.max_path_load(m)
     tp = tc.tail_profile(m)
     com = tc.center_of_mass(tree)
+    small = round(com.delta * tree.n)  # the parts share only the split vertex
     payload = {
         "schema": SCHEMA, "sites": tree.n, "root": tree.root,
         "depth": m.depth.tolist(), "subtree_size": m.subtree_size.tolist(),
@@ -156,7 +158,7 @@ def cmd_metrics(args) -> int:
         "max_path_load": {"value": mpl.value, "vertex": mpl.vertex},
         "tail_max": {"value": tp.value, "k": tp.k},
         "center_of_mass": {"vertex": com.vertex, "delta": com.delta,
-                           "part_sizes": sorted((len(com.part_a), len(com.part_b)))},
+                           "part_sizes": [small, tree.n + 1 - small]},
     }
     _dump(args, payload)
     return 0
@@ -183,7 +185,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_bounds(args) -> int:
     tree = _resolve_tree(args)
-    cert, lower = spectral._hardy_pair(tree)
+    cert, lower = spectral.hardy_interval(tree), spectral.hardy_lower(tree)
     payload = {
         "schema": SCHEMA, "sites": tree.n,
         "bounds": {
@@ -346,9 +348,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # one build per process
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ValidationError as exc:

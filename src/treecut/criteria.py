@@ -28,7 +28,7 @@ from .generate import (OffspringDistribution, _check_size, binary_of_size,
                        cor15_tree, gw_conditioned_size, gw_survival_truncated,
                        gw_tree, kesten_tree, peres_sousi, segment,
                        spherically_symmetric)
-from .mixing import _gap, _modes, mixing_time
+from .mixing import _gap, _modes, mixing_lower_bounds, mixing_time
 from .rng import derive_seed
 from .spectral import _upper_bounds, hardy_lower
 from .tree import (RootedTree, compute_metrics, max_edge_load, max_path_load,
@@ -129,8 +129,9 @@ def analyze_tree(tree: RootedTree, epsilon: float, size_label: float) -> FamilyR
     symmetric trees, bottom eigenpairs from ``mixing.PARTIAL_MIN_VERTICES``
     vertices on).  The refusal is read before ``mixing_time``, which
     answers 0 at epsilon >= 1 - 1/n without asking the chooser.  Bounded
-    rows compute no gap; they read the hitting times of the center of mass
-    from the recentered tree that the Hardy lower bound already holds.
+    rows compute no gap; their ``t_mix_lower`` is the hitting bound of
+    ``mixing_lower_bounds`` at min(epsilon, delta), on the split that the
+    Hardy lower bound already made.
     ``ValidationError`` unless 0 < epsilon < 1.
     """
     _check_epsilon(epsilon)
@@ -151,12 +152,10 @@ def analyze_tree(tree: RootedTree, epsilon: float, size_label: float) -> FamilyR
         return FamilyRow(mode="exact", t_rel=t_rel, t_mix=t_mix,
                          ratio=t_mix / t_rel, t_rel_lower=lower.value,
                          t_rel_upper=upper, t_mix_lower=None, **base)
-    eps_eff = min(epsilon, lower.delta)
-    # hitting times of the center are the path loads of the tree rooted there
-    hit = float(compute_metrics(lower.recentered).path_load.max())
+    hitting = mixing_lower_bounds(tree, min(epsilon, lower.delta)).hitting_bound
     return FamilyRow(mode="bounded", t_rel=None, t_mix=None, ratio=None,
                      t_rel_lower=lower.value, t_rel_upper=upper,
-                     t_mix_lower=0.5 * eps_eff * hit, **base)
+                     t_mix_lower=hitting, **base)
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -170,11 +169,10 @@ def _check_threshold(threshold: float) -> None:
 
 
 def _verdict_fit(rows: Sequence[FamilyRow], quotient: Callable[[FamilyRow], float],
-                 name: str, threshold: float, min_points: int,
-                 direction: str) -> Diagnostic:
+                 name: str, threshold: float, direction: str) -> Diagnostic:
     _check_threshold(threshold)
     values = tuple(quotient(r) for r in rows)
-    if len(rows) < min_points:
+    if len(rows) < MIN_TREND_POINTS:
         return Diagnostic(name, "insufficient data (diagnostic)", None,
                           threshold, values)
     fit = fit_loglog([r.sites for r in rows], values)
@@ -190,22 +188,18 @@ def _verdict_fit(rows: Sequence[FamilyRow], quotient: Callable[[FamilyRow], floa
 
 
 def no_cutoff_check(rows: Sequence[FamilyRow],
-                    threshold: float = SLOPE_THRESHOLD,
-                    min_points: int = MIN_TREND_POINTS) -> Diagnostic:
+                    threshold: float = SLOPE_THRESHOLD) -> Diagnostic:
     """Flat max_path_load / max_edge_load across the family rules out cutoff."""
     return _verdict_fit(rows, lambda r: r.max_path_load / r.max_edge_load,
-                        "max_path_load/max_edge_load", threshold, min_points,
-                        "flat")
+                        "max_path_load/max_edge_load", threshold, "flat")
 
 
 def tail_cutoff_check(rows: Sequence[FamilyRow],
-                      threshold: float = SLOPE_THRESHOLD,
-                      min_points: int = MIN_TREND_POINTS) -> Diagnostic:
+                      threshold: float = SLOPE_THRESHOLD) -> Diagnostic:
     """Vanishing max_degree * tail_max / max_path_load predicts cutoff."""
     return _verdict_fit(rows,
                         lambda r: r.max_degree * r.tail_max / r.max_path_load,
-                        "max_degree*tail_max/max_path_load", threshold,
-                        min_points, "down")
+                        "max_degree*tail_max/max_path_load", threshold, "down")
 
 
 @dataclass(frozen=True)
@@ -231,8 +225,7 @@ def retraction_report(tree: RootedTree, v_star: int) -> RetractionReport:
 
 
 def retraction_trend(reports: Sequence[RetractionReport],
-                     threshold: float = SLOPE_THRESHOLD,
-                     min_points: int = MIN_TREND_POINTS) -> dict:
+                     threshold: float = SLOPE_THRESHOLD) -> dict:
     """Trend reading of the retraction-cutoff conditions over a family.
 
     Checks that the candidate path carries the maximal load (flat ratio),
@@ -242,7 +235,7 @@ def retraction_trend(reports: Sequence[RetractionReport],
     for the retracted family.
     """
     _check_threshold(threshold)
-    if len(reports) < min_points:
+    if len(reports) < MIN_TREND_POINTS:
         return {"verdict": "insufficient data (diagnostic)", "fits": {}}
     sites = [r.sites for r in reports]
     fits = {

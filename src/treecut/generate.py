@@ -49,6 +49,9 @@ DEFAULT_ATTEMPT_CAP = 1_000_000
 HARD_VERTEX_CAP = 20_000_000  # refuse constructions beyond this outright
 # the scalar Poisson sampler gives up past k = 10_000_000 and returns this
 _POISSON_BREAK = 10_000_001
+# pmf_table stops once the tail is below this, or after this many terms
+_PMF_TAIL_TOL = 1e-15
+_PMF_CAP = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -151,15 +154,16 @@ class OffspringDistribution:
             sums.append(cum)
         return np.array(sums)
 
-    def pmf_table(self, tail_tol: float = 1e-15, cap: int = 100_000) -> list:
-        """Probabilities P(0), P(1), ... truncated once the tail is < tail_tol."""
+    def pmf_table(self) -> list:
+        """Probabilities P(0), P(1), ..., truncated once the tail is below
+        ``_PMF_TAIL_TOL`` or after ``_PMF_CAP`` terms."""
         if self.kind == "table":
             return list(self.params)
         probs = []
         if self.kind == "geometric":
             p = self.params[0]
             cum, j, term = 0.0, 0, p
-            while cum < 1.0 - tail_tol and j < cap:
+            while cum < 1.0 - _PMF_TAIL_TOL and j < _PMF_CAP:
                 probs.append(term)
                 cum += term
                 term *= 1.0 - p
@@ -168,7 +172,7 @@ class OffspringDistribution:
             lam = self.params[0]
             term = math.exp(-lam)
             cum, j = 0.0, 0
-            while cum < 1.0 - tail_tol and j < cap:
+            while cum < 1.0 - _PMF_TAIL_TOL and j < _PMF_CAP:
                 probs.append(term)
                 cum += term
                 j += 1

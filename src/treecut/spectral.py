@@ -38,9 +38,9 @@ from .tree import (CenterOfMass, RootedTree, center_of_mass, compute_metrics,
 
 __all__ = [
     "Eigensystem", "SpectrumResult", "HardyCertificate", "HardyLowerBound",
-    "WeightScheme", "dense_cap", "laplacian", "decompose", "spectrum",
+    "dense_cap", "laplacian", "decompose", "spectrum",
     "gap_iterative", "count_below", "bottom_pairs", "rayleigh",
-    "hardy_constant", "hardy_interval", "weighted_path_bound",
+    "hardy_constant", "hardy_interval", "retraction_weights", "weighted_path_bound",
     "bound_log_diameter", "bound_summable_weights", "bound_path_load",
     "bound_tail", "hardy_lower", "nu_exact",
 ]
@@ -396,128 +396,84 @@ def hardy_interval(tree: RootedTree) -> HardyCertificate:
     Each part is the split vertex x plus whole components of T - x, so one
     ``_hardy_top`` on T re-rooted at x gives the larger part constant.
     """
-    return _interval_at(*_recentered(tree))
+    if tree.n < 2:
+        raise DegenerateInputError("no gap to enclose for a single vertex")
+    com, base = _recentered(tree)
+    A = _hardy_top(base)
+    return HardyCertificate(A=A, interval=(1.0 / A, 1.0 / (com.delta * A)),
+                            delta=com.delta, vertex=com.vertex)
+
+
+_split_cache: "weakref.WeakKeyDictionary[RootedTree, tuple]" = weakref.WeakKeyDictionary()
 
 
 def _recentered(tree: RootedTree) -> Tuple[CenterOfMass, RootedTree]:
     """The center-of-mass split and the tree re-rooted at its vertex, where
-    both ``hardy_interval`` and ``hardy_lower`` start."""
-    com = center_of_mass(tree)
-    return com, reroot(tree, com.vertex)
+    ``hardy_interval``, ``hardy_lower`` and ``mixing_lower_bounds`` start.
 
-
-def _hardy_pair(tree: RootedTree) -> Tuple[HardyCertificate, HardyLowerBound]:
-    """``(hardy_interval(tree), hardy_lower(tree))`` from one split and one
-    re-rooting."""
-    split = _recentered(tree)
-    return _interval_at(*split), _lower_at(*split)
-
-
-def _interval_at(com: CenterOfMass, base: RootedTree) -> HardyCertificate:
-    if base.n < 2:
-        raise DegenerateInputError("no gap to enclose for a single vertex")
-    A = _hardy_top(base)
-    return HardyCertificate(A=A, interval=(1.0 / A, 1.0 / (com.delta * A)),
-                            delta=com.delta, vertex=com.vertex)
+    Made once per tree.  The cache holds the split and the re-rooted tree,
+    but never ``tree`` itself: ``reroot`` returns ``tree`` when the split
+    vertex is already its root, and a value that refers to its own weak
+    key keeps that key alive for good.  In that case it holds None.
+    """
+    cached = _split_cache.get(tree)
+    if cached is None:
+        com = center_of_mass(tree)
+        base = reroot(tree, com.vertex)
+        cached = _split_cache[tree] = (com, None if base is tree else base)
+    com, base = cached
+    return com, tree if base is None else base
 
 
 # ---------------------------------------------------------------------------
 # weighted-path upper bounds on the relaxation time
 # ---------------------------------------------------------------------------
 
-def _per_depth(func: Callable[[int], float], height: int) -> np.ndarray:
-    """``func(k)`` for depths k = 1..height, one call each; all must be positive."""
-    fvals = np.array([float(func(k)) for k in range(1, height + 1)])
-    if np.any(fvals <= 0):
-        raise ValidationError("weight function must be positive on 1..height")
-    return fvals
+def retraction_weights(tree: RootedTree, spine: Iterable[int]) -> np.ndarray:
+    """The comb weights for ``weighted_path_bound``, one per vertex.
+
+    depth^(-1/2) along the spine, and 1/(sqrt(max(i,1)) * (depth - i)^2)
+    inside the subtree hanging at spine position i; the root's entry is 0.
+    The spine is a root path, root first (as returned by ``root_path``).
+    """
+    path = [int(v) for v in spine]
+    if (not path or path[0] != tree.root
+            or any(tree.parent[v] != u for u, v in zip(path, path[1:]))):
+        raise ValidationError("retraction spine must be a root path, root first")
+    depth = tree.depth
+    on_spine = np.zeros(tree.n, dtype=np.int64)
+    on_spine[path[1:]] = 1
+    # spine position i = depth of the deepest spine vertex on the root
+    # path, which on a root-path spine counts its spine vertices
+    anchor = _kernels.ancestor_sum(tree, on_spine)
+    a = np.zeros(tree.n, dtype=np.float64)
+    spine = on_spine == 1
+    a[spine] = depth[spine] ** -0.5
+    off = (depth > 0) & ~spine
+    i = anchor[off]
+    a[off] = 1.0 / (np.maximum(i, 1) ** 0.5 * (depth[off] - i) ** 2)
+    return a
 
 
-@dataclass(frozen=True)
-class WeightScheme:
-    """Positive edge weights, indexed by the lower endpoint of each edge."""
-
-    kind: str
-    func: Optional[Callable[[int], float]] = None
-    table: Optional[tuple] = None
-    spine: Optional[tuple] = None
-
-    @staticmethod
-    def subtree() -> "WeightScheme":
-        """Weight each edge by the size of the subtree hanging below it."""
-        return WeightScheme("subtree")
-
-    @staticmethod
-    def inverse_depth() -> "WeightScheme":
-        return WeightScheme("inverse_depth")
-
-    @staticmethod
-    def reciprocal(func: Callable[[int], float]) -> "WeightScheme":
-        """Weight an edge at depth k by 1/func(k)."""
-        return WeightScheme("reciprocal", func=func)
-
-    @staticmethod
-    def retraction_weights(spine: Iterable[int]) -> "WeightScheme":
-        """The comb scheme: depth^(-1/2) along the spine, and
-        1/(sqrt(max(i,1)) * (depth - i)^2) inside the subtree hanging at
-        spine position i.  The spine is a root path, root first (as
-        returned by ``root_path``)."""
-        return WeightScheme("retraction", spine=tuple(int(v) for v in spine))
-
-    @staticmethod
-    def custom(table) -> "WeightScheme":
-        return WeightScheme("custom", table=tuple(float(x) for x in table))
-
-    def edge_weights(self, tree: RootedTree) -> np.ndarray:
-        metrics = compute_metrics(tree)
-        depth = metrics.depth
-        a = np.zeros(tree.n, dtype=np.float64)
-        nonroot = depth > 0
-        if self.kind == "subtree":
-            a[nonroot] = metrics.subtree_size[nonroot]
-        elif self.kind == "inverse_depth":
-            a[nonroot] = 1.0 / depth[nonroot]
-        elif self.kind == "reciprocal":
-            a[nonroot] = 1.0 / _per_depth(self.func, int(depth.max()))[depth[nonroot] - 1]
-        elif self.kind == "retraction":
-            path = self.spine
-            if (not path or path[0] != tree.root
-                    or any(tree.parent[v] != u for u, v in zip(path, path[1:]))):
-                raise ValidationError("retraction spine must be a root path, root first")
-            on_spine = np.zeros(tree.n, dtype=np.int64)
-            on_spine[list(path[1:])] = 1
-            # spine position i = depth of the deepest spine vertex on the
-            # root path, which on a root-path spine counts its spine vertices
-            anchor = _kernels.ancestor_sum(tree, on_spine)
-            spine = on_spine == 1
-            a[spine] = depth[spine] ** -0.5
-            off = nonroot & ~spine
-            i = anchor[off]
-            a[off] = 1.0 / (np.maximum(i, 1) ** 0.5 * (depth[off] - i) ** 2)
-        elif self.kind == "custom":
-            if len(self.table) != tree.n:
-                raise ValidationError("custom weight table must have one entry per vertex")
-            a = np.array(self.table, dtype=np.float64)
-            a[~nonroot] = 0.0
-        else:
-            raise ValidationError(f"unknown weight scheme {self.kind!r}")
-        if np.any(a[nonroot] <= 0):
-            raise ValidationError("edge weights must be strictly positive")
-        return a
-
-
-def weighted_path_bound(tree: RootedTree, scheme: WeightScheme) -> float:
+def weighted_path_bound(tree: RootedTree, weights) -> float:
     """Upper bound on the relaxation time from positive edge weights.
 
-    For weights a_e this is max over edges of
-    a_e^{-1} * sum over vertices below e of the weight sum along their
-    root paths; computed with one downward and one upward pass.
+    ``weights[v]`` weighs the edge from v to its parent; the root's entry
+    is ignored.  The bound is the max over edges e of a_e^{-1} times the
+    sum, over the vertices below e, of the weight sums along their root
+    paths: one downward and one upward pass.  ``ValidationError`` unless
+    there is one weight per vertex and every edge's is finite and positive.
     """
+    a = np.array(weights, dtype=np.float64)
+    if a.shape != (tree.n,):
+        raise ValidationError(f"expected {tree.n} edge weights, got shape {a.shape}")
+    a[tree.root] = 0.0
+    nonroot = np.nonzero(tree.parent >= 0)[0]
+    if not np.all(np.isfinite(a[nonroot]) & (a[nonroot] > 0)):
+        raise ValidationError("edge weights must be finite and strictly positive")
     if tree.n < 2:
         return 0.0
-    a = scheme.edge_weights(tree)
     G = _kernels.subtree_sum(tree, _kernels.ancestor_sum(tree, a))
-    nonroot = np.nonzero(tree.parent >= 0)[0]
     return float((G[nonroot] / a[nonroot]).max())
 
 
@@ -529,17 +485,22 @@ def bound_log_diameter(tree: RootedTree) -> float:
     return (np.log(metrics.diameter) + 1.0) * max_edge_load(metrics).value
 
 
-def bound_summable_weights(tree: RootedTree, func: Callable[[int], float]) -> float:
+def bound_summable_weights(tree: RootedTree,
+                           func: Callable[[np.ndarray], np.ndarray]) -> float:
     """Partial sum of 1/func up to the height, times max func(depth)*|subtree|.
 
     On a finite tree the summability assumption reduces to the partial sum
-    actually used, which is what gets multiplied in.
+    actually used, which is what gets multiplied in.  ``func`` is called
+    once, on the int64 depths ``1..height`` as an array, and returns one
+    value per depth; ``ValidationError`` unless each is finite and positive.
     """
     metrics = compute_metrics(tree)
     height = int(metrics.depth.max())
     if height == 0:
         return 0.0
-    fvals = _per_depth(func, height)
+    fvals = np.asarray(func(np.arange(1, height + 1, dtype=np.int64)), dtype=np.float64)
+    if fvals.shape != (height,) or not np.all(np.isfinite(fvals) & (fvals > 0)):
+        raise ValidationError("weight function must be finite and positive on 1..height")
     C = float((1.0 / fvals).sum())
     nonroot = metrics.depth > 0
     best = float((fvals[metrics.depth[nonroot] - 1]
@@ -592,10 +553,7 @@ def hardy_lower(tree: RootedTree) -> HardyLowerBound:
     needs the root to carry the split; the gap itself does not depend on
     the rooting.
     """
-    return _lower_at(*_recentered(tree))
-
-
-def _lower_at(com: CenterOfMass, base: RootedTree) -> HardyLowerBound:
+    com, base = _recentered(tree)
     metrics = compute_metrics(base)
     mel = max_edge_load(metrics)
     if mel.edge is None:

@@ -27,6 +27,7 @@ import heapq
 import re
 import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -235,13 +236,31 @@ class CenterOfMass:
     """A vertex plus a two-subtree cover of V overlapping only in it.
 
     ``delta = min(|part_a|, |part_b|) / n``; the separator construction
-    guarantees delta >= 1/3 whenever the split vertex is free.
+    guarantees delta >= 1/3 whenever the split vertex is free.  The parts
+    are stored as a read-only per-vertex side label (1 for ``part_a``, 2
+    for ``part_b``, 0 for the split vertex), which stays out of eq, hash
+    and repr; ``part_a`` and ``part_b`` are frozensets built on first read.
     """
 
     vertex: int
-    part_a: frozenset
-    part_b: frozenset
     delta: float
+    side: np.ndarray = field(repr=False, compare=False)
+
+    def __post_init__(self):
+        self.side.setflags(write=False)
+
+    @cached_property
+    def part_a(self) -> frozenset:
+        return self._part(1)
+
+    @cached_property
+    def part_b(self) -> frozenset:
+        return self._part(2)
+
+    def _part(self, label: int) -> frozenset:
+        members = self.side == label
+        members[self.vertex] = True
+        return frozenset(np.flatnonzero(members).tolist())
 
 
 def center_of_mass(tree: RootedTree, at: Optional[int] = None) -> CenterOfMass:
@@ -259,8 +278,7 @@ def center_of_mass(tree: RootedTree, at: Optional[int] = None) -> CenterOfMass:
     """
     n = tree.n
     if n == 1:
-        whole = frozenset({tree.root})
-        return CenterOfMass(tree.root, whole, whole, 1.0)
+        return CenterOfMass(tree.root, 1.0, np.zeros(1, dtype=np.int64))
 
     metrics = compute_metrics(tree)
     size = metrics.subtree_size
@@ -309,17 +327,17 @@ def center_of_mass(tree: RootedTree, at: Optional[int] = None) -> CenterOfMass:
         up_mark, mark[up] = int(mark[up]), 0
     side = _kernels.ancestor_sum(tree, mark)
     side[side == 0] = up_mark
+    side[x] = 0
 
-    def part(m):  # ascending vertex ids, so the tie-break needs no sort
-        members = side == m
-        members[x] = True
-        return np.nonzero(members)[0].tolist()
-
-    part_a, part_b = part(1), part(2)
-    if (len(part_a), part_a) > (len(part_b), part_b):
-        part_a, part_b = part_b, part_a
-    delta = min(len(part_a), len(part_b)) / n
-    return CenterOfMass(x, frozenset(part_a), frozenset(part_b), delta)
+    # part_a is the smaller part, ties broken as ascending vertex lists:
+    # both hold x, so the first entry where they differ is the smaller of
+    # their least other vertices (a part of size 1 never ties)
+    sizes = np.bincount(side, minlength=3)[1:] + 1
+    least = [int(np.argmax(side == m)) for m in (1, 2)]
+    if (sizes[0], least[0]) > (sizes[1], least[1]):
+        side = np.where(side > 0, 3 - side, 0)
+    delta = int(sizes.min()) / n
+    return CenterOfMass(x, delta, side)
 
 
 def reroot(tree: RootedTree, new_root: int) -> RootedTree:

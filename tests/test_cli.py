@@ -341,6 +341,20 @@ def test_byte_identical_runs():
     assert a.stdout == b.stdout and len(a.stdout) > 0
 
 
+_GOLDEN = json.loads((REPO_ROOT / "tests" / "fixtures" / "cli_golden.json").read_text("ascii"))
+
+
+@pytest.mark.parametrize("case", _GOLDEN, ids=lambda c: f"cap{c['cap']} {' '.join(c['argv'])}")
+def test_golden_bytes(case, capsys, monkeypatch):
+    # frozen stdout, stderr and exit codes of bounds, sweep and metrics,
+    # at the default dense cap and at 300, where the larger trees are bounded
+    if case["cap"] is None:
+        monkeypatch.delenv("TREECUT_MAX_VERTICES", raising=False)
+    else:
+        monkeypatch.setenv("TREECUT_MAX_VERTICES", case["cap"])
+    assert run_cli(case["argv"], capsys) == (case["code"], case["stdout"], case["stderr"])
+
+
 def stdlib_json(obj):
     return json.dumps(obj, sort_keys=True, indent=2)
 

@@ -1,6 +1,8 @@
 """Laplacian spectra, Hardy machinery, weighted-path bounds, nu."""
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -10,7 +12,6 @@ from treecut import spectral as S
 from treecut.errors import (DegenerateInputError, ResourceLimitError,
                             ValidationError)
 from treecut.rng import SplitMix64
-from treecut.spectral import WeightScheme
 
 from util import dense_hardy_constant, loop_edge_weights, random_tree, suite_trees
 
@@ -296,62 +297,95 @@ class TestHardyInterval:
         monkeypatch.setattr(S, "from_parents", None)  # any call would fail
         for t, com, base in splits:
             calls.clear()
-            S._interval_at(com, base)
+            assert T.hardy_interval(t).vertex == com.vertex  # on the cached split
             assert len(calls) == 1
+
+    def test_split_cache_does_not_pin_trees(self):
+        # the center is the root of the first tree and not of the second;
+        # a cache entry holding its own key would keep the tree alive
+        for build, center_is_root in ((lambda: T.spherically_symmetric([3, 3]), True),
+                                      (lambda: T.segment(4), False)):
+            t = build()
+            assert (T.center_of_mass(t).vertex == t.root) == center_is_root
+            T.hardy_interval(t)
+            T.hardy_lower(t)
+            T.mixing_lower_bounds(t, 0.25)
+            ref = weakref.ref(t)
+            del t
+            gc.collect()
+            assert ref() is None
 
 
 class TestWeightedPathBound:
     def test_star_unit_weights_tight(self):
         t = T.spherically_symmetric([4])
-        bound = T.weighted_path_bound(t, WeightScheme.custom([0, 1, 1, 1, 1]))
+        bound = T.weighted_path_bound(t, [0, 1, 1, 1, 1])
         assert bound == pytest.approx(1.0)
         assert bound == pytest.approx(T.spectrum(t).t_rel)
 
     def test_path_two_edges_subtree_scheme(self):
         t = T.segment(2)
-        bound = T.weighted_path_bound(t, WeightScheme.subtree())
+        bound = T.weighted_path_bound(t, T.compute_metrics(t).subtree_size)
         assert bound == pytest.approx(3.0)
         assert bound >= T.spectrum(t).t_rel  # exact value 1
 
     def test_inverse_depth_below_closed_form(self, small_suite):
         for t in small_suite[:15]:
-            weighted = T.weighted_path_bound(t, WeightScheme.inverse_depth())
+            with np.errstate(divide="ignore"):  # the root's entry, inf, is ignored
+                weighted = T.weighted_path_bound(t, 1.0 / t.depth)
             assert weighted <= T.bound_log_diameter(t) + 1e-9
             assert weighted >= T.spectrum(t).t_rel - 1e-9
 
     def test_retraction_scheme_on_comb(self):
         t = T.cor15_tree(32)
         spine = T.root_path(t, 32)
-        bound = T.weighted_path_bound(t, WeightScheme.retraction_weights(spine))
+        bound = T.weighted_path_bound(t, T.retraction_weights(t, spine))
         assert bound >= T.spectrum(t).t_rel - 1e-9
         with pytest.raises(ValidationError):  # the spine must start at the root
-            T.weighted_path_bound(t, WeightScheme.retraction_weights(spine[1:]))
+            T.retraction_weights(t, spine[1:])
 
     def test_nonpositive_weight_rejected(self):
-        with pytest.raises(ValidationError):
-            T.weighted_path_bound(T.segment(2), WeightScheme.custom([0, 1, -1]))
+        # zero, negative and non-finite edge weights, and wrong lengths
+        for weights in ([0, 1, 0], [0, 1, -1], [0, np.nan, 1], [0, 1, np.inf],
+                        [0, 1], [0, 1, 1, 1]):
+            with pytest.raises(ValidationError):
+                T.weighted_path_bound(T.segment(2), weights)
         with pytest.raises(ValidationError):  # zero at depth 2 of 3
-            T.weighted_path_bound(T.segment(3),
-                                  WeightScheme.reciprocal(lambda k: k * (k - 2)))
+            T.bound_summable_weights(T.segment(3), lambda k: k * (k - 2))
 
-    def test_reciprocal_and_retraction_match_vertex_loop(self, small_suite):
-        trees = [T.cor15_tree(32), T.cor15_tree(64), T.retraction(T.cor15_tree(16), 16),
-                 T.segment(40), T.spherically_symmetric([3, 2, 2])] + small_suite[:20]
-        for t in trees:
+    def test_retraction_matches_vertex_loop(self, small_suite):
+        for t in self.trees(small_suite):
             deep = int(np.argmax(t.depth))
-            spines = [T.root_path(t, v) for v in {deep, t.n - 1, t.root}]
-            schemes = [WeightScheme.reciprocal(lambda k: k * k),
-                       WeightScheme.reciprocal(lambda k: k ** 1.5 + 1 / 3),
-                       WeightScheme.reciprocal(lambda k: np.log1p(k))]
-            schemes += [WeightScheme.retraction_weights(s) for s in spines]
-            for scheme in schemes:
-                assert np.array_equal(scheme.edge_weights(t), loop_edge_weights(t, scheme))
+            for v in {deep, t.n - 1, t.root}:
+                spine = T.root_path(t, v)
+                assert np.array_equal(T.retraction_weights(t, spine),
+                                      loop_edge_weights(t, spine))
 
-    def test_reciprocal_calls_func_once_per_depth(self):
+    def test_summable_matches_depth_loop(self, small_suite):
+        # the loop calls func on each depth k as a Python int; numpy's
+        # array pow may round k ** 1.5 differently in the last bit
+        funcs = [(lambda k: k * k, 0), (lambda k: k ** 1.5 + 1 / 3, 4),
+                 (lambda k: np.log1p(k), 0)]
+        for t in self.trees(small_suite) + [T.segment(3000)]:
+            m = T.compute_metrics(t)
+            for func, ulps in funcs:
+                f = [float(func(k)) for k in range(1, t.height + 1)]
+                C = float((1.0 / np.array(f)).sum())
+                best = max(f[d - 1] * s for d, s in zip(m.depth, m.subtree_size) if d > 0)
+                bound = T.bound_summable_weights(t, func)
+                assert abs(bound - C * best) <= ulps * np.spacing(C * best)
+
+    def test_summable_calls_func_once(self):
         calls = []
-        WeightScheme.reciprocal(lambda k: calls.append(k) or k).edge_weights(
-            T.spherically_symmetric([3, 3, 3]))
-        assert calls == [1, 2, 3]
+        T.bound_summable_weights(T.spherically_symmetric([3, 3, 3]),
+                                 lambda k: calls.append(k) or k)
+        assert len(calls) == 1
+        assert calls[0].dtype == np.int64 and calls[0].tolist() == [1, 2, 3]
+
+    @staticmethod
+    def trees(small_suite):
+        return [T.cor15_tree(32), T.cor15_tree(64), T.retraction(T.cor15_tree(16), 16),
+                T.segment(40), T.spherically_symmetric([3, 2, 2])] + small_suite[:20]
 
 
 class TestClosedFormBounds:

@@ -198,20 +198,17 @@ def level_ancestor_sum(tree, x, levels=None):
     return S
 
 
-def loop_edge_weights(tree, scheme):
-    """Edge weights of a ``reciprocal`` or ``retraction`` scheme, one vertex
-    at a time: ``func`` called once per vertex, depth and spine position
-    found by walking the parent chain, and each weight computed from numpy
-    int64 scalars exactly as the per-vertex formula reads."""
-    spine = set(scheme.spine or ())
+def loop_edge_weights(tree, spine):
+    """Retraction weights of a spine, one vertex at a time: depth and spine
+    position found by walking the parent chain, and each weight computed
+    from numpy int64 scalars exactly as the per-vertex formula reads."""
+    spine = set(spine)
     a = np.zeros(tree.n)
     for v in range(tree.n):
         if tree.parent[v] < 0:
             continue
         d = np.int64(brute_depth(tree, v))
-        if scheme.kind == "reciprocal":
-            a[v] = 1.0 / float(scheme.func(int(d)))
-        elif v in spine:
+        if v in spine:
             a[v] = d ** -0.5
         else:
             u, i = v, 0

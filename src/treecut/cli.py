@@ -6,11 +6,13 @@ arguments and seeds.  Exit codes: 0 success, 2 validation error, 3 resource
 cap exceeded.
 
 JSON is written by :func:`_json_text`, whose output is byte-identical to
-``json.dumps(payload, sort_keys=True, indent=2)``.  It exists for speed:
-CPython runs its C encoder only when ``indent`` is None, and the
-pure-Python indenting encoder spends most of a large tree's ``metrics``
-call on the per-vertex arrays.  ``_json_text`` hands every flat number
-array to the C encoder in one call and indents the result itself.
+``json.dumps(payload, sort_keys=True, indent=2)`` of the payload with its
+arrays turned into lists.  It exists for speed: CPython runs its C encoder
+only when ``indent`` is None, and the pure-Python indenting encoder spends
+most of a large tree's ``metrics`` call on the per-vertex arrays.
+``_json_text`` writes a signed-integer array with the numpy writer
+``tree._int_text``, with no Python int per entry, hands every flat number
+list to the C encoder in one call, and indents the result itself.
 """
 
 from __future__ import annotations
@@ -21,10 +23,12 @@ import json
 import sys
 from typing import Optional
 
+import numpy as np
+
 from . import bdchain as bd
 from . import criteria, generate, mixing, spectral
 from . import tree as tc
-from .errors import ResourceLimitError, ValidationError
+from .errors import ResourceLimitError, TreeFormatError, ValidationError
 
 SCHEMA = "treecut/1"
 
@@ -68,8 +72,11 @@ def _resolve_tree(args) -> tc.RootedTree:
     if has_file and has_family:
         raise ValidationError("give either a tree file or --family, not both")
     if has_file:
-        with open(args.tree, "r", encoding="ascii") as fh:
-            return tc.from_text(fh.read())
+        with open(args.tree, "rb") as fh:
+            data = fh.read()
+        if not data.isascii():
+            raise TreeFormatError(f"tree file {args.tree!r} is not ASCII")
+        return tc.from_text(data.decode("ascii"))
     return _build_tree_from_flags(args)
 
 
@@ -85,17 +92,30 @@ def _emit(args, text: str) -> None:
 _NUMBER_TYPES = frozenset((int, float))
 
 
+def _is_int_array(obj) -> bool:
+    return isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "i"
+
+
 def _json_text(obj, pad: str = "") -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)``, with ``pad`` before
-    each line after the first; dict keys must be strings.
+    each line after the first, for ``obj`` with each ndarray ``.tolist()``'d;
+    dict keys must be strings.
 
-    A list or tuple whose items are all exactly ``int`` or ``float`` (not
-    ``bool``) goes through the C encoder in one call; its ``", "``
-    separators become line breaks, which is safe because no number token
-    contains ``", "``.  Every other value is written item by item, and
-    scalars by ``json.dumps`` itself.
+    A one-dimensional signed-integer ndarray takes the numpy writer
+    ``tree._int_text``; any other ndarray is ``.tolist()``'d first.  A list
+    or tuple whose items are all exactly ``int`` or ``float`` (not
+    ``bool``) takes the C encoder in one call; its ``", "`` separators
+    become line breaks, which is safe because no number token contains
+    ``", "``.  Every other value is written item by item, and scalars by
+    ``json.dumps`` itself.
     """
     inner = pad + "  "
+    if _is_int_array(obj):
+        if not obj.size:
+            return "[]"
+        return "[\n" + inner + tc._int_text(obj, ",\n" + inner) + "\n" + pad + "]"
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -120,7 +140,11 @@ def _dump(args, payload: dict) -> None:
         lines = []
         for key in sorted(payload):
             value = payload[key]
-            if isinstance(value, (dict, list, tuple)):
+            if _is_int_array(value):
+                value = "[" + tc._int_text(value, ", ") + "]"
+            elif isinstance(value, np.ndarray):
+                value = json.dumps(value.tolist())
+            elif isinstance(value, (dict, list, tuple)):
                 value = json.dumps(value, sort_keys=True)
             lines.append(f"{key} {value}")
         _emit(args, "\n".join(lines) + "\n")
@@ -150,10 +174,10 @@ def cmd_metrics(args) -> int:
     small = round(com.delta * tree.n)  # the parts share only the split vertex
     payload = {
         "schema": SCHEMA, "sites": tree.n, "root": tree.root,
-        "depth": m.depth.tolist(), "subtree_size": m.subtree_size.tolist(),
-        "path_load": m.path_load.tolist(), "degree": m.degree.tolist(),
+        "depth": m.depth, "subtree_size": m.subtree_size,
+        "path_load": m.path_load, "degree": m.degree,
         "max_degree": m.max_degree, "diameter": m.diameter,
-        "tail_size": m.tail_size.tolist(),
+        "tail_size": m.tail_size,
         "max_edge_load": {"value": mel.value, "edge": mel.edge},
         "max_path_load": {"value": mpl.value, "vertex": mpl.vertex},
         "tail_max": {"value": tp.value, "k": tp.k},
@@ -361,7 +385,7 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing, unreadable or directory path
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

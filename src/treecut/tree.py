@@ -457,8 +457,43 @@ def _parse_parents(line: str) -> np.ndarray:
     return np.fromstring(line, dtype=np.int64, sep=" ")
 
 
+_POW10 = np.uint64(10) ** np.arange(1, 20, dtype=np.uint64)  # 10 .. 10**19
+
+
+def _int_text(values: np.ndarray, sep: str) -> str:
+    """``sep.join(map(str, values.tolist()))`` for a signed-integer array,
+    built in numpy with no Python int per entry; the inverse of
+    :func:`_parse_parents`.
+
+    Each entry's magnitude is taken as uint64, which is exact for the int64
+    minimum too, and its digits are counted against powers of ten.  The
+    entries fill the rows of one byte grid, right-aligned before the
+    separator columns: digits are written one column at a time, right to
+    left, by floor division (numpy's divide by a constant is several times
+    faster than its ``divmod``), then the minus signs.  The grid is read
+    out without each row's padding on the left, and the last separator is
+    cut off.
+    """
+    neg = values < 0
+    mag = values.astype(np.uint64)
+    np.negative(mag, out=mag, where=neg)  # modulo 2**64: the magnitude
+    width = np.searchsorted(_POW10, mag, side="right") + 1 + neg
+    cols = int(width.max(initial=0))
+    grid = np.empty((values.size, cols + len(sep)), dtype=np.uint8)
+    grid[:, cols:] = np.frombuffer(sep.encode("ascii"), dtype=np.uint8)
+    for k in range(cols - 1, -1, -1):
+        quot = mag // 10
+        grid[:, k] = mag - quot * 10 + 48
+        mag = quot
+    grid[neg, cols - width[neg]] = ord("-")
+    text = grid[np.arange(grid.shape[1]) >= cols - width[:, None]].tobytes().decode("ascii")
+    return text[:len(text) - len(sep)]
+
+
 def to_text(tree: RootedTree) -> str:
-    return f"{tree.n}\n{' '.join(map(str, tree.parent.tolist()))}\n"
+    """The canonical two-line text: the vertex count, then the parent
+    entries separated by single spaces, written by :func:`_int_text`."""
+    return f"{tree.n}\n{_int_text(tree.parent, ' ')}\n"
 
 
 def from_text(text: str) -> RootedTree:

@@ -315,6 +315,26 @@ class TestExitCodes:
         code, _, err = run_cli(["metrics", "/nonexistent/tree.txt"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("data", [b"2\n-1 \xc3\n", b"\xef\xbb\xbf2\n-1 0\n"],
+                             ids=["byte_c3", "utf8_bom"])
+    def test_non_ascii_tree_file(self, data, tmp_path, capsys):
+        # a TreeFormatError, not a UnicodeDecodeError traceback
+        path = tmp_path / "bad.txt"
+        path.write_bytes(data)
+        code, out, err = run_cli(["metrics", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "ASCII" in err
+
+    @pytest.mark.parametrize("flag", ["tree", "--out"])
+    def test_directory_path(self, flag, tmp_path, capsys):
+        # a directory as the tree file or as --out: IsADirectoryError is an OSError
+        argv = ["metrics", "--family", "segment", "--n", "3", "--out", str(tmp_path)]
+        if flag == "tree":
+            argv = ["metrics", str(tmp_path)]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 def test_readme_commands_parse():
     # every treecut line of the README's shell blocks, continuations joined,
@@ -346,8 +366,10 @@ _GOLDEN = json.loads((REPO_ROOT / "tests" / "fixtures" / "cli_golden.json").read
 
 @pytest.mark.parametrize("case", _GOLDEN, ids=lambda c: f"cap{c['cap']} {' '.join(c['argv'])}")
 def test_golden_bytes(case, capsys, monkeypatch):
-    # frozen stdout, stderr and exit codes of bounds, sweep and metrics,
-    # at the default dense cap and at 300, where the larger trees are bounded
+    # frozen stdout, stderr and exit codes of bounds, sweep, metrics (json
+    # and text) and gen, at the default dense cap and at 300, where the
+    # larger trees are bounded; metrics and gen hold every caller of
+    # tree._int_text, from one-digit arrays to 7-digit path loads
     if case["cap"] is None:
         monkeypatch.delenv("TREECUT_MAX_VERTICES", raising=False)
     else:
@@ -374,6 +396,23 @@ _VALUES = st.recursive(
     max_leaves=20)
 
 
+_INT64_ARRAYS = st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), max_size=6).map(
+    lambda xs: np.array(xs, dtype=np.int64))
+_FLOAT_ARRAYS = st.lists(st.floats(), max_size=4).map(lambda xs: np.array(xs, dtype=float))
+_ARRAY_DICTS = st.dictionaries(_STRINGS, st.one_of(
+    _INT64_ARRAYS, _FLOAT_ARRAYS, _SCALARS,
+    st.dictionaries(_STRINGS, _INT64_ARRAYS, max_size=3)), max_size=5)
+
+
+def listed(obj):
+    """``obj`` with every ndarray ``.tolist()``'d."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {k: listed(v) for k, v in obj.items()}
+    return obj
+
+
 class TestJsonText:
     @settings(max_examples=300, deadline=None)
     @given(_VALUES)
@@ -382,6 +421,15 @@ class TestJsonText:
     @example([1, "x, y", None, 2.0])
     def test_matches_stdlib_indent(self, obj):
         assert _json_text(obj) == stdlib_json(obj)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_ARRAY_DICTS)
+    @example({"depth": np.array([], dtype=np.int64), "neg": np.array([-1, 0, -(2 ** 63)]),
+              "f": np.array([0.1, -0.0, 1e300, math.nan, math.inf]),
+              "d": {"x": np.array([10 ** 18, -9])}})
+    def test_arrays_match_stdlib_of_lists(self, obj):
+        # int64 arrays take the numpy writer, float arrays the stdlib path
+        assert _json_text(obj) == stdlib_json(listed(obj))
 
     @pytest.mark.parametrize("argv", [
         ["metrics", "--family", "gw_size", "--n", "40", "--offspring", "geom:0.5",

@@ -10,7 +10,7 @@ from treecut.errors import (CycleError, ParentIndexError, RootCountError,
                             TreeFormatError, ValidationError)
 
 from treecut import _kernels
-from treecut.tree import root_orbits
+from treecut.tree import _int_text, root_orbits
 
 from util import (best_center_split, brute_depth, brute_diameter,
                   brute_max_edge_load, brute_path_load, brute_reroot_parent,
@@ -419,6 +419,49 @@ class TestTextFormat:
         back = T.from_text(T.to_text(t))
         assert back.parent.dtype == np.int64
         assert np.array_equal(back.parent, t.parent)
+
+
+_I64 = np.iinfo(np.int64)
+# 0, +-1, both sides of every power of ten up to 10**18, the int64 extremes
+_EDGE_INTS = np.array([0, 1, -1, _I64.min, _I64.max, _I64.min + 1, -_I64.max]
+                      + [s * (10 ** k + d) for k in range(1, 19) for d in (-1, 0, 1)
+                         for s in (1, -1)], dtype=np.int64)
+
+
+class TestIntText:
+    """``_int_text`` is ``sep.join(map(str, values.tolist()))``, byte for byte."""
+
+    SEPS = [" ", ", ", ",\n    "]
+
+    @staticmethod
+    def oracle(values, sep):
+        return sep.join(map(str, values.tolist()))
+
+    @pytest.mark.parametrize("sep", SEPS, ids=repr)
+    def test_edge_values(self, sep):
+        assert _int_text(_EDGE_INTS, sep) == self.oracle(_EDGE_INTS, sep)
+        for v in _EDGE_INTS:  # alone, so each is also the first and the last item
+            assert _int_text(np.array([v]), sep) == str(v)
+
+    @pytest.mark.parametrize("sep", SEPS, ids=repr)
+    def test_empty(self, sep):
+        assert _int_text(np.array([], dtype=np.int64), sep) == ""
+
+    @pytest.mark.parametrize("sep", SEPS, ids=repr)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random(self, sep, seed):
+        rng = np.random.default_rng(seed)
+        full = rng.integers(_I64.min, _I64.max, 500, endpoint=True)
+        # magnitudes spread over every digit count, not only 18-19 digits
+        spread = full >> rng.integers(0, 63, 500)
+        for values in (full, spread, rng.integers(-20, 20, 500)):
+            assert _int_text(values, sep) == self.oracle(values, sep)
+
+    def test_other_signed_widths(self):
+        for dtype in (np.int8, np.int16, np.int32):
+            info = np.iinfo(dtype)
+            values = np.array([info.min, -1, 0, 9, 10, info.max], dtype=dtype)
+            assert _int_text(values, " ") == self.oracle(values, " ")
 
 
 def test_root_path():

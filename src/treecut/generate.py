@@ -245,24 +245,20 @@ def spherically_symmetric(degrees: Sequence[int]) -> RootedTree:
     for k, d in enumerate(degrees[1:], start=1):
         if d < 2:
             raise ValidationError(f"interior degree at depth {k} must be >= 2, got {d}")
+    kids = [degrees[0]] + [d - 1 for d in degrees[1:]]  # children per vertex, by depth
     total = width = 1
-    for k, d in enumerate(degrees):
-        width *= d if k == 0 else d - 1
+    for c in kids:
+        width *= c
         total += width
         if total > HARD_VERTEX_CAP:
             break  # the count only grows: stop before it gets huge
     _check_size(total)
-    parent = [-1]
-    level = [0]
-    for k, d in enumerate(degrees):
-        kids_per = d if k == 0 else d - 1
-        nxt = []
-        for v in level:
-            for _ in range(kids_per):
-                nxt.append(len(parent))
-                parent.append(v)
-        level = nxt
-    return from_parents(len(parent), parent)
+    # vertices numbered level by level, each vertex's children contiguous:
+    # every non-leaf vertex, in that order, is the parent of its count
+    kids = np.array(kids, dtype=np.int64)
+    widths = np.cumprod(np.concatenate(([1], kids[:-1])))
+    counts = np.repeat(kids, widths)
+    return from_parents(total, np.concatenate(([-1], np.repeat(np.arange(counts.size), counts))))
 
 
 def hanging_sizes(tree: RootedTree, v: int) -> np.ndarray:
@@ -271,13 +267,10 @@ def hanging_sizes(tree: RootedTree, v: int) -> np.ndarray:
     Entry i counts the vertices reachable from the depth-i path vertex
     without using the path, i.e. the material a retraction replaces.
     """
-    metrics = compute_metrics(tree)
-    path = root_path(tree, v)
-    on_path = set(path)
-    sizes = np.zeros(len(path), dtype=np.int64)
-    for i, u in enumerate(path):
-        sizes[i] = sum(int(metrics.subtree_size[c]) for c in tree.children(u)
-                       if int(c) not in on_path)
+    size = compute_metrics(tree).subtree_size
+    path = np.array(root_path(tree, v))
+    sizes = size[path] - 1
+    sizes[:-1] -= size[path[1:]]  # the next path vertex's subtree is not hanging
     return sizes
 
 

@@ -62,12 +62,14 @@ their bounds, ``_Orbits`` the quotient sums); ``heat_kernel_tv`` and
 One chooser, ``_modes``, decides for every tree what serves it: orbit
 quotients, bottom pairs or ``decompose`` up to the dense cap, a refusal
 above it.  Apart from ``decompose``'s own guard, it is the only place
-that compares n with the cap and the size thresholds.  Every gap and TV
-number comes from what it chose, the CLI's gap and ``tv_curve``
-included; a curve from t = 0 needs every mode, so it never runs on
-bottom pairs.  On a refusal the start oracles raise
-``ResourceLimitError``, and only ``_gap`` answers, with
-``spectral.gap_iterative``.
+that compares n with the cap and the size thresholds.  It reads the cap
+on every call and makes its choice under the cap once per tree, from the
+tree alone, so a number does not depend on which queries ran before.
+Every gap and TV number comes from what it chose, the CLI's gap and
+``tv_curve`` included; a curve from t = 0 starts on bottom pairs too, and
+its oracles switch to ``decompose`` at the first time they do not cover.
+On a refusal the start oracles raise ``ResourceLimitError``, and only
+``_gap`` answers, with ``spectral.gap_iterative``.
 
 Expected hitting times come from the paper's identity: hitting the root
 from v takes exactly the sum of subtree sizes along the root path of v
@@ -80,7 +82,6 @@ suite verifies the identity against a dense solve of (D - A) h = 1.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
@@ -90,8 +91,8 @@ from . import _kernels
 from .errors import DegenerateInputError, ResourceLimitError, ValidationError
 from .spectral import (_over_cap, _recentered, Eigensystem, bottom_pairs,
                        decompose, dense_cap, gap_iterative)
-from .tree import (RootedTree, compute_metrics, max_path_load, reroot,
-                   root_orbits, root_path)
+from .tree import (RootedTree, _per_tree, compute_metrics, max_path_load,
+                   reroot, root_orbits, root_path)
 
 __all__ = [
     "MixingResult", "HittingProfile", "MixingLowerBounds",
@@ -115,13 +116,7 @@ ORBIT_RATIO = 5
 # entries of P_t that the all-starts check computes at once (1 MB)
 BLOCK_ELEMENTS = 1 << 17
 
-# per tree: the eigensystem or the orbit quotients the search runs on
-_modes_cache: "weakref.WeakKeyDictionary[RootedTree, Union[Eigensystem, _Orbits]]" = \
-    weakref.WeakKeyDictionary()
-
-
-def _modes(tree: RootedTree, every: bool = False
-           ) -> Union[Eigensystem, "_Orbits", ResourceLimitError]:
+def _modes(tree: RootedTree) -> Union[Eigensystem, "_Orbits", ResourceLimitError]:
     """The chooser: what serves the tree's gap and TV numbers, by its size
     and shape, for every n.
 
@@ -132,30 +127,32 @@ def _modes(tree: RootedTree, every: bool = False
     ``PARTIAL_MIN_VERTICES`` on, ``bottom_pairs`` with the floor
     sigma = 2 ln(sqrt(n) / TAIL_TOL) times the gap, where the tail
     1/2 sqrt(n) exp(-t sigma) is TAIL_TOL / 2 at t = t_rel / 2, so it
-    serves every time from t_rel / 2 on.  Below that size and wherever
-    ``bottom_pairs`` cannot certify its pairs, it is ``decompose``.  With
-    ``every`` (a curve from t = 0) it computes no bottom pairs; cached ones
-    give way to ``decompose`` in ``_EigenStarts._kept``.
+    serves every time from t_rel / 2 on; earlier times, a curve from t = 0
+    among them, switch to ``decompose`` in ``_EigenStarts._kept``.  Below
+    that size and wherever ``bottom_pairs`` cannot certify its pairs, it is
+    ``decompose``.  The cap is read on every call, the choice under it made
+    once per tree.
     """
     cap = dense_cap()
     if tree.n > cap:
         return _over_cap(tree.n, cap)
-    modes = _modes_cache.get(tree)
-    if modes is None:
-        if ORBIT_MIN_VERTICES <= tree.n:
-            modes = _orbit_quotients(tree)
-        if modes is None and not every and PARTIAL_MIN_VERTICES <= tree.n:
-            modes = bottom_pairs(tree, 2.0 * np.log(np.sqrt(tree.n) / TAIL_TOL))
-        if modes is None:
-            modes = decompose(tree)
-        _modes_cache[tree] = modes
-    return modes
+    return _chosen(tree)
 
 
-def _starts(tree: RootedTree, every: bool = False):
+@_per_tree
+def _chosen(tree: RootedTree) -> Union[Eigensystem, "_Orbits"]:
+    modes = None
+    if ORBIT_MIN_VERTICES <= tree.n:
+        modes = _orbit_quotients(tree)
+    if modes is None and PARTIAL_MIN_VERTICES <= tree.n:
+        modes = bottom_pairs(tree, 2.0 * np.log(np.sqrt(tree.n) / TAIL_TOL))
+    return decompose(tree) if modes is None else modes
+
+
+def _starts(tree: RootedTree):
     """The start oracles of the search on ``_modes``; its refusal above the
     dense cap is raised (``ResourceLimitError``)."""
-    modes = _modes(tree, every)
+    modes = _modes(tree)
     if isinstance(modes, ResourceLimitError):
         raise modes
     return modes if isinstance(modes, _Orbits) else _EigenStarts(tree, modes)
@@ -593,7 +590,7 @@ def tv_curve(tree: RootedTree, n_samples: int, t_max: Optional[float] = None,
         _check_time(t_max, "t_max")
     if start is not None:
         _check_start(tree, start)
-    starts = _starts(tree, every=True)
+    starts = _starts(tree)
     if t_max is None:
         t_max = 1.5 * mixing_time(tree, 0.01, start=start).t_mix
     ts = np.linspace(0.0, float(t_max), n_samples)

@@ -23,7 +23,6 @@ certifies that ``bottom_pairs`` missed none.
 from __future__ import annotations
 
 import os
-import weakref
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Tuple
 
@@ -32,9 +31,9 @@ import numpy as np
 from . import _kernels
 from .errors import DegenerateInputError, ResourceLimitError, ValidationError
 from .rng import SplitMix64
-from .tree import (CenterOfMass, RootedTree, center_of_mass, compute_metrics,
-                   from_parents, max_edge_load, max_path_load, reroot, root_path,
-                   tail_profile)
+from .tree import (CenterOfMass, RootedTree, _per_tree, center_of_mass,
+                   compute_metrics, from_parents, max_edge_load, max_path_load,
+                   reroot, root_path, tail_profile)
 
 __all__ = [
     "Eigensystem", "SpectrumResult", "HardyCertificate", "HardyLowerBound",
@@ -91,10 +90,6 @@ class SpectrumResult:
     t_rel: float
 
 
-_eig_cache: "weakref.WeakKeyDictionary[RootedTree, Eigensystem]" = \
-    weakref.WeakKeyDictionary()
-
-
 def laplacian(tree: RootedTree) -> np.ndarray:
     """Dense symmetric Laplacian Q = D - A; every row sums to zero."""
     Q = np.diag(tree.degrees().astype(np.float64))
@@ -106,22 +101,23 @@ def laplacian(tree: RootedTree) -> np.ndarray:
 
 
 def decompose(tree: RootedTree) -> Eigensystem:
-    """Cached dense eigendecomposition; refuses trees above the dense cap.
+    """Dense eigendecomposition, made once per tree; refuses trees above the
+    dense cap, cached or not.
 
     ``eigh``'s first pair (eigenvalue about 1e-15, a near-constant vector)
     is replaced by the exact constant mode.
     """
-    cached = _eig_cache.get(tree)
-    if cached is not None:
-        return cached
     cap = dense_cap()
     if tree.n > cap:
         raise _over_cap(tree.n, cap)
+    return _eigh(tree)
+
+
+@_per_tree
+def _eigh(tree: RootedTree) -> Eigensystem:
     values, vectors = np.linalg.eigh(laplacian(tree))
     values[0], vectors[:, 0] = 0.0, 1.0 / np.sqrt(tree.n)
-    eig = Eigensystem(values=values, vectors=vectors)
-    _eig_cache[tree] = eig
-    return eig
+    return Eigensystem(values=values, vectors=vectors)
 
 
 def spectrum(tree: RootedTree) -> SpectrumResult:
@@ -404,25 +400,21 @@ def hardy_interval(tree: RootedTree) -> HardyCertificate:
                             delta=com.delta, vertex=com.vertex)
 
 
-_split_cache: "weakref.WeakKeyDictionary[RootedTree, tuple]" = weakref.WeakKeyDictionary()
-
-
 def _recentered(tree: RootedTree) -> Tuple[CenterOfMass, RootedTree]:
     """The center-of-mass split and the tree re-rooted at its vertex, where
-    ``hardy_interval``, ``hardy_lower`` and ``mixing_lower_bounds`` start.
-
-    Made once per tree.  The cache holds the split and the re-rooted tree,
-    but never ``tree`` itself: ``reroot`` returns ``tree`` when the split
-    vertex is already its root, and a value that refers to its own weak
-    key keeps that key alive for good.  In that case it holds None.
-    """
-    cached = _split_cache.get(tree)
-    if cached is None:
-        com = center_of_mass(tree)
-        base = reroot(tree, com.vertex)
-        cached = _split_cache[tree] = (com, None if base is tree else base)
-    com, base = cached
+    ``hardy_interval``, ``hardy_lower`` and ``mixing_lower_bounds`` start;
+    made once per tree."""
+    com, base = _split(tree)
     return com, tree if base is None else base
+
+
+@_per_tree
+def _split(tree: RootedTree) -> Tuple[CenterOfMass, Optional[RootedTree]]:
+    com = center_of_mass(tree)
+    base = reroot(tree, com.vertex)
+    # None in place of the tree itself (its split vertex is its root): a
+    # cached value that refers to its own tree keeps that tree alive
+    return com, None if base is tree else base
 
 
 # ---------------------------------------------------------------------------

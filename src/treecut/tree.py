@@ -27,7 +27,7 @@ import heapq
 import re
 import weakref
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -133,6 +133,30 @@ def from_parents(n: int, parent: Sequence) -> RootedTree:
                       child_flat=child_flat, depth=depth, jumps=tuple(jumps))
 
 
+def _per_tree(fn):
+    """``fn(tree)``, computed once per tree: the one cache of values that
+    depend on a tree.
+
+    ``_per_tree.table`` maps each tree, weakly, to the values of every
+    memoised function on it, so they go when the tree does.  The tree is
+    the only key, so a memoised value can depend on nothing else: whatever
+    else a query reads (the dense cap) is checked before the memo.  A value
+    must not refer to its own tree, which would keep its key alive for good.
+    """
+    @wraps(fn)
+    def memo(tree):
+        values = _per_tree.table.get(tree)
+        if values is None:
+            values = _per_tree.table[tree] = {}
+        if fn not in values:
+            values[fn] = fn(tree)
+        return values[fn]
+    return memo
+
+
+_per_tree.table = weakref.WeakKeyDictionary()
+
+
 @dataclass(frozen=True, eq=False)
 class TreeMetrics:
     """Cached per-tree geometry.
@@ -166,16 +190,9 @@ class TailProfile(NamedTuple):
     table: np.ndarray  # table[k] = k * tail_size[k] for k = 0..height
 
 
-_metrics_cache: "weakref.WeakKeyDictionary[RootedTree, TreeMetrics]" = \
-    weakref.WeakKeyDictionary()
-
-
+@_per_tree
 def compute_metrics(tree: RootedTree) -> TreeMetrics:
     """All per-tree geometric quantities: the stored depths plus three tree passes."""
-    cached = _metrics_cache.get(tree)
-    if cached is not None:
-        return cached
-
     size = _kernels.subtree_sum(tree, np.ones(tree.n, dtype=np.int64))
     load = _kernels.ancestor_sum(tree, size)
     depth = tree.depth
@@ -197,7 +214,6 @@ def compute_metrics(tree: RootedTree) -> TreeMetrics:
                     diameter=diameter, tail_size=tail)
     for arr in (m.depth, m.subtree_size, m.path_load, m.degree, m.tail_size):
         arr.setflags(write=False)
-    _metrics_cache[tree] = m
     return m
 
 
@@ -369,10 +385,7 @@ def root_path(tree: RootedTree, v: int) -> list:
     return path[path < tree.n][::-1].tolist()
 
 
-_orbit_cache: "weakref.WeakKeyDictionary[RootedTree, np.ndarray]" = \
-    weakref.WeakKeyDictionary()
-
-
+@_per_tree
 def root_orbits(tree: RootedTree) -> np.ndarray:
     """The orbit of every vertex under the automorphisms fixing the root, as
     class ids numbered level by level from the root's 0.
@@ -387,9 +400,6 @@ def root_orbits(tree: RootedTree) -> np.ndarray:
     Classes are then refined top down by (class of the parent, code).
     Cached per tree.
     """
-    cached = _orbit_cache.get(tree)
-    if cached is not None:
-        return cached
     counts = np.bincount(tree.depth)
     ends = np.cumsum(counts)
     order = np.argsort(tree.depth, kind="stable")  # level by level
@@ -421,7 +431,6 @@ def root_orbits(tree: RootedTree) -> np.ndarray:
         inverse = np.unique(key, return_inverse=True)[1]
         orbit[level] = orbit.max() + 1 + inverse
     orbit.setflags(write=False)
-    _orbit_cache[tree] = orbit
     return orbit
 
 

@@ -369,7 +369,9 @@ def test_golden_bytes(case, capsys, monkeypatch):
     # frozen stdout, stderr and exit codes of bounds, sweep, metrics (json
     # and text) and gen, at the default dense cap and at 300, where the
     # larger trees are bounded; metrics and gen hold every caller of
-    # tree._int_text, from one-digit arrays to 7-digit path loads
+    # tree._int_text, from one-digit arrays to 7-digit path loads; mix on
+    # bottom pairs, orbit quotients and decompose, a curve, spectrum and
+    # bdchain at the default cap
     if case["cap"] is None:
         monkeypatch.delenv("TREECUT_MAX_VERTICES", raising=False)
     else:

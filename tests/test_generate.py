@@ -113,6 +113,20 @@ class TestDeterministicFamilies:
             expected.append(expected[-1] * (degs[k] - 1))
         assert counts.tolist() == expected
 
+    @pytest.mark.parametrize("degrees", [[2, 3, 3, 3], [300], [2] + [3] * 7, [1, 3, 3],
+                                         [5, 2, 4], []])
+    def test_spherically_symmetric_numbering(self, degrees):
+        # level by level, each vertex's children contiguous and in its order
+        parent, level = [-1], [0]
+        for k, d in enumerate(degrees):
+            nxt = []
+            for v in level:
+                for _ in range(d if k == 0 else d - 1):
+                    nxt.append(len(parent))
+                    parent.append(v)
+            level = nxt
+        assert T.spherically_symmetric(degrees).parent.tolist() == parent
+
     def test_interior_degree_validation(self):
         with pytest.raises(ValidationError):
             T.spherically_symmetric([2, 1, 3])
@@ -211,6 +225,20 @@ class TestRetraction:
         # in the retraction, the spine is vertices 0..k by construction
         k = len(T.root_path(t, deep)) - 1
         assert T.hanging_sizes(r, k).tolist() == T.hanging_sizes(t, deep).tolist()
+
+    def test_hanging_sizes_match_brute_count(self, random_suite):
+        # every vertex off the path hangs at the first path vertex above it
+        for tree in random_suite:
+            for v in {tree.root, tree.n // 2, tree.n - 1, int(np.argmax(tree.depth))}:
+                path = T.root_path(tree, v)
+                count = [0] * len(path)
+                for w in range(tree.n):
+                    u = w
+                    while u not in path:
+                        u = int(tree.parent[u])
+                    if u != w:
+                        count[path.index(u)] += 1
+                assert T.hanging_sizes(tree, v).tolist() == count
 
     def test_root_rejected(self):
         with pytest.raises(ValidationError):

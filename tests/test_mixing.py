@@ -14,7 +14,7 @@ from treecut import mixing as M
 from treecut.errors import ResourceLimitError, ValidationError
 from treecut.generate import OffspringDistribution as OD
 from treecut.spectral import bottom_pairs, decompose
-from treecut.tree import root_orbits
+from treecut.tree import _per_tree, root_orbits
 
 from util import (dense_mixing_time, dense_tv_rows, grafted_tree, random_tree)
 
@@ -216,7 +216,7 @@ class TestPublicTV:
         # a tree searched on bottom pairs keeps them; the curve from t = 0
         # switches to decompose where they cannot certify
         monkeypatch.setattr(M, "PARTIAL_MIN_VERTICES", 2)
-        monkeypatch.setattr(M, "_modes_cache", weakref.WeakKeyDictionary())
+        monkeypatch.setattr(_per_tree, "table", weakref.WeakKeyDictionary())
         tree = random_tree(120, seed=2, tall=True)
         t_mix = T.mixing_time(tree, 0.25).t_mix
         partial = M._modes(tree)
@@ -401,7 +401,7 @@ class TestPartialPath:
     @pytest.fixture
     def partial_everywhere(self, monkeypatch):
         monkeypatch.setattr(M, "PARTIAL_MIN_VERTICES", 2)
-        monkeypatch.setattr(M, "_modes_cache", weakref.WeakKeyDictionary())
+        monkeypatch.setattr(_per_tree, "table", weakref.WeakKeyDictionary())
 
     def test_random_suite(self, random_suite, partial_everywhere):
         partial = 0
@@ -459,10 +459,26 @@ class TestPartialPath:
         assert isinstance(M._modes(tree), M._Orbits)
         assert_matches_dense(tree, 0.25)
 
-    def test_curve_runs_one_eigensolver(self, partial_everywhere, monkeypatch):
-        monkeypatch.setattr(M, "bottom_pairs", None)  # any call would fail
-        table = T.tv_curve(random_tree(80, seed=1), 10)
-        assert table[0, 1] == pytest.approx(1 - 1 / 80, abs=1e-12)
+    def test_numbers_do_not_depend_on_call_order(self):
+        # a curve from t = 0 and an early TV switch their own oracles to
+        # decompose; the choice cached for the tree stays bottom pairs
+        def numbers(tree):
+            res = T.mixing_time(tree, 0.25)
+            t_rel = 1.0 / M._gap(tree)[0]
+            return (res.t_mix, res.worst_start, res.tv_curve.tolist(), M._gap(tree),
+                    [T.heat_kernel_tv(tree, c * t_rel) for c in (0.5, 1.0, 4.0)],
+                    [T.tv_from_start(tree, c * t_rel, 0) for c in (0.5, 1.0, 4.0)])
+
+        fresh = numbers(T.cor15_tree(256))
+        assert fresh[3][1] == "partial"
+        used = T.cor15_tree(256)
+        T.tv_curve(used, 5)
+        T.heat_kernel_tv(used, 0.1 / M._gap(used)[0])
+        assert numbers(used) == fresh
+        # so the curve ends at exactly 1.5 times the 0.01-mixing time of a
+        # fresh tree, as ``mix --curve`` and ``mix --eps 0.01`` print
+        t_mix = T.mixing_time(T.cor15_tree(256), 0.01).t_mix
+        assert T.tv_curve(T.cor15_tree(256), 3)[-1, 0] == 1.5 * t_mix
 
     def test_small_trees_never_run_lanczos(self, monkeypatch):
         monkeypatch.setattr(M, "bottom_pairs", None)  # any call would fail
@@ -611,7 +627,7 @@ class TestOrbitQuotients:
     def orbits_everywhere(self, monkeypatch):
         monkeypatch.setattr(M, "ORBIT_MIN_VERTICES", 2)
         monkeypatch.setattr(M, "ORBIT_RATIO", math.inf)
-        monkeypatch.setattr(M, "_modes_cache", weakref.WeakKeyDictionary())
+        monkeypatch.setattr(_per_tree, "table", weakref.WeakKeyDictionary())
 
     def assert_matches_dense(self, tree, epsilons=(0.25, 0.1)):
         assert isinstance(M._modes(tree), M._Orbits)

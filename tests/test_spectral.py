@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 import treecut as T
+from treecut import mixing
 from treecut import spectral as S
 from treecut.errors import (DegenerateInputError, ResourceLimitError,
                             ValidationError)
 from treecut.rng import SplitMix64
+from treecut.tree import root_orbits
 
 from util import dense_hardy_constant, loop_edge_weights, random_tree, suite_trees
 
@@ -61,6 +63,22 @@ class TestSpectrum:
     def test_single_vertex_rejected(self):
         with pytest.raises(DegenerateInputError):
             T.spectrum(T.from_parents(1, [-1]))
+
+    def test_cap_read_before_the_cache(self, monkeypatch):
+        # a tree decomposed under a higher cap is refused once the cap falls
+        # below its size, and served again, without a second eigh, once the
+        # cap rises
+        laplacians = []
+        monkeypatch.setattr(S, "laplacian",
+                            lambda tree, build=S.laplacian: laplacians.append(tree) or build(tree))
+        tree = T.segment(40)
+        first = T.spectrum(tree)
+        monkeypatch.setenv("TREECUT_MAX_VERTICES", "20")
+        with pytest.raises(ResourceLimitError, match="TREECUT_MAX_VERTICES"):
+            T.spectrum(tree)
+        monkeypatch.setenv("TREECUT_MAX_VERTICES", "41")
+        again = T.spectrum(tree)
+        assert again.eigenvalues is first.eigenvalues and len(laplacians) == 1
 
     def test_dense_cap(self, monkeypatch):
         monkeypatch.setenv("TREECUT_MAX_VERTICES", "10")
@@ -301,12 +319,18 @@ class TestHardyInterval:
             assert len(calls) == 1
 
     def test_split_cache_does_not_pin_trees(self):
-        # the center is the root of the first tree and not of the second;
-        # a cache entry holding its own key would keep the tree alive
+        # every memoised function runs on a tree whose center is its root
+        # and on one whose center is not; a cache entry holding its own key
+        # would keep the tree alive
         for build, center_is_root in ((lambda: T.spherically_symmetric([3, 3]), True),
                                       (lambda: T.segment(4), False)):
             t = build()
             assert (T.center_of_mass(t).vertex == t.root) == center_is_root
+            T.compute_metrics(t)
+            root_orbits(t)
+            T.decompose(t)
+            S._recentered(t)
+            assert isinstance(mixing._modes(t), S.Eigensystem)
             T.hardy_interval(t)
             T.hardy_lower(t)
             T.mixing_lower_bounds(t, 0.25)

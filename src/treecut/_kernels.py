@@ -21,6 +21,12 @@ with k descending.  Each costs ``height.bit_length()`` vectorized O(n) steps,
 whatever the shape of the tree, and only adds disjoint ranges, so nothing
 is ever subtracted.  Integer input is summed in int64 and stays exact; any
 other input is summed in float64.
+
+Outside these two kernels the package has just two level passes, one
+vectorized step per depth: ``tree.root_orbits`` and ``spectral.count_below``.
+Every other tree pass (contour walks, retraction spines, per-level checks)
+is a kernel call or plain array arithmetic; none steps through the tree a
+vertex or a child list at a time.
 """
 
 from __future__ import annotations

@@ -167,15 +167,18 @@ class LiftResult:
 
 
 def _level_degrees(tree: RootedTree) -> list:
+    """The one degree of each depth, root first; ``ValidationError`` at the
+    first depth whose degrees differ."""
     metrics = compute_metrics(tree)
-    height = int(metrics.depth.max())
-    out = []
-    for k in range(height + 1):
-        degs = set(int(d) for d in metrics.degree[metrics.depth == k])
-        if len(degs) != 1:
-            raise ValidationError(f"tree is not spherically symmetric at depth {k}")
-        out.append(degs.pop())
-    return out
+    depth, degree = metrics.depth, metrics.degree
+    lo = np.full(tree.height + 1, metrics.max_degree)
+    np.minimum.at(lo, depth, degree)
+    hi = np.zeros_like(lo)
+    np.maximum.at(hi, depth, degree)
+    mixed = np.flatnonzero(lo != hi)
+    if mixed.size:
+        raise ValidationError(f"tree is not spherically symmetric at depth {mixed[0]}")
+    return lo.tolist()
 
 
 def lift(tree: RootedTree, chain: BDChain, f: np.ndarray) -> LiftResult:

@@ -36,7 +36,7 @@ from .tree import (RootedTree, compute_metrics, max_edge_load, max_path_load,
 
 __all__ = [
     "TrendFit", "Diagnostic", "FamilyRow", "FamilyReport", "RetractionReport",
-    "fit_loglog", "product_ratio", "no_cutoff_check", "tail_cutoff_check",
+    "fit_loglog", "no_cutoff_check", "tail_cutoff_check",
     "retraction_report", "retraction_trend", "retraction_alpha",
     "analyze_tree", "sweep", "FAMILIES",
 ]
@@ -77,12 +77,6 @@ class Diagnostic:
     fit: Optional[TrendFit]
     threshold: float
     values: tuple
-
-
-def product_ratio(tree: RootedTree, epsilon: float) -> float:
-    """t_mix(epsilon) times the spectral gap, both exact, from what
-    ``mixing_time`` searches on."""
-    return mixing_time(tree, epsilon).t_mix * _gap(tree)[0]
 
 
 @dataclass(frozen=True)
@@ -215,12 +209,12 @@ class RetractionReport:
 def retraction_report(tree: RootedTree, v_star: int) -> RetractionReport:
     metrics = compute_metrics(tree)
     path = root_path(tree, v_star)[1:]
-    edge_loads = [int(metrics.depth[v]) * int(metrics.subtree_size[v]) for v in path]
+    edge_loads = metrics.depth[path] * metrics.subtree_size[path]
     return RetractionReport(
         path_sum=float(metrics.path_load[v_star]),
         max_path_load=float(max_path_load(metrics).value),
         sites=float(tree.n),
-        max_edge_on_path=float(max(edge_loads, default=0)),
+        max_edge_on_path=float(edge_loads.max(initial=0)),
     )
 
 
@@ -254,36 +248,31 @@ def retraction_trend(reports: Sequence[RetractionReport],
     return {"verdict": verdict, "fits": fits}
 
 
-def retraction_alpha(tree: RootedTree, spine: Sequence[int]) -> float:
-    """Worst path-load-to-size ratio among the subtrees hanging off a spine.
+def retraction_alpha(tree: RootedTree, v: int) -> float:
+    """Worst path-load-to-size ratio among the subtrees hanging off the
+    spine, the root path of ``v``.
 
     For each edge leaving the spine, the hanging subtree R contributes
-    max over v in R of the within-R path load divided by |R|; level-filled
+    max over u in R of the within-R path load divided by |R|; level-filled
     binary attachments stay at or below 2, length-L path attachments reach
     (L+1)/2.  Returns 1.0 when nothing hangs off the spine.
     """
-    spine = [int(v) for v in spine]
-    if not spine or spine[0] != tree.root:
-        raise ValidationError("spine must start at the root")
-    for u, v in zip(spine, spine[1:]):
-        if int(tree.parent[v]) != u:
-            raise ValidationError("spine must follow parent-child edges")
-    on_spine = set(spine)
-    metrics = compute_metrics(tree)
-    hanging = [int(c) for u in spine for c in tree.children(u)
-               if int(c) not in on_spine]
-    if not hanging:
+    on_spine = np.zeros(tree.n, dtype=bool)
+    on_spine[root_path(tree, v)] = True
+    kids = tree.child_flat
+    hanging = kids[on_spine[tree.parent[kids]] & ~on_spine[kids]]
+    if not hanging.size:
         return 1.0
+    metrics = compute_metrics(tree)
     # the hanging subtrees are disjoint: one ancestor_sum labels them all
     label = np.zeros(tree.n, dtype=np.int64)
-    label[hanging] = np.arange(1, len(hanging) + 1)
+    label[hanging] = np.arange(1, hanging.size + 1)
     label = _kernels.ancestor_sum(tree, label)
     inside = label > 0
-    top = np.zeros(len(hanging) + 1, dtype=np.int64)
+    top = np.zeros(hanging.size + 1, dtype=np.int64)
     np.maximum.at(top, label[inside], metrics.path_load[inside])
-    c = np.array(hanging)
-    local_max = top[1:] - metrics.path_load[tree.parent[c]]
-    return max(1.0, float((local_max / metrics.subtree_size[c]).max()))
+    local_max = top[1:] - metrics.path_load[tree.parent[hanging]]
+    return max(1.0, float((local_max / metrics.subtree_size[hanging]).max()))
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import _kernels
 from .errors import RejectionCapError, ResourceLimitError, ValidationError
 from .rng import SplitMix64, derive_seed, derive_seeds, uniforms
 from .tree import RootedTree, compute_metrics, from_parents, reroot, root_path
@@ -274,18 +275,22 @@ def hanging_sizes(tree: RootedTree, v: int) -> np.ndarray:
     return sizes
 
 
-def _segment_with_binaries(seg_edges: int, attachments) -> RootedTree:
-    """Segment 0..seg_edges with a level-filled binary tree of the given
-    size hanging at each listed distance (size 0 attaches nothing)."""
-    _check_size(seg_edges + 1 + sum(max(size, 0) for _, size in attachments))
-    parent = [-1] + list(range(seg_edges))
-    for dist, size in attachments:
-        if size <= 0:
-            continue
-        base = len(parent)
-        parent.append(dist)  # binary root hangs off the segment vertex
-        parent.extend(base + (i - 1) // 2 for i in range(1, size))
-    return from_parents(len(parent), parent)
+def _segment_with_binaries(seg_edges: int, sizes) -> RootedTree:
+    """Segment 0..seg_edges with a level-filled binary tree of ``sizes[i]``
+    vertices hanging at distance i (size 0 attaches nothing), built as one
+    int64 parent array: binary vertex j of a block starting at vertex b has
+    parent b + (j - 1) // 2, and its root the segment vertex.  The sizes
+    must fit int64; callers refuse larger requests on Python ints first."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    _check_size(seg_edges + 1 + int(np.minimum(sizes, HARD_VERTEX_CAP + 1).sum()))
+    dist = np.flatnonzero(sizes)
+    size = sizes[dist]
+    start = np.repeat(np.cumsum(size) - size, size)  # block start, per binary vertex
+    local = np.arange(start.size) - start
+    hang = np.where(local == 0, np.repeat(dist, size),
+                    seg_edges + 1 + start + (local - 1) // 2)
+    parent = np.concatenate((np.arange(-1, seg_edges), hang))
+    return from_parents(parent.size, parent)
 
 
 def retraction(tree: RootedTree, v: int) -> RootedTree:
@@ -298,18 +303,19 @@ def retraction(tree: RootedTree, v: int) -> RootedTree:
     if v == tree.root:
         raise ValidationError("retraction needs a vertex different from the root")
     sizes = hanging_sizes(tree, v)
-    k = len(sizes) - 1
-    return _segment_with_binaries(k, list(enumerate(int(s) for s in sizes)))
+    return _segment_with_binaries(sizes.size - 1, sizes)
 
 
 def cor15_tree(n: int) -> RootedTree:
     """Segment of n edges with a binary tree of size floor(n/(i+1)^2) at
     distance i from the root, for every i in 0..n; the sizes are 0 from
-    i = isqrt(n) on, so only the first isqrt(n) are listed."""
+    i = isqrt(n) on, so only the first isqrt(n) are listed, once the
+    segment alone is known to fit."""
     if n < 1:
         raise ValidationError(f"family parameter must be >= 1, got {n}")
-    return _segment_with_binaries(
-        n, [(i, n // (i + 1) ** 2) for i in range(math.isqrt(n))])
+    _check_size(n + 1)
+    i = np.arange(math.isqrt(n), dtype=np.int64)
+    return _segment_with_binaries(n, n // (i + 1) ** 2)
 
 
 def peres_sousi(k: int) -> RootedTree:
@@ -320,9 +326,12 @@ def peres_sousi(k: int) -> RootedTree:
         raise ValidationError(f"parameter must be even and >= 2, got {k}")
     n_k = 2 ** (2 ** k)
     big = n_k ** 3
-    attachments = [(0, big)]
-    attachments += [(2 ** (2 ** i), big // 2 ** (2 ** i)) for i in range(k // 2, k + 1)]
-    return _segment_with_binaries(n_k, attachments)
+    dist = [0] + [2 ** (2 ** i) for i in range(k // 2, k + 1)]
+    size = [big] + [big // d for d in dist[1:]]
+    _check_size(n_k + 1 + sum(size))  # on Python ints: these overflow int64 from k = 6
+    sizes = np.zeros(n_k + 1, dtype=np.int64)
+    sizes[dist] = size
+    return _segment_with_binaries(n_k, sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -543,50 +552,49 @@ class Contour:
     steps: np.ndarray
     depths: np.ndarray
     n: int
-    scale: float = 1.0
 
 
 def contour(tree: RootedTree, labels: Sequence[int]) -> Contour:
     """Contour walk visiting children in ascending label order.
 
-    ``labels`` must be a permutation of 1..n indexed by vertex.
+    ``labels`` must be a permutation of 1..n indexed by vertex.  Each step
+    is placed, not walked to: with the children of every vertex ordered by
+    label, the preorder number pre(v) sums, along the root path of v, one
+    plus the subtree sizes of the earlier siblings (one ``ancestor_sum``).
+    The walk first reaches v at step 2 pre(v) - depth(v), and steps from v
+    back to its parent 2 |subtree(v)| - 1 steps later.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != (tree.n,) or sorted(labels.tolist()) != list(range(1, tree.n + 1)):
+    if labels.shape != (tree.n,) or not np.array_equal(np.sort(labels),
+                                                       np.arange(1, tree.n + 1)):
         raise ValidationError("labels must be a permutation of 1..n, one per vertex")
-    depth = compute_metrics(tree).depth
-    steps = []
-    # stack holds (vertex, iterator over its children sorted by label)
-    order_children = lambda v: sorted((int(c) for c in tree.children(v)),
-                                      key=lambda c: labels[c])
-    stack = [(tree.root, iter(order_children(tree.root)))]
-    steps.append(tree.root)
-    while stack:
-        v, it = stack[-1]
-        child = next(it, None)
-        if child is None:
-            stack.pop()
-            if stack:
-                steps.append(stack[-1][0])
-        else:
-            steps.append(child)
-            stack.append((child, iter(order_children(child))))
-    steps = np.array(steps, dtype=np.int64)
+    metrics = compute_metrics(tree)
+    size, depth = metrics.subtree_size, metrics.depth
+    # the child lists of child_flat, in place, each ordered by label
+    flat = tree.child_flat
+    kids = flat[np.lexsort((labels[flat], tree.parent[flat]))]
+    before = np.cumsum(size[kids]) - size[kids]
+    own = np.zeros(tree.n, dtype=np.int64)
+    own[kids] = 1 + before - before[tree.child_ptr[tree.parent[kids]]]
+    first = 2 * _kernels.ancestor_sum(tree, own) - depth
+    steps = np.empty(2 * tree.n - 1, dtype=np.int64)
+    steps[first] = np.arange(tree.n)
+    steps[first[kids] + 2 * size[kids] - 1] = tree.parent[kids]
     return Contour(steps=steps, depths=depth[steps], n=tree.n)
 
 
-def normalized_contour(cont: Contour, c: Optional[float] = None) -> np.ndarray:
+def normalized_contour(cont: Contour, c: float = 1.0) -> np.ndarray:
     """Sample table of the rescaled contour on [0, 1].
 
     Row i holds (i/2n, c * n^(-1/2) * depth(step i)) for i = 1..2n-1, with
     zero endpoints pinned at 0 and 1; linear interpolation between rows
     recovers the full function.
     """
-    scale = cont.scale if c is None else float(c)
-    if scale <= 0:
-        raise ValidationError(f"normalization constant must be positive, got {scale}")
+    c = float(c)
+    if c <= 0:
+        raise ValidationError(f"normalization constant must be positive, got {c}")
     n = cont.n
     xs = np.arange(2 * n + 1, dtype=np.float64) / (2 * n)
     ys = np.zeros(2 * n + 1, dtype=np.float64)
-    ys[1:2 * n] = scale * n ** -0.5 * cont.depths
+    ys[1:2 * n] = c * n ** -0.5 * cont.depths
     return np.column_stack([xs, ys])

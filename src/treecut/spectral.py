@@ -4,10 +4,10 @@ The walk moves along every edge at rate 1, so its generator is A - D and
 the spectral gap equals the second-smallest eigenvalue of the Laplacian
 Q = D - A.  Everything here is derived from Q: exact dense spectra (below a
 configurable vertex cap), an iterative gap solver for larger trees, the
-bottom eigenpairs certified by an inertia count, the Rayleigh quotient,
-the discrete Hardy characterization with its two-sided interval,
-weighted-path upper bounds on the relaxation time, and the exact
-constrained-minimum ``nu`` of squared edge weights covering a vertex set.
+bottom eigenpairs certified by an inertia count, the discrete Hardy
+characterization with its two-sided interval, weighted-path upper bounds
+on the relaxation time, and the exact constrained-minimum ``nu`` of
+squared edge weights covering a vertex set.
 
 Dense eigendecompositions use the LAPACK symmetric solver and are cached
 per tree.  The dense cap defaults to 4096 vertices and can be overridden
@@ -38,7 +38,7 @@ from .tree import (CenterOfMass, RootedTree, _per_tree, center_of_mass,
 __all__ = [
     "Eigensystem", "SpectrumResult", "HardyCertificate", "HardyLowerBound",
     "dense_cap", "laplacian", "decompose", "spectrum",
-    "gap_iterative", "count_below", "bottom_pairs", "rayleigh",
+    "gap_iterative", "count_below", "bottom_pairs",
     "hardy_constant", "hardy_interval", "retraction_weights", "weighted_path_bound",
     "bound_log_diameter", "bound_summable_weights", "bound_path_load",
     "bound_tail", "hardy_lower", "nu_exact",
@@ -303,25 +303,6 @@ def bottom_pairs(tree: RootedTree, span: float) -> Optional[Eigensystem]:
                        floor=sigma if p < tree.n - 1 else np.inf)
 
 
-def rayleigh(tree: RootedTree, f) -> float:
-    """Dirichlet form over variance of a per-vertex function.
-
-    Both are normalized by n, so the quotient is the usual variational
-    upper bound on the spectral gap.
-    """
-    f = np.asarray(f, dtype=np.float64)
-    if f.shape != (tree.n,):
-        raise ValidationError(f"expected {tree.n} function values, got shape {f.shape}")
-    n = tree.n
-    var = float(f @ f) / n - (float(f.sum()) / n) ** 2
-    if var <= 1e-300:
-        raise DegenerateInputError("variance is zero: the function is constant")
-    nonroot = np.nonzero(tree.parent >= 0)[0]
-    diffs = f[nonroot] - f[tree.parent[nonroot]]
-    energy = float(diffs @ diffs) / n
-    return energy / var
-
-
 # ---------------------------------------------------------------------------
 # the discrete Hardy inequality on a rooted tree
 # ---------------------------------------------------------------------------
@@ -421,22 +402,18 @@ def _split(tree: RootedTree) -> Tuple[CenterOfMass, Optional[RootedTree]]:
 # weighted-path upper bounds on the relaxation time
 # ---------------------------------------------------------------------------
 
-def retraction_weights(tree: RootedTree, spine: Iterable[int]) -> np.ndarray:
-    """The comb weights for ``weighted_path_bound``, one per vertex.
+def retraction_weights(tree: RootedTree, v: int) -> np.ndarray:
+    """The comb weights for ``weighted_path_bound``, one per vertex, along
+    the spine that is the root path of ``v``.
 
     depth^(-1/2) along the spine, and 1/(sqrt(max(i,1)) * (depth - i)^2)
     inside the subtree hanging at spine position i; the root's entry is 0.
-    The spine is a root path, root first (as returned by ``root_path``).
     """
-    path = [int(v) for v in spine]
-    if (not path or path[0] != tree.root
-            or any(tree.parent[v] != u for u, v in zip(path, path[1:]))):
-        raise ValidationError("retraction spine must be a root path, root first")
     depth = tree.depth
     on_spine = np.zeros(tree.n, dtype=np.int64)
-    on_spine[path[1:]] = 1
-    # spine position i = depth of the deepest spine vertex on the root
-    # path, which on a root-path spine counts its spine vertices
+    on_spine[root_path(tree, v)[1:]] = 1
+    # spine position i = the number of non-root spine vertices on the
+    # root path, which is the depth of the deepest of them
     anchor = _kernels.ancestor_sum(tree, on_spine)
     a = np.zeros(tree.n, dtype=np.float64)
     spine = on_spine == 1
@@ -560,7 +537,10 @@ def hardy_lower(tree: RootedTree) -> HardyLowerBound:
                            numerator=float(S @ S), denominator=float(g @ g))
 
 
-def nu_exact(tree: RootedTree, B: Iterable[int], cap: int = 12) -> float:
+NU_CAP = 12  # largest |B| that nu_exact enumerates
+
+
+def nu_exact(tree: RootedTree, B: Iterable[int]) -> float:
     """Exact minimum of sum f(e)^2 subject to unit root-path sums on B.
 
     Solved by enumerating active constraint subsets: for each nonempty
@@ -574,8 +554,8 @@ def nu_exact(tree: RootedTree, B: Iterable[int], cap: int = 12) -> float:
         raise ValidationError("B must be nonempty")
     if tree.root in B:
         raise ValidationError("B must not contain the root")
-    if len(B) > cap:
-        raise ValidationError(f"|B| = {len(B)} exceeds the enumeration cap {cap}")
+    if len(B) > NU_CAP:
+        raise ValidationError(f"|B| = {len(B)} exceeds the enumeration cap {NU_CAP}")
     for v in B:
         if not 0 <= v < tree.n:
             raise ValidationError(f"vertex {v} out of range")

@@ -16,9 +16,11 @@ around a vertex separator ("center of mass").  Every pass over the tree is
 a ``subtree_sum`` or an ``ancestor_sum`` from :mod:`treecut._kernels`;
 vertex sets below an anchor are read off an ``ancestor_sum`` of anchor
 labels, one call per set of disjoint subtrees; a root path is gathered
-through the jump tables in ``depth.bit_length()`` numpy calls.  The one
-pass of another kind, ``root_orbits`` (the classes of vertices that an
-automorphism fixing the root can exchange), runs level by level.
+through the jump tables in ``depth.bit_length()`` numpy calls.  The rule
+holds package-wide: outside the two kernels there are only the level
+passes ``root_orbits`` (the classes of vertices that an automorphism
+fixing the root can exchange) and ``spectral.count_below``.  Child lists
+are walked only here, and only around one vertex (``center_of_mass``).
 """
 
 from __future__ import annotations

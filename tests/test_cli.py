@@ -91,10 +91,13 @@ class TestGen:
         assert (code, out) == (3, "") and "hard cap" in err
 
     @pytest.mark.parametrize("family, n", [("cor15", "8000000"),
-                                           ("ssym_binary", "2000000")])
+                                           ("cor15", "1000000000000000000"),
+                                           ("ssym_binary", "2000000"),
+                                           ("peres_sousi", "6")])
     def test_oversized_member_exits_3_before_listing_it(self, family, n, capsys):
-        # some 21 million vertices and 2^2000001 - 1: refused before cor15
-        # lists its attachments or ssym_binary its degrees
+        # some 21 million vertices, 10^18, 2^2000001 - 1 and 2^192: refused
+        # before cor15 lists its attachments, ssym_binary its degrees, or
+        # peres_sousi casts its sizes to int64
         code, out, err = run_cli(["gen", "--family", family, "--n", n], capsys)
         assert (code, out) == (3, "") and "hard cap" in err
 

@@ -9,8 +9,14 @@ import treecut as T
 from treecut import criteria as C
 from treecut.errors import ValidationError
 from treecut.generate import OffspringDistribution as OD
+from treecut.mixing import _gap
 
-from util import brute_tail_value
+from util import brute_subtree_size, brute_tail_value
+
+
+def product_ratio(tree, epsilon):
+    """t_mix(epsilon) times the spectral gap that ``mixing_time`` searches on."""
+    return T.mixing_time(tree, epsilon).t_mix * _gap(tree)[0]
 
 
 def make_rows(family, sizes, eps=0.25):
@@ -32,17 +38,17 @@ class TestFitLoglog:
 
 
 def test_product_ratio_two_path():
-    assert C.product_ratio(T.segment(1), 0.25) == pytest.approx(np.log(2), rel=1e-7)
+    assert product_ratio(T.segment(1), 0.25) == pytest.approx(np.log(2), rel=1e-7)
 
 
 def test_product_ratio_bounded_on_segments():
-    ratios = [C.product_ratio(T.segment(n), 0.25) for n in (8, 16, 32)]
+    ratios = [product_ratio(T.segment(n), 0.25) for n in (8, 16, 32)]
     assert max(ratios) / min(ratios) < 1.1
 
 
 def test_product_ratio_flat_on_stars():
     sizes = (16, 32, 64, 128)
-    ratios = [C.product_ratio(T.spherically_symmetric([m]), 0.25)
+    ratios = [product_ratio(T.spherically_symmetric([m]), 0.25)
               for m in sizes]
     fit = C.fit_loglog([m + 1 for m in sizes], ratios)
     assert fit.slope < 0.05
@@ -136,7 +142,7 @@ class TestRetractionReport:
                                          for i in range(depth)])
             deep = int(np.argmax(T.compute_metrics(t).depth))
             reports.append(C.retraction_report(t, deep))
-            ratios.append(C.product_ratio(t, 0.25))
+            ratios.append(product_ratio(t, 0.25))
         fits = C.retraction_trend(reports)["fits"]
         assert fits["path_edge_negligible"].slope < -0.05
         assert max(ratios) / min(ratios) < 1.5
@@ -155,25 +161,41 @@ class TestRetractionReport:
 class TestRetractionAlpha:
     def test_binary_attachments_at_most_two(self):
         t = T.cor15_tree(32)
-        alpha = C.retraction_alpha(t, T.root_path(t, 32))
+        alpha = C.retraction_alpha(t, 32)
         assert 1.0 <= alpha <= 2.0
 
     def test_path_attachments(self):
         # segment 0..3 with a 6-vertex path hanging at vertex 1
         parent = [-1, 0, 1, 2] + [1, 4, 5, 6, 7, 8]
         t = T.from_parents(10, parent)
-        alpha = C.retraction_alpha(t, [0, 1, 2, 3])
+        alpha = C.retraction_alpha(t, 3)
         assert alpha == pytest.approx((6 + 1) / 2)
 
     def test_no_attachments_defaults_to_one(self):
         t = T.segment(5)
-        assert C.retraction_alpha(t, T.root_path(t, 5)) == 1.0
+        assert C.retraction_alpha(t, 5) == 1.0
 
-    def test_spine_validation(self):
-        with pytest.raises(ValidationError):
-            C.retraction_alpha(T.segment(3), [1, 2])
-        with pytest.raises(ValidationError):
-            C.retraction_alpha(T.segment(3), [0, 2])
+    def test_matches_brute_hanging_subtrees(self, small_suite):
+        # each hanging subtree R: path loads summed from its top c down,
+        # by flood-fill subtree sizes, over |R|
+        for t in small_suite:
+            for v in {t.root, int(np.argmax(t.depth)), t.n - 1}:
+                spine = T.root_path(t, v)
+                worst = 1.0
+                for c in range(t.n):
+                    if c in spine or int(t.parent[c]) not in spine:
+                        continue
+                    loads = {c: brute_subtree_size(t, c)}
+                    for w in sorted(range(t.n), key=lambda w: t.depth[w]):
+                        if int(t.parent[w]) in loads:
+                            loads[w] = loads[int(t.parent[w])] + brute_subtree_size(t, w)
+                    worst = max(worst, max(loads.values()) / len(loads))
+                assert C.retraction_alpha(t, v) == worst
+
+    def test_spine_end_validation(self):
+        for v in (-1, 4):
+            with pytest.raises(ValidationError):
+                C.retraction_alpha(T.segment(3), v)
 
 
 class TestAnalyzeAndSweep:
@@ -310,10 +332,9 @@ def test_quadratic_mass_comb_shows_cutoff_trend():
     ratios = []
     reports = []
     for n in (8, 16, 24, 32):
-        t = _segment_with_binaries(n, [(i, n * n // (i + 1) ** 2)
-                                       for i in range(n + 1)])
+        t = _segment_with_binaries(n, [n * n // (i + 1) ** 2 for i in range(n + 1)])
         reports.append(C.retraction_report(t, n))
-        ratios.append(C.product_ratio(t, 0.25))
+        ratios.append(product_ratio(t, 0.25))
     assert all(a < b for a, b in zip(ratios, ratios[1:]))
     assert ratios[-1] / ratios[0] > 1.25
     fits = C.retraction_trend(reports)["fits"]

@@ -1,6 +1,8 @@
 """Tree family generators, offspring laws, contours."""
 
+import hashlib
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,9 +16,11 @@ from treecut.errors import (RejectionCapError, ResourceLimitError,
 from treecut.generate import OffspringDistribution as OD
 from treecut.rng import SplitMix64
 
-from util import (brute_reroot_parent, loop_conditioned_sizes, loop_gw_survival_truncated,
-                  loop_gw_tree, loop_kesten_tree, random_tree, scalar_offspring,
-                  scalar_poisson)
+from util import (brute_reroot_parent, loop_conditioned_sizes, loop_contour,
+                  loop_gw_survival_truncated, loop_gw_tree, loop_kesten_tree,
+                  random_tree, scalar_offspring, scalar_poisson)
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 class TestOffspring:
@@ -146,7 +150,7 @@ class TestDeterministicFamilies:
         # with an attachment listed at every distance 0..n
         for n in range(1, 301):
             full = generate._segment_with_binaries(
-                n, [(i, n // (i + 1) ** 2) for i in range(n + 1)])
+                n, [n // (i + 1) ** 2 for i in range(n + 1)])
             assert np.array_equal(T.cor15_tree(n).parent, full.parent)
 
     def test_cor15_root_split_balance(self):
@@ -180,10 +184,15 @@ class TestDeterministicFamilies:
     @pytest.mark.parametrize("build", [
         lambda: T.cor15_tree(200_000),
         lambda: criteria._build_family_member("ssym_binary", 2_000_000, None, None),
-    ], ids=["cor15", "ssym_binary"])
+        lambda: T.cor15_tree(10**18),
+        lambda: T.peres_sousi(6),
+        lambda: T.peres_sousi(8),
+    ], ids=["cor15", "ssym_binary", "cor15_1e18", "peres_sousi_6", "peres_sousi_8"])
     def test_refused_before_listing_the_construction(self, build, monkeypatch):
-        # cor15 used to list n + 1 attachments (17 MB here) and ssym_binary
-        # a degree list of n entries (16 MB) before the cap refused them
+        # cor15 used to list n + 1 attachments (17 MB here), later isqrt(n)
+        # of them (10^9 at 10^18), and ssym_binary a degree list of n
+        # entries (16 MB) before the cap refused them; peres_sousi's sizes
+        # (2^192 and 2^768) overflow any int64 cast made before the check
         monkeypatch.setattr(generate, "HARD_VERTEX_CAP", 100)
         tracemalloc.start()
         try:
@@ -192,6 +201,26 @@ class TestDeterministicFamilies:
             assert tracemalloc.get_traced_memory()[1] < 1_000_000
         finally:
             tracemalloc.stop()
+
+    def test_constructions_match_recorded_digests(self):
+        # SHA-256 of the canonical text of each construction, recorded from
+        # the list-of-attachments builder that the array builder replaced
+        def digest(*trees):
+            h = hashlib.sha256()
+            for t in trees:
+                h.update(T.to_text(t).encode("ascii"))
+            return h.hexdigest()
+
+        tall = [random_tree(40, seed=s, tall=True) for s in range(20)]
+        assert digest(*map(T.cor15_tree, range(1, 301))) == (
+            "85aeafc4eb16887d4ae7d98716f106ea987ce77758f64d714a9306d67188315b")
+        assert digest(T.cor15_tree(16384)) == (
+            "cd01da7653397b808b39353b2ba82b39e1ede130f4fab8d00e4ca5d0cf4f8798")
+        assert digest(T.peres_sousi(2)) == (
+            "a90a8332a96964c48001e8c34eed76f44d16330bfe38f227758257ef97b2fa69")
+        assert digest(T.retraction(T.cor15_tree(16), 16), T.retraction(T.peres_sousi(2), 16),
+                      *(T.retraction(t, int(np.argmax(t.depth))) for t in tall)) == (
+            "348b64f727fb0c7c42ea6b81f77c5dce14432244d08ef685a46074176686ec06")
 
     def test_peres_sousi_validation(self):
         with pytest.raises(ValidationError):
@@ -542,8 +571,25 @@ class TestContour:
         assert c2.steps.tolist() == [0, 2, 0, 1, 0]
 
     def test_labels_validated(self):
-        with pytest.raises(ValidationError):
-            T.contour(T.segment(1), [1, 1])
+        for labels in ([1, 1], [0, 1], [1, 2, 3], [[1, 2]]):
+            with pytest.raises(ValidationError):
+                T.contour(T.segment(1), labels)
+
+    def test_matches_loop_contour_on_suite(self, random_suite):
+        for i, t in enumerate(random_suite):
+            labels = list(range(1, t.n + 1))
+            SplitMix64(i).shuffle(labels)
+            c = T.contour(t, labels)
+            assert (c.steps.tolist(), c.depths.tolist()) == loop_contour(t, labels)
+
+    def test_matches_loop_contour_on_labelled_fixture(self):
+        t = T.from_text((FIXTURES / "gw_size_geom_p05_n30_seed9.txt").read_text())
+        labels = [int(x) for x in
+                  (FIXTURES / "gw_size_geom_p05_n30_seed9.labels.txt").read_text().split()]
+        # as sampled, and re-rooted at the vertex labelled 1
+        for tree in (t, T.reroot(t, labels.index(1))):
+            c = T.contour(tree, labels)
+            assert (c.steps.tolist(), c.depths.tolist()) == loop_contour(tree, labels)
 
     @given(n=st.integers(1, 30), seed=st.integers(0, 2**31))
     @settings(max_examples=40, deadline=None)

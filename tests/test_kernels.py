@@ -1,5 +1,8 @@
-"""The two tree primitives against the brute-force oracles, and the tree
-solve built on them against dense linear algebra."""
+"""The two tree primitives against the brute-force oracles, the tree solve
+built on them against dense linear algebra, and the rule that no other
+module walks the tree one child list at a time."""
+
+import ast
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ import treecut as T
 from treecut import _kernels
 from treecut.spectral import laplacian
 
-from util import (bfs_levels, brute_depth, brute_path_load,
+from util import (REPO_ROOT, bfs_levels, brute_depth, brute_path_load,
                   brute_subtree_size, level_ancestor_sum, level_subtree_sum,
                   random_tree)
 
@@ -82,3 +85,22 @@ def test_tree_solve_solves_dirichlet_system():
     resid[t.root] = 0.0  # the root row is replaced by the pin x[root]=0
     assert np.abs(resid).max() < 1e-9
     assert x[t.root] == 0.0
+
+
+def test_child_lists_are_walked_only_in_tree():
+    # outside tree.py, a tree pass is a kernel call or array arithmetic: no
+    # module calls ``.children(...)`` inside a loop or a comprehension
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+             ast.GeneratorExp)
+    walks = []
+    for path in sorted((REPO_ROOT / "src" / "treecut").glob("*.py")):
+        if path.name == "tree.py":
+            continue
+        module = ast.parse(path.read_text(encoding="utf-8"))
+        for loop in ast.walk(module):
+            if isinstance(loop, loops):
+                walks += [f"{path.name}:{node.lineno}" for node in ast.walk(loop)
+                          if isinstance(node, ast.Call)
+                          and isinstance(node.func, ast.Attribute)
+                          and node.func.attr == "children"]
+    assert not walks, sorted(set(walks))

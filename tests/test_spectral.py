@@ -102,6 +102,18 @@ class TestGapIterative:
     def test_two_path(self):
         assert T.gap_iterative(T.segment(1)) == pytest.approx(2.0, rel=1e-10)
 
+    @pytest.mark.parametrize("legs", [[10, 10] + [1] * 30, [8, 8, 8] + [1] * 40],
+                             ids=["two_long_legs", "three_long_legs"])
+    def test_matches_dense_on_spiders(self, legs):
+        # the gap eigenvector has almost no overlap with the center-of-mass
+        # split vector: a solve started from that vector would stop at a
+        # wrong Ritz value (0.03301 against 0.02234 on the first spider)
+        parent = [-1]
+        for length in legs:
+            parent += [0] + list(range(len(parent), len(parent) + length - 1))
+        t = T.from_parents(len(parent), parent)
+        assert T.gap_iterative(t) == pytest.approx(T.spectrum(t).gap, rel=1e-8)
+
     def test_basis_grows_with_the_iteration(self):
         # converges in about 10 steps: the basis must not be sized by the step cap
         t = T.binary_of_size(20_000)
@@ -189,30 +201,6 @@ class TestBottomPairs:
 
     def test_single_vertex(self):
         assert T.bottom_pairs(T.from_parents(1, [-1]), self.SPAN) is None
-
-
-class TestRayleigh:
-    def test_two_path_by_hand(self):
-        assert T.rayleigh(T.segment(1), [0.0, 1.0]) == pytest.approx(2.0)
-
-    def test_eigenvector_attains_gap(self, small_suite):
-        for t in small_suite[:10]:
-            eig = T.decompose(t)
-            f = eig.vectors[:, 1]
-            assert T.rayleigh(t, f) == pytest.approx(eig.values[1], abs=1e-8)
-
-    def test_variational_over_random_functions(self):
-        for seed in range(5):
-            t = random_tree(25, seed=seed)
-            gap = T.spectrum(t).gap
-            rng = SplitMix64(seed)
-            for _ in range(1000):
-                f = np.array([rng.random() for _ in range(t.n)])
-                assert T.rayleigh(t, f) >= gap - 1e-8
-
-    def test_constant_function_rejected(self):
-        with pytest.raises(DegenerateInputError):
-            T.rayleigh(T.segment(2), [1.0, 1.0, 1.0])
 
 
 class TestHardyConstant:
@@ -362,11 +350,10 @@ class TestWeightedPathBound:
 
     def test_retraction_scheme_on_comb(self):
         t = T.cor15_tree(32)
-        spine = T.root_path(t, 32)
-        bound = T.weighted_path_bound(t, T.retraction_weights(t, spine))
+        bound = T.weighted_path_bound(t, T.retraction_weights(t, 32))
         assert bound >= T.spectrum(t).t_rel - 1e-9
-        with pytest.raises(ValidationError):  # the spine must start at the root
-            T.retraction_weights(t, spine[1:])
+        with pytest.raises(ValidationError):  # the spine's end must be a vertex
+            T.retraction_weights(t, t.n)
 
     def test_nonpositive_weight_rejected(self):
         # zero, negative and non-finite edge weights, and wrong lengths
@@ -381,9 +368,8 @@ class TestWeightedPathBound:
         for t in self.trees(small_suite):
             deep = int(np.argmax(t.depth))
             for v in {deep, t.n - 1, t.root}:
-                spine = T.root_path(t, v)
-                assert np.array_equal(T.retraction_weights(t, spine),
-                                      loop_edge_weights(t, spine))
+                assert np.array_equal(T.retraction_weights(t, v),
+                                      loop_edge_weights(t, T.root_path(t, v)))
 
     def test_summable_matches_depth_loop(self, small_suite):
         # the loop calls func on each depth k as a Python int; numpy's

@@ -220,6 +220,25 @@ def loop_edge_weights(tree, spine):
     return a
 
 
+def loop_contour(tree, labels):
+    """Contour walk by an explicit depth-first stack, children in ascending
+    label order, one step at a time: the steps and their depths."""
+    order_children = lambda v: sorted((int(c) for c in tree.children(v)),
+                                      key=lambda c: labels[c])
+    stack = [(tree.root, iter(order_children(tree.root)))]
+    steps = [tree.root]
+    while stack:
+        child = next(stack[-1][1], None)
+        if child is None:
+            stack.pop()
+            if stack:
+                steps.append(stack[-1][0])
+        else:
+            steps.append(child)
+            stack.append((child, iter(order_children(child))))
+    return steps, [brute_depth(tree, v) for v in steps]
+
+
 def brute_max_edge_load(tree):
     best = 0
     for v in range(tree.n):

@@ -121,8 +121,9 @@ def analyze_tree(tree: RootedTree, epsilon: float, size_label: float) -> FamilyR
 
     t_rel comes from what ``mixing_time`` searches on (orbit quotients on
     symmetric trees, bottom eigenpairs from ``mixing.PARTIAL_MIN_VERTICES``
-    vertices on).  The refusal is read before ``mixing_time``, which
-    answers 0 at epsilon >= 1 - 1/n without asking the chooser.  Bounded
+    vertices on, and on tall trees from ``mixing.TALL_MIN_VERTICES``).  The
+    refusal is read before ``mixing_time``, which answers 0 at
+    epsilon >= 1 - 1/n without asking the chooser.  Bounded
     rows compute no gap; their ``t_mix_lower`` is the hitting bound of
     ``mixing_lower_bounds`` at min(epsilon, delta), on the split that the
     Hardy lower bound already made.

@@ -18,12 +18,14 @@ the starts an automorphism swaps (they tie exactly) it names does not
 depend on how BLAS rounds a block.
 
 So the search needs only the eigenpairs below a floor.  From
-``PARTIAL_MIN_VERTICES`` vertices up to the dense cap they come from
-``spectral.bottom_pairs`` (Lanczos on the pseudo-inverse, completeness
-certified by an inertia count), with the floor set so that every time
-from t_rel / 2 on is covered; the full ``decompose`` serves smaller trees
-and trees whose bottom pairs cannot be certified (repeated eigenvalues),
-and takes over a search that reaches an earlier time.
+``PARTIAL_MIN_VERTICES`` vertices up to the dense cap, and from
+``TALL_MIN_VERTICES`` on for tall trees (height^2 >= n), they come from
+``spectral.bottom_pairs`` (Lanczos on the pseudo-inverse, restarted through
+repeated eigenvalues, completeness certified by an inertia count), with the
+floor set so that every time from t_rel / 2 on is covered; the full
+``decompose`` serves smaller trees and trees whose bottom pairs the
+restarts cannot certify within their step budget, and takes over a search
+that reaches an earlier time.
 
 Symmetric trees need neither: the walk lumps exactly onto orbits
 (Levin-Peres-Wilmer, section 2.3.1).  The automorphisms that fix the root
@@ -102,10 +104,14 @@ __all__ = [
 
 
 TAIL_TOL = 1e-12  # certified truncation error allowed per TV evaluation
-# From this size up to the dense cap the search runs on bottom pairs: random
-# recursive trees, the slowest case for them, reach parity with the dense
-# eigh at 400-500 vertices.
+# From PARTIAL_MIN_VERTICES up to the dense cap the search runs on bottom
+# pairs (shallow random recursive trees, their slowest case, reach parity
+# with the dense eigh at 400-500 vertices), and on tall trees (height^2 >= n)
+# from TALL_MIN_VERTICES: gap plus t_mix on ten GW trees, four tall random
+# trees and four with equal legs took 0.47-0.90 times the dense time at 320
+# vertices, 0.59-1.06 at 300 and 0.72-1.31 at 250.
 PARTIAL_MIN_VERTICES = 512
+TALL_MIN_VERTICES = 320
 # From this size up to the dense cap the search runs on orbit quotients when
 # the starts times the largest quotient are at most ORBIT_RATIO n.  Measured
 # against the dense eigh: stars and spherically symmetric trees reach parity
@@ -124,12 +130,13 @@ def _modes(tree: RootedTree) -> Union[Eigensystem, "_Orbits", ResourceLimitError
     ``ResourceLimitError`` that ``decompose`` would raise there.  Up to the
     cap, from ``ORBIT_MIN_VERTICES`` vertices on, the orbit quotients when
     ``_orbit_quotients`` finds them small.  Otherwise, from
-    ``PARTIAL_MIN_VERTICES`` on, ``bottom_pairs`` with the floor
+    ``PARTIAL_MIN_VERTICES`` on, and from ``TALL_MIN_VERTICES`` on where
+    height^2 >= n, ``bottom_pairs`` with the floor
     sigma = 2 ln(sqrt(n) / TAIL_TOL) times the gap, where the tail
     1/2 sqrt(n) exp(-t sigma) is TAIL_TOL / 2 at t = t_rel / 2, so it
     serves every time from t_rel / 2 on; earlier times, a curve from t = 0
     among them, switch to ``decompose`` in ``_EigenStarts._kept``.  Below
-    that size and wherever ``bottom_pairs`` cannot certify its pairs, it is
+    those sizes and wherever ``bottom_pairs`` cannot certify its pairs, it is
     ``decompose``.  The cap is read on every call, the choice under it made
     once per tree.
     """
@@ -144,7 +151,8 @@ def _chosen(tree: RootedTree) -> Union[Eigensystem, "_Orbits"]:
     modes = None
     if ORBIT_MIN_VERTICES <= tree.n:
         modes = _orbit_quotients(tree)
-    if modes is None and PARTIAL_MIN_VERTICES <= tree.n:
+    if modes is None and (PARTIAL_MIN_VERTICES <= tree.n or
+                          TALL_MIN_VERTICES <= tree.n <= tree.height ** 2):
         modes = bottom_pairs(tree, 2.0 * np.log(np.sqrt(tree.n) / TAIL_TOL))
     return decompose(tree) if modes is None else modes
 
@@ -346,9 +354,12 @@ def _orbit_quotients(tree: RootedTree) -> Optional[_Orbits]:
     a root orbit share their depth and subtree size, so starts are at
     least the pairs of those, and at least height + 1.  The tree is
     classified only if pairs^2 is within the bound, and the classes of
-    each start are found only if starts^2 is.  The classes of start x are
-    (root orbit, depth of the lowest common ancestor with x), that depth
-    read off one ``ancestor_sum`` of x's root path.
+    each start are found only if starts^2 is, deepest start first (lowest
+    vertex first among equals): the longest root path meets the most
+    depths, so a tree turned down tends to stop at its first pass, where
+    ``binary_of_size(200)`` took six in orbit order.  The classes of start
+    x are (root orbit, depth of the lowest common ancestor with x), that
+    depth read off one ``ancestor_sum`` of x's root path.
     """
     limit = ORBIT_RATIO * tree.n
     pairs = np.unique(compute_metrics(tree).subtree_size * tree.n + tree.depth).size
@@ -358,8 +369,9 @@ def _orbit_quotients(tree: RootedTree) -> Optional[_Orbits]:
     starts = np.unique(orbit, return_index=True)[1]
     if starts.size ** 2 > limit:
         return None
-    partitions = []
-    for x in starts:
+    partitions = [None] * starts.size
+    for i in np.lexsort((starts, -tree.depth[starts])):
+        x = starts[i]
         on_path = np.zeros(tree.n, dtype=np.int64)
         on_path[root_path(tree, x)] = 1
         lca_depth = _kernels.ancestor_sum(tree, on_path)
@@ -367,7 +379,7 @@ def _orbit_quotients(tree: RootedTree) -> Optional[_Orbits]:
         blocks = (np.cumsum(np.bincount(key) > 0) - 1)[key]
         if starts.size * (blocks.max() + 1) > limit:
             return None
-        partitions.append(blocks)
+        partitions[i] = blocks
     quotients = []
     for x, blocks in zip(starts, partitions):
         sizes, generator = _lump(tree, blocks)

@@ -14,10 +14,11 @@ per tree.  The dense cap defaults to 4096 vertices and can be overridden
 with the ``TREECUT_MAX_VERTICES`` environment variable.  Every other
 eigenvalue comes from one Lanczos solver over tree passes: the gap above
 the cap, the Hardy constants, and the eigenpairs below a floor
-(``bottom_pairs``, which the mixing module searches on for larger trees
-under the cap).  ``count_below`` counts the eigenvalues below a shift by
-Sylvester's law of inertia, in one leaves-to-root elimination; it
-certifies that ``bottom_pairs`` missed none.
+(``bottom_pairs``, which the mixing module searches on for larger and
+tall trees under the cap, restarted through repeated eigenvalues).
+``count_below`` counts the eigenvalues below a shift by Sylvester's law
+of inertia, in one leaves-to-root elimination; it certifies that
+``bottom_pairs`` missed none.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DegenerateInputError, ResourceLimitError, ValidationError
-from .rng import SplitMix64
+from .rng import SplitMix64, derive_seed
 from .tree import (CenterOfMass, RootedTree, _per_tree, center_of_mass,
                    compute_metrics, from_parents, max_edge_load, max_path_load,
                    reroot, root_path, tail_profile)
@@ -191,24 +192,31 @@ def _lanczos_top(apply: Callable[[np.ndarray], np.ndarray],
     return thetas, done, basis[:j + 1].T @ vecs[:, :k]
 
 
-def _pinv_top(tree: RootedTree, wanted=None):
+def _pinv_top(tree: RootedTree, wanted=None, run: int = 0, found=None):
     """``_lanczos_top`` on the pseudo-inverse of Q over the mean-zero
-    subspace, from the seeded start: its top Ritz pairs are the bottom
+    subspace, from a seeded start: its top Ritz pairs are the bottom
     eigenpairs of Q.  Each application is one O(n) tree solve: the
     Dirichlet solve of Q with the root pinned to 0, ``(D - A) x = w`` on the
     other rows, is the subtree sums of w accumulated down the root paths,
     since child-to-parent elimination leaves every pivot 1 (no fill-in on a
-    tree)."""
+    tree).  Run 0 starts from the SplitMix64 vector of ``LANCZOS_SEED``, run
+    r from that of ``derive_seed(LANCZOS_SEED, r)``; the columns of
+    ``found`` (orthonormal, mean zero) are projected out of every vector,
+    twice, so the run sees Q deflated by them."""
     def apply_pinv(v):
         w = v - v.mean()
         x = _kernels.ancestor_sum(tree, _kernels.subtree_sum(tree, w))
         return x - x.mean()
 
-    def center(v):
+    def project(v):
         v -= v.mean()
+        if found is not None:
+            for _ in range(2):
+                v -= found @ (found.T @ v)
 
-    start = SplitMix64(LANCZOS_SEED).random_array(tree.n) - 0.5
-    return _lanczos_top(apply_pinv, center, start, wanted)
+    seed = derive_seed(LANCZOS_SEED, run) if run else LANCZOS_SEED
+    start = SplitMix64(seed).random_array(tree.n) - 0.5
+    return _lanczos_top(apply_pinv, project, start, wanted)
 
 
 def gap_iterative(tree: RootedTree) -> float:
@@ -266,40 +274,65 @@ def bottom_pairs(tree: RootedTree, span: float) -> Optional[Eigensystem]:
 
     ``_pinv_top`` runs until its top pair (the gap) converges, which fixes
     the floor ``sigma = span * gap``; ``count_below(sigma)`` then says how
-    many eigenvalues lie below it, and the run goes on until that many
-    Ritz pairs have converged, each inside the floor by more than its
-    residual.  A single Krylov space holds one vector per distinct
-    eigenvalue, so a repeated eigenvalue below the floor (a star, a
-    spherically symmetric tree) leaves the count unmet until the space is
-    exhausted or the run gives up after ``3 * count + 40`` steps (about
-    2.5 steps per pair suffice on trees without repeats); then None is
-    returned, for the caller to use ``decompose``.  Otherwise the result
-    holds eigenvalue 0 with the constant vector and the pairs found,
-    ascending, with ``floor`` sigma: every eigenvalue it omits is at least
-    sigma.  ``span`` must exceed 1.
+    many eigenvalues p lie below it, and the run goes on until p Ritz pairs
+    have converged, each inside the floor by more than its residual, or for
+    ``3 p + 40`` steps (about 2.5 steps per pair suffice without repeats).
+    One Krylov space holds one vector per distinct eigenvalue, so repeated
+    eigenvalues below the floor (stars, spherically symmetric trees, equal
+    legs on a vertex) leave the count unmet.  Then the converged pairs
+    inside the floor are kept, and deflated restarts (Parlett, *The
+    Symmetric Eigenvalue Problem*, ch. 13) seek the m still missing: runs of
+    ``_pinv_top`` from new seeds with the kept pairs projected out, each for
+    at most ``3 m + 40`` steps.  None is returned, for the caller to use
+    ``decompose``, if the gap never converges or at either exit of the
+    restarts: a run that converges no new pair (a stall), or the count
+    unmet after ``LANCZOS_MAX_STEPS`` steps over all runs (the step
+    budget).  Otherwise the result holds eigenvalue 0 with the constant
+    vector and the pairs found, ascending, with ``floor`` sigma: every
+    eigenvalue it omits is at least sigma.  ``span`` must exceed 1.
     """
     if tree.n < 2:
         return None
     need = []  # [sigma, number of nonzero eigenvalues below it], once known
+    thetas, pairs = np.empty(0), np.empty((tree.n, 0))  # kept so far
+    left = LANCZOS_MAX_STEPS  # steps the runs may still take
 
-    def wanted(thetas, done):
+    def inside(values, done):
+        return done & (values * (1.0 - LANCZOS_TOL) > 1.0 / need[0])
+
+    def wanted(values, done):
         if not need:
             if not done[0]:
                 return 1
-            sigma = span / thetas[0]
+            sigma = span / values[0]
             need.extend((sigma, count_below(tree, sigma) - 1))
-        return need[1] if len(thetas) <= 3 * need[1] + 40 else 0
+        m = need[1] - thetas.size
+        if len(values) <= min(3 * m + 40, left):
+            return m
+        # past the run's limit: stop on the leading converged pairs inside
+        return min(m, int(np.argmin(np.append(inside(values, done), False))))
 
-    thetas, done, vectors = _pinv_top(tree, wanted)
-    if not need:
-        return None
+    run = 0
+    while True:
+        values, done, vectors = _pinv_top(tree, wanted, run, pairs if run else None)
+        if not need:
+            return None
+        left -= values.size
+        ok = inside(values[:vectors.shape[1]], done[:vectors.shape[1]])
+        if not ok.any():  # a stall
+            return None
+        thetas = np.concatenate((thetas, values[:ok.size][ok]))
+        pairs = np.hstack((pairs, vectors[:, ok]))
+        if thetas.size == need[1]:
+            break
+        if left <= 0:  # the step budget
+            return None
+        run += 1
     sigma, p = need
-    if vectors.shape[1] != p or not done[:p].all() or \
-            not np.all(thetas[:p] * (1.0 - LANCZOS_TOL) > 1.0 / sigma):
-        return None
-    values = np.concatenate(([0.0], 1.0 / thetas[:p]))
+    order = np.argsort(-thetas, kind="stable")
     const = np.full((tree.n, 1), 1.0 / np.sqrt(tree.n))
-    return Eigensystem(values=values, vectors=np.hstack([const, vectors]),
+    return Eigensystem(values=np.concatenate(([0.0], 1.0 / thetas[order])),
+                       vectors=np.hstack([const, pairs[:, order]]),
                        floor=sigma if p < tree.n - 1 else np.inf)
 
 

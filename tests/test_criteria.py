@@ -11,7 +11,7 @@ from treecut.errors import ValidationError
 from treecut.generate import OffspringDistribution as OD
 from treecut.mixing import _gap
 
-from util import brute_subtree_size, brute_tail_value
+from util import brute_subtree_size, brute_tail_value, power_comb
 
 
 def product_ratio(tree, epsilon):
@@ -328,11 +328,10 @@ def test_quadratic_mass_comb_shows_cutoff_trend():
     # when the attachment mass along the spine dominates the segment's own
     # quadratic load, the diagnostics do separate mixing from relaxation:
     # the product ratio climbs and the worst-path-edge quotient falls
-    from treecut.generate import _segment_with_binaries
     ratios = []
     reports = []
     for n in (8, 16, 24, 32):
-        t = _segment_with_binaries(n, [n * n // (i + 1) ** 2 for i in range(n + 1)])
+        t = power_comb(n)
         reports.append(C.retraction_report(t, n))
         ratios.append(product_ratio(t, 0.25))
     assert all(a < b for a, b in zip(ratios, ratios[1:]))

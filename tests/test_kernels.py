@@ -73,6 +73,28 @@ def test_primitives_match_level_oracle_on_large_trees(make):
     _check_against_levels(make(), 11)
 
 
+def scatter_subtree_sum(t, x):
+    """subtree_sum of floats by ``np.add.at`` scatters, one per jump table:
+    the reference whose sums, added in the same order, bincount must give."""
+    G = np.append(np.asarray(x, dtype=np.float64), 0.0)
+    for jump in reversed(t.jumps):
+        up = np.zeros_like(G)
+        np.add.at(up, jump, G)
+        G += up
+    return G[:t.n]
+
+
+@pytest.mark.parametrize("make", list(PRIMITIVE_TREES.values()) + [
+    lambda: T.cor15_tree(128), lambda: T.binary_of_size(30_000)],
+    ids=list(PRIMITIVE_TREES) + ["cor15_128", "binary_30k"])
+def test_float_subtree_sum_matches_scatter_bit_for_bit(make):
+    t = make()
+    rng = np.random.default_rng(t.n)
+    for x in (rng.standard_normal(t.n) * 10.0 ** rng.integers(-8, 8, size=t.n),
+              rng.random(t.n) - 0.5):
+        assert _kernels.subtree_sum(t, x).tobytes() == scatter_subtree_sum(t, x).tobytes()
+
+
 def test_tree_solve_solves_dirichlet_system():
     # the tree solve of spectral._pinv_top: subtree sums accumulated down
     # the root paths

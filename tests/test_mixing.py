@@ -14,9 +14,10 @@ from treecut import mixing as M
 from treecut.errors import ResourceLimitError, ValidationError
 from treecut.generate import OffspringDistribution as OD
 from treecut.spectral import bottom_pairs, decompose
-from treecut.tree import _per_tree, root_orbits
+from treecut.tree import _per_tree, root_orbits, root_path
 
-from util import (dense_mixing_time, dense_tv_rows, grafted_tree, random_tree)
+from util import (dense_mixing_time, dense_tv_rows, grafted_tree, legs_tree, power_comb,
+                  random_tree)
 
 
 def tv_by_expm(tree, t):
@@ -451,13 +452,66 @@ class TestPartialPath:
     @pytest.mark.parametrize("make", [lambda: T.spherically_symmetric([2] + [3] * 7),
                                       lambda: T.spherically_symmetric([300])],
                              ids=["ssym_depth8", "star_300"])
-    def test_repeated_eigenvalues_fall_back(self, make, partial_everywhere):
-        # bottom pairs cannot be certified on repeated eigenvalues; these
-        # trees used to fall back to decompose and now take orbit quotients
+    def test_repeated_eigenvalues_fall_back(self, make, partial_everywhere, monkeypatch):
+        # bottom pairs restart through repeated eigenvalues, but these trees
+        # take orbit quotients first; without them, a tree whose restarts
+        # stall (each from the first run's own vector) falls back to decompose
         tree = make()
-        assert bottom_pairs(tree, 2.0 * np.log(np.sqrt(tree.n) / M.TAIL_TOL)) is None
+        eig = bottom_pairs(tree, 2.0 * np.log(np.sqrt(tree.n) / M.TAIL_TOL))
+        assert eig.floor < np.inf and eig.values.size > 1
         assert isinstance(M._modes(tree), M._Orbits)
         assert_matches_dense(tree, 0.25)
+        monkeypatch.setattr(M, "ORBIT_MIN_VERTICES", math.inf)
+        monkeypatch.setattr(spectral, "derive_seed", lambda seed, *keys: seed)
+        tree = make()
+        assert M._modes(tree) is decompose(tree)
+        assert_matches_dense(tree, 0.25)
+
+    @pytest.mark.parametrize("make", [lambda: power_comb(16), lambda: power_comb(32),
+                                      lambda: T.binary_of_size(600), lambda: T.binary_of_size(700),
+                                      lambda: T.binary_of_size(800), lambda: legs_tree(390),
+                                      lambda: T.cor15_tree(128)],
+                             ids=["comb_16", "comb_32", "binary_600", "binary_700",
+                                  "binary_800", "four_legs", "cor15_128"])
+    def test_restarted_pairs_match_decompose(self, make):
+        # bottom pairs found through restarts (all but cor15's): the search
+        # on them ends where the search on decompose does, at a worst start
+        # in the same root orbit (starts an automorphism swaps are equally
+        # far from uniform, and rounding decides which one is named)
+        tree = make()
+        starts = M._EigenStarts(tree, bottom_pairs(tree, 2.0 * np.log(np.sqrt(tree.n) / M.TAIL_TOL)))
+        dense = M._EigenStarts(tree, decompose(tree))
+        orbit = root_orbits(tree)
+        for eps in (0.25, 0.1):
+            res = M._search(tree, eps, None, 1e-8, starts)
+            ref = M._search(tree, eps, None, 1e-8, dense)
+            assert abs(res.t_mix - ref.t_mix) <= 1e-8 * ref.t_mix
+            assert orbit[res.worst_start] == orbit[ref.worst_start]
+
+    @pytest.mark.parametrize("make", [lambda: T.segment(319), lambda: T.cor15_tree(128),
+                                      lambda: T.gw_conditioned_size(OD.geometric(0.5), 320, 0)[0],
+                                      lambda: T.gw_conditioned_size(OD.geometric(0.5), 400, 4)[0],
+                                      lambda: random_tree(450, seed=1, tall=True),
+                                      lambda: T.segment(510)],
+                             ids=["segment_320", "cor15_128", "gw_320", "gw_400",
+                                  "tall_random_450", "segment_511"])
+    def test_tall_trees_take_bottom_pairs(self, make):
+        # from 320 vertices on, height^2 >= n sends a tree to bottom pairs
+        tree = make()
+        assert M.TALL_MIN_VERTICES <= tree.n < M.PARTIAL_MIN_VERTICES
+        assert tree.height ** 2 >= tree.n
+        assert M._modes(tree).floor < np.inf
+        assert M._gap(tree)[1] == "partial"
+        assert_matches_dense(tree, 0.25)
+
+    @pytest.mark.parametrize("make", [lambda: T.segment(318), lambda: random_tree(400, seed=0),
+                                      lambda: T.binary_of_size(300)],
+                             ids=["segment_319", "shallow_random_400", "binary_300"])
+    def test_short_or_shallow_trees_stay_dense(self, make, monkeypatch):
+        monkeypatch.setattr(M, "bottom_pairs", None)  # any call would fail
+        tree = make()
+        assert tree.n < M.TALL_MIN_VERTICES or tree.height ** 2 < tree.n
+        assert M._modes(tree) is decompose(tree)
 
     def test_numbers_do_not_depend_on_call_order(self):
         # a curve from t = 0 and an early TV switch their own oracles to
@@ -514,7 +568,9 @@ class TestScreenedCheck:
     @pytest.fixture(scope="class")
     def cases(self, random_suite):
         """(starts, an early time and t_mix, the worst start at t_mix) on
-        eigenpairs: dense below 512 vertices, bottom pairs on cor15_tree(256)."""
+        eigenpairs: dense below 320 vertices and on shallow trees, bottom
+        pairs on the tall trees from 320 vertices on, cor15_tree(128) (326
+        vertices) and (256)."""
         named = [T.cor15_tree(64), T.cor15_tree(128), T.cor15_tree(256), T.segment(300),
                  T.binary_of_size(100), T.spherically_symmetric([40])]
         out = []
@@ -523,7 +579,8 @@ class TestScreenedCheck:
             assert isinstance(starts, M._EigenStarts)
             res = M._search(tree, 0.25, None, 1e-8, starts)
             out.append((starts, (0.3 / starts.gap, res.t_mix), res.worst_start))
-        assert sum(s.method == "partial" for s, _, _ in out) == 1
+        assert sum(s.method == "partial" for s, _, _ in out) == 2
+        assert sum(s.method == "dense" for s, _, _ in out) == len(out) - 2
         return out
 
     @pytest.mark.parametrize("one_row", [False, True], ids=["budget", "one_row"])
@@ -729,6 +786,23 @@ class TestOrbitQuotients:
                 M._lump(tree, blocks)
         with pytest.raises(ValidationError):
             M._lump(random_tree(30, seed=1), random_tree(30, seed=1).depth)
+
+    def test_turned_down_at_the_deepest_start(self, monkeypatch):
+        # binary_of_size(200) has 31 starts, 961 <= 5 n; the deepest start's
+        # quotient is past the bound, so one start's classes are built, not
+        # the six that orbit order built before reaching such a start
+        passes = []
+        monkeypatch.setattr(M, "root_path", lambda tree, x: passes.append(x) or root_path(tree, x))
+        tree = T.binary_of_size(200)
+        assert M._orbit_quotients(tree) is None
+        assert len(passes) == 1 and tree.depth[passes[0]] == tree.height
+        # an accepted tree keeps its starts and quotients in orbit order
+        passes.clear()
+        tree = ssym_binary(8)
+        orbits = M._orbit_quotients(tree)
+        assert orbits.starts.tolist() == np.unique(root_orbits(tree), return_index=True)[1].tolist()
+        assert sorted(passes) == sorted(orbits.starts.tolist())
+        assert np.all(np.diff(tree.depth[passes]) <= 0)
 
     def test_small_and_deep_families_never_classified(self, monkeypatch):
         calls = []

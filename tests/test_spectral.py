@@ -15,7 +15,8 @@ from treecut.errors import (DegenerateInputError, ResourceLimitError,
 from treecut.rng import SplitMix64
 from treecut.tree import root_orbits
 
-from util import dense_hardy_constant, loop_edge_weights, random_tree, suite_trees
+from util import (dense_hardy_constant, legs_tree, loop_edge_weights, power_comb,
+                  random_tree, suite_trees)
 
 GOLDEN_RATIO_SQ = (3 + np.sqrt(5)) / 2  # top Gram eigenvalue of a 2-edge path
 
@@ -193,11 +194,101 @@ class TestBottomPairs:
         assert eig.floor == np.inf
         assert eig.values == pytest.approx([0.0, 1.0, 3.0], abs=1e-12)
 
-    @pytest.mark.parametrize("make", [lambda: T.spherically_symmetric([2] + [3] * 7),
-                                      lambda: T.spherically_symmetric([60])],
-                             ids=["ssym_depth8", "star_60"])
-    def test_repeated_eigenvalues_give_none(self, make):
+    REPEATED = pytest.mark.parametrize(
+        "make", [lambda: T.spherically_symmetric([2] + [3] * 7),
+                 lambda: T.spherically_symmetric([60])], ids=["ssym_depth8", "star_60"])
+
+    @staticmethod
+    def runs(monkeypatch):
+        """The step counts of every Lanczos run, as they happen."""
+        steps = []
+        lanczos = S._lanczos_top
+
+        def counted(*args):
+            out = lanczos(*args)
+            steps.append(out[0].size)
+            return out
+
+        monkeypatch.setattr(S, "_lanczos_top", counted)
+        return steps
+
+    @staticmethod
+    def assert_matches_decompose(tree, eig):
+        """Every eigenvalue below the floor, within 1e-9 relative of the dense
+        solve; orthonormal vectors with small residuals."""
+        values = T.decompose(tree).values
+        k = eig.values.size
+        assert np.count_nonzero(values < eig.floor) == k
+        assert np.all(np.abs(eig.values[1:] - values[1:k]) <= 1e-9 * values[1:k])
+        assert np.abs(eig.vectors.T @ eig.vectors - np.eye(k)).max() <= 1e-12
+        Q = T.laplacian(tree)
+        assert np.abs(Q @ eig.vectors - eig.vectors * eig.values).max() <= 1e-8 * eig.floor
+
+    @REPEATED
+    def test_repeated_eigenvalues_restart(self, make, monkeypatch):
+        # one Krylov space holds one vector per distinct eigenvalue; the
+        # deflated restarts find the other copies
+        tree = make()
+        runs = self.runs(monkeypatch)
+        eig = T.bottom_pairs(tree, self.SPAN)
+        self.assert_matches_decompose(tree, eig)
+        assert len(runs) > 1 and sum(runs) <= S.LANCZOS_MAX_STEPS
+
+    @REPEATED
+    def test_repeated_eigenvalues_give_none(self, make, monkeypatch):
+        # a restart from the first run's own vector, the kept pairs projected
+        # out, holds no direction the first run missed: it converges no new
+        # pair, and that stall ends the restarts
+        monkeypatch.setattr(S, "derive_seed", lambda seed, *keys: seed)
+        runs = self.runs(monkeypatch)
         assert T.bottom_pairs(make(), self.SPAN) is None
+        assert 1 < len(runs) and sum(runs) < S.LANCZOS_MAX_STEPS
+
+    def test_step_budget_gives_none(self, monkeypatch):
+        # a star's leaf modes share one eigenvalue, and each restart finds
+        # one of them in two steps: 519 of them need more steps than the
+        # runs may take together
+        runs = self.runs(monkeypatch)
+        assert T.bottom_pairs(T.spherically_symmetric([520]), self.SPAN) is None
+        assert sum(runs) >= S.LANCZOS_MAX_STEPS and sum(runs[:-1]) < S.LANCZOS_MAX_STEPS
+
+    @pytest.mark.parametrize("make", [lambda: power_comb(16), lambda: power_comb(32),
+                                      lambda: T.binary_of_size(600), lambda: T.binary_of_size(700),
+                                      lambda: T.binary_of_size(800), lambda: legs_tree(390)],
+                             ids=["comb_16", "comb_32", "binary_600", "binary_700",
+                                  "binary_800", "four_legs"])
+    def test_restarts_match_decompose(self, make, monkeypatch):
+        tree = make()
+        runs = self.runs(monkeypatch)
+        eig = T.bottom_pairs(tree, 2.0 * np.log(np.sqrt(tree.n) / mixing.TAIL_TOL))
+        self.assert_matches_decompose(tree, eig)
+        assert len(runs) > 1
+
+    @pytest.mark.parametrize("m", [64, 128, 256, 512])
+    def test_no_repeats_one_run(self, m, monkeypatch):
+        # cor15 has no repeated eigenvalue below the floor: the first run
+        # finds every pair, and its pairs are those of a single run, bit
+        # for bit
+        tree = T.cor15_tree(m)
+        span = 2.0 * np.log(np.sqrt(tree.n) / mixing.TAIL_TOL)
+        need = []
+
+        def single(thetas, done):
+            if not need:
+                if not done[0]:
+                    return 1
+                need.extend((span / thetas[0], T.count_below(tree, span / thetas[0]) - 1))
+            return need[1] if len(thetas) <= 3 * need[1] + 40 else 0
+
+        thetas, done, vectors = S._pinv_top(tree, single)
+        sigma, p = need
+        assert vectors.shape[1] == p and done[:p].all()
+        runs = self.runs(monkeypatch)
+        eig = T.bottom_pairs(tree, span)
+        assert len(runs) == 1 and eig.floor == sigma
+        assert np.array_equal(eig.values, np.concatenate(([0.0], 1.0 / thetas[:p])))
+        assert np.array_equal(eig.vectors[:, 1:], vectors)
+        self.assert_matches_decompose(tree, eig)
 
     def test_single_vertex(self):
         assert T.bottom_pairs(T.from_parents(1, [-1]), self.SPAN) is None

@@ -20,6 +20,7 @@ import numpy as np
 
 from treecut import from_parents, laplacian
 from treecut.errors import RejectionCapError, ResourceLimitError, ValidationError
+from treecut.generate import _segment_with_binaries
 from treecut.rng import SplitMix64, derive_seed
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -61,6 +62,23 @@ def grafted_tree(n, seed, copies=4):
     for host in hosts + hosts[:1]:
         offset = len(parent)
         parent += [host if p < 0 else offset + p for p in graft]
+    return from_parents(len(parent), parent)
+
+
+def power_comb(n, power=2):
+    """Segment of n edges with a level-filled binary tree of
+    floor(n^power / (i+1)^2) vertices at distance i, for every i in 0..n:
+    the n^2 comb keeps its attachments nonzero along the whole segment.
+    Its binary trees give repeated eigenvalues below the bottom-pair floor."""
+    return _segment_with_binaries(n, [n ** power // (i + 1) ** 2 for i in range(n + 1)])
+
+
+def legs_tree(n, legs=4, length=60, seed=1):
+    """``legs`` paths of ``length`` edges hung on vertex 0 of a random tree
+    of n - legs * length vertices: each leg mode repeats legs - 1 times."""
+    parent = random_tree(n - legs * length, seed).parent.tolist()
+    for _ in range(legs):
+        parent += [0] + list(range(len(parent), len(parent) + length - 1))
     return from_parents(len(parent), parent)
 
 

@@ -28,11 +28,11 @@ from .generate import (OffspringDistribution, _check_size, binary_of_size,
                        cor15_tree, gw_conditioned_size, gw_survival_truncated,
                        gw_tree, kesten_tree, peres_sousi, segment,
                        spherically_symmetric)
-from .mixing import _gap, _modes, mixing_lower_bounds, mixing_time
+from .mixing import _check_epsilon, _gap, _modes, mixing_lower_bounds, mixing_time
 from .rng import derive_seed
 from .spectral import _upper_bounds, hardy_lower
-from .tree import (RootedTree, compute_metrics, max_edge_load, max_path_load,
-                   root_path, tail_profile)
+from .tree import (RootedTree, _lca_depth, compute_metrics, max_edge_load,
+                   max_path_load, root_path, tail_profile)
 
 __all__ = [
     "TrendFit", "Diagnostic", "FamilyRow", "FamilyReport", "RetractionReport",
@@ -153,11 +153,6 @@ def analyze_tree(tree: RootedTree, epsilon: float, size_label: float) -> FamilyR
                      t_mix_lower=hitting, **base)
 
 
-def _check_epsilon(epsilon: float) -> None:
-    if not 0.0 < epsilon < 1.0:
-        raise ValidationError(f"epsilon must be in (0, 1), got {epsilon}")
-
-
 def _check_threshold(threshold: float) -> None:
     if not (math.isfinite(threshold) and threshold > 0):
         raise ValidationError(f"threshold must be finite and > 0, got {threshold}")
@@ -258,8 +253,7 @@ def retraction_alpha(tree: RootedTree, v: int) -> float:
     binary attachments stay at or below 2, length-L path attachments reach
     (L+1)/2.  Returns 1.0 when nothing hangs off the spine.
     """
-    on_spine = np.zeros(tree.n, dtype=bool)
-    on_spine[root_path(tree, v)] = True
+    on_spine = _lca_depth(tree, v) == tree.depth
     kids = tree.child_flat
     hanging = kids[on_spine[tree.parent[kids]] & ~on_spine[kids]]
     if not hanging.size:

@@ -269,7 +269,7 @@ def hanging_sizes(tree: RootedTree, v: int) -> np.ndarray:
     without using the path, i.e. the material a retraction replaces.
     """
     size = compute_metrics(tree).subtree_size
-    path = np.array(root_path(tree, v))
+    path = root_path(tree, v)
     sizes = size[path] - 1
     sizes[:-1] -= size[path[1:]]  # the next path vertex's subtree is not hanging
     return sizes

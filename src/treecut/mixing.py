@@ -75,10 +75,11 @@ On a refusal the start oracles raise ``ResourceLimitError``, and only
 
 Expected hitting times come from the paper's identity: hitting the root
 from v takes exactly the sum of subtree sizes along the root path of v
-(the path load), so hitting a target is the path load of the tree
-re-rooted there, an exact integer from two O(n) tree passes; the
-hitting-time bounds read the largest path load directly.  The test
-suite verifies the identity against a dense solve of (D - A) h = 1.
+(the path load L(v)); through the lowest common ancestor, hitting t takes
+h_t(v) = L(v) - L(t) + n (depth t - depth lca(v, t)), an exact integer
+from the tree's own path loads and one ``tree._lca_depth`` pass, with no
+re-rooted tree.  The hitting-time bounds read the largest path load
+directly.  The test suite checks h against a dense solve of (D - A) h = 1.
 """
 
 from __future__ import annotations
@@ -89,12 +90,11 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from . import _kernels
 from .errors import DegenerateInputError, ResourceLimitError, ValidationError
 from .spectral import (_over_cap, _recentered, Eigensystem, bottom_pairs,
                        decompose, dense_cap, gap_iterative)
-from .tree import (RootedTree, _per_tree, compute_metrics, max_path_load,
-                   reroot, root_orbits, root_path)
+from .tree import (RootedTree, _check_vertex, _lca_depth, _per_tree,
+                   compute_metrics, max_path_load, root_orbits)
 
 __all__ = [
     "MixingResult", "HittingProfile", "MixingLowerBounds",
@@ -335,8 +335,8 @@ class _Orbits:
         return self._tv(self.orbit[x], t)
 
     def worst(self, t: float, x: Optional[int], tv_x: Optional[float]):
-        own = None if x is None else self.orbit[x]
-        tvs = [tv_x if i == own else self._tv(i, t) for i in range(self.starts.size)]
+        # the candidate's orbit gives tv_x again, bit for bit: tv is _tv
+        tvs = [self._tv(i, t) for i in range(self.starts.size)]
         i = int(np.argmax(tvs))
         return tvs[i], int(self.starts[i])
 
@@ -359,7 +359,7 @@ def _orbit_quotients(tree: RootedTree) -> Optional[_Orbits]:
     depths, so a tree turned down tends to stop at its first pass, where
     ``binary_of_size(200)`` took six in orbit order.  The classes of start
     x are (root orbit, depth of the lowest common ancestor with x), that
-    depth read off one ``ancestor_sum`` of x's root path.
+    depth read off ``tree._lca_depth``.
     """
     limit = ORBIT_RATIO * tree.n
     pairs = np.unique(compute_metrics(tree).subtree_size * tree.n + tree.depth).size
@@ -372,10 +372,7 @@ def _orbit_quotients(tree: RootedTree) -> Optional[_Orbits]:
     partitions = [None] * starts.size
     for i in np.lexsort((starts, -tree.depth[starts])):
         x = starts[i]
-        on_path = np.zeros(tree.n, dtype=np.int64)
-        on_path[root_path(tree, x)] = 1
-        lca_depth = _kernels.ancestor_sum(tree, on_path)
-        key = orbit * (tree.depth[x] + 1) + lca_depth
+        key = orbit * (tree.depth[x] + 1) + _lca_depth(tree, x)
         blocks = (np.cumsum(np.bincount(key) > 0) - 1)[key]
         if starts.size * (blocks.max() + 1) > limit:
             return None
@@ -423,14 +420,14 @@ def _lump(tree: RootedTree, blocks: np.ndarray):
     return sizes, np.diag(c.sum(axis=1)) - c * sizes[:, None] / np.outer(root, root)
 
 
-def _check_start(tree: RootedTree, start: int) -> None:
-    if not 0 <= start < tree.n:
-        raise ValidationError(f"start vertex {start} out of range")
-
-
 def _check_time(t: float, name: str = "time") -> None:
     if not (math.isfinite(t) and t >= 0):
         raise ValidationError(f"{name} must be finite and >= 0, got {t}")
+
+
+def _check_epsilon(epsilon: float) -> None:
+    if not 0.0 < epsilon < 1.0:
+        raise ValidationError(f"epsilon must be in (0, 1), got {epsilon}")
 
 
 def heat_kernel_tv(tree: RootedTree, t: float) -> float:
@@ -444,7 +441,7 @@ def tv_from_start(tree: RootedTree, t: float, start: int) -> float:
     """Total-variation distance to uniform at time t from one start, on the
     start oracles of ``mixing_time``."""
     _check_time(t)
-    _check_start(tree, start)
+    start = _check_vertex(tree, start, "start vertex")
     return _starts(tree).tv(start, t)
 
 
@@ -484,13 +481,12 @@ def mixing_time(tree: RootedTree, epsilon: float, start: Optional[int] = None,
     oracles of ``_modes`` (``_starts``); from a time before the floor of a
     partial eigensystem covers, they run on ``decompose``.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValidationError(f"epsilon must be in (0, 1), got {epsilon}")
+    _check_epsilon(epsilon)
     # a bracket a few ulps of t wide cannot shrink any further
     if not 1e-15 <= rtol < 1.0:
         raise ValidationError(f"rtol must be in [1e-15, 1), got {rtol}")
     if start is not None:
-        _check_start(tree, start)
+        start = _check_vertex(tree, start, "start vertex")
     d0 = 1.0 - 1.0 / tree.n  # P_0 = I: every start sits at 1 - 1/n
     if epsilon >= d0:
         return MixingResult(epsilon, 0.0, tree.root if start is None else start,
@@ -601,7 +597,7 @@ def tv_curve(tree: RootedTree, n_samples: int, t_max: Optional[float] = None,
     if t_max is not None:
         _check_time(t_max, "t_max")
     if start is not None:
-        _check_start(tree, start)
+        start = _check_vertex(tree, start, "start vertex")
     starts = _starts(tree)
     if t_max is None:
         t_max = 1.5 * mixing_time(tree, 0.01, start=start).t_mix
@@ -623,15 +619,16 @@ class HittingProfile:
 
 
 def hitting_profile(tree: RootedTree, target: int) -> HittingProfile:
-    """Exact expected hitting times of ``target``: the path loads of the
-    tree re-rooted at the target.
+    """Exact expected hitting times of ``target``, from the path loads L
+    and the depths of the lowest common ancestors with the target:
+    h(v) = L(v) - L(target) + n (depth target - depth lca(v, target)).
 
     These solve (D - A) h = 1 on the complement of the target (h = 0
     there); the values are integers, returned as float64.
     """
-    if not 0 <= target < tree.n:
-        raise ValidationError(f"target vertex {target} out of range")
-    h = compute_metrics(reroot(tree, target)).path_load.astype(np.float64)
+    target = _check_vertex(tree, target, "target vertex")
+    load, lca = compute_metrics(tree).path_load, _lca_depth(tree, target)
+    h = (load - load[target] + tree.n * (tree.depth[target] - lca)).astype(np.float64)
     return HittingProfile(target=target, expected=h,
                           max_vertex=int(np.argmax(h)))
 
@@ -667,5 +664,5 @@ def mixing_lower_bounds(tree: RootedTree, epsilon: float) -> MixingLowerBounds:
         epsilon=epsilon, delta=com.delta, center=com.vertex,
         recentered=com.vertex != tree.root,
         hitting_bound=0.5 * epsilon * load,
-        degree_bound=epsilon / (2.0 * metrics.max_degree) * load,
+        degree_bound=epsilon / (2.0 * max(metrics.max_degree, 1)) * load,
     )

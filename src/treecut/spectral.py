@@ -32,9 +32,9 @@ import numpy as np
 from . import _kernels
 from .errors import DegenerateInputError, ResourceLimitError, ValidationError
 from .rng import SplitMix64, derive_seed
-from .tree import (CenterOfMass, RootedTree, _per_tree, center_of_mass,
-                   compute_metrics, from_parents, max_edge_load, max_path_load,
-                   reroot, root_path, tail_profile)
+from .tree import (CenterOfMass, RootedTree, _check_vertex, _lca_depth, _per_tree,
+                   center_of_mass, compute_metrics, from_parents, max_edge_load,
+                   max_path_load, reroot, root_path, tail_profile)
 
 __all__ = [
     "Eigensystem", "SpectrumResult", "HardyCertificate", "HardyLowerBound",
@@ -362,7 +362,10 @@ def hardy_constant(tree: RootedTree, part: Iterable[int]) -> float:
     the top eigenvalue of the Gram operator of the ancestor-incidence map
     of the part, which is relabelled as a tree of its own for ``_hardy_top``.
     """
-    part = np.unique(np.fromiter(part, dtype=np.int64))
+    part = np.array(list(part))
+    if part.size and part.dtype.kind not in "iu":
+        raise ValidationError("part entries must be integers")
+    part = np.unique(part.astype(np.int64))
     if part.size and not 0 <= part[0] <= part[-1] < tree.n:
         raise ValidationError(f"part has a vertex outside 0..{tree.n - 1}")
     is_root = part == tree.root
@@ -443,13 +446,10 @@ def retraction_weights(tree: RootedTree, v: int) -> np.ndarray:
     inside the subtree hanging at spine position i; the root's entry is 0.
     """
     depth = tree.depth
-    on_spine = np.zeros(tree.n, dtype=np.int64)
-    on_spine[root_path(tree, v)[1:]] = 1
-    # spine position i = the number of non-root spine vertices on the
-    # root path, which is the depth of the deepest of them
-    anchor = _kernels.ancestor_sum(tree, on_spine)
+    # spine position i = the depth of the lowest common ancestor with v
+    anchor = _lca_depth(tree, v)
     a = np.zeros(tree.n, dtype=np.float64)
-    spine = on_spine == 1
+    spine = (anchor == depth) & (depth > 0)
     a[spine] = depth[spine] ** -0.5
     off = (depth > 0) & ~spine
     i = anchor[off]
@@ -582,16 +582,13 @@ def nu_exact(tree: RootedTree, B: Iterable[int]) -> float:
     (the true active set is among the subsets).  Exponential in |B|, hence
     the cap.
     """
-    B = sorted(set(int(v) for v in B))
+    B = sorted({_check_vertex(tree, v) for v in B})
     if not B:
         raise ValidationError("B must be nonempty")
     if tree.root in B:
         raise ValidationError("B must not contain the root")
     if len(B) > NU_CAP:
         raise ValidationError(f"|B| = {len(B)} exceeds the enumeration cap {NU_CAP}")
-    for v in B:
-        if not 0 <= v < tree.n:
-            raise ValidationError(f"vertex {v} out of range")
 
     m = tree.n  # edge e indexed by its lower endpoint; root column unused
     rows = np.zeros((len(B), m))

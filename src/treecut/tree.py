@@ -16,8 +16,10 @@ around a vertex separator ("center of mass").  Every pass over the tree is
 a ``subtree_sum`` or an ``ancestor_sum`` from :mod:`treecut._kernels`;
 vertex sets below an anchor are read off an ``ancestor_sum`` of anchor
 labels, one call per set of disjoint subtrees; a root path is gathered
-through the jump tables in ``depth.bit_length()`` numpy calls.  The rule
-holds package-wide: outside the two kernels there are only the level
+through the jump tables in ``depth.bit_length()`` numpy calls, as an int64
+array, and walked in one LCA pass: ``_lca_depth``, the depth of each vertex's
+lowest common ancestor with its end, one ``ancestor_sum``.  The rule holds
+package-wide: outside the two kernels there are only the level
 passes ``root_orbits`` (the classes of vertices that an automorphism
 fixing the root can exchange) and ``spectral.count_below``.  Child lists
 are walked only here, and only around one vertex (``center_of_mass``).
@@ -201,13 +203,9 @@ def compute_metrics(tree: RootedTree) -> TreeMetrics:
     degree = tree.degrees()
 
     # diameter by double sweep: a deepest vertex is an end of a longest
-    # path; dist(v, far) needs the depth of their lowest common ancestor,
-    # which is the number of non-root vertices their root paths share
+    # path; dist(v, far) needs the depth of their lowest common ancestor
     far = int(np.argmax(depth))
-    on_far_path = np.zeros(tree.n, dtype=np.int64)
-    on_far_path[root_path(tree, far)] = 1
-    lca_depth = _kernels.ancestor_sum(tree, on_far_path)
-    diameter = int((depth + depth[far] - 2 * lca_depth).max())
+    diameter = int((depth + depth[far] - 2 * _lca_depth(tree, far)).max())
 
     tail = np.cumsum(np.bincount(depth)[::-1])[::-1].astype(np.int64)
 
@@ -295,22 +293,19 @@ def center_of_mass(tree: RootedTree, at: Optional[int] = None) -> CenterOfMass:
     reaches (n-1)/3) until three remain.
     """
     n = tree.n
+    x = None if at is None else _check_vertex(tree, at, "split vertex")
     if n == 1:
         return CenterOfMass(tree.root, 1.0, np.zeros(1, dtype=np.int64))
 
     metrics = compute_metrics(tree)
     size = metrics.subtree_size
 
-    if at is None:
+    if x is None:
         max_comp = n - size
         np.maximum.at(max_comp, tree.parent[tree.parent >= 0],
                       size[tree.parent >= 0])
         candidates = np.nonzero(2 * max_comp <= n)[0]
         x = int(candidates[0])
-    else:
-        if not 0 <= at < n:
-            raise ValidationError(f"split vertex {at} out of range")
-        x = int(at)
 
     # components of the tree minus x as a min-heap on (size, -neighbor):
     # smallest first, ties to the larger neighbor index; a merged component
@@ -364,8 +359,7 @@ def reroot(tree: RootedTree, new_root: int) -> RootedTree:
     Vertex indices are preserved, so per-vertex quantities stay comparable
     across the two rootings.
     """
-    if not 0 <= new_root < tree.n:
-        raise ValidationError(f"new root {new_root} out of range")
+    new_root = _check_vertex(tree, new_root, "new root")
     if new_root == tree.root:
         return tree
     path = root_path(tree, new_root)
@@ -375,16 +369,33 @@ def reroot(tree: RootedTree, new_root: int) -> RootedTree:
     return from_parents(tree.n, par)
 
 
-def root_path(tree: RootedTree, v: int) -> list:
-    """Vertices on the path from the root to ``v``, root first."""
-    if not 0 <= v < tree.n:
-        raise ValidationError(f"vertex {v} out of range")
+def root_path(tree: RootedTree, v: int) -> np.ndarray:
+    """Vertices on the path from the root to ``v``, root first, as int64."""
+    v = _check_vertex(tree, v)
     # after the step with jumps[k], path[i] is the i-th ancestor of v for
     # i < 2**(k+1); entries past the root are the sentinel n
     path = np.array([v], dtype=np.int64)
     for jump in tree.jumps[:int(tree.depth[v]).bit_length()]:
         path = np.concatenate((path, jump[path]))
-    return path[path < tree.n][::-1].tolist()
+    return path[path < tree.n][::-1]
+
+
+def _lca_depth(tree: RootedTree, x: int) -> np.ndarray:
+    """Depth of the lowest common ancestor of every vertex with ``x``, the
+    non-root vertices its root path shares with x's: the one whole-tree pass
+    over a root path, an ``ancestor_sum`` of its indicator."""
+    on_path = np.zeros(tree.n, dtype=np.int64)
+    on_path[root_path(tree, x)] = 1
+    return _kernels.ancestor_sum(tree, on_path)
+
+
+def _check_vertex(tree: RootedTree, v, name: str = "vertex") -> int:
+    """``v`` as an int; ``ValidationError`` unless an integer in 0..n-1."""
+    if not isinstance(v, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {v!r}")
+    if not 0 <= v < tree.n:
+        raise ValidationError(f"{name} {v} out of range")
+    return int(v)
 
 
 @_per_tree

@@ -259,7 +259,7 @@ class TestRetraction:
         # every vertex off the path hangs at the first path vertex above it
         for tree in random_suite:
             for v in {tree.root, tree.n // 2, tree.n - 1, int(np.argmax(tree.depth))}:
-                path = T.root_path(tree, v)
+                path = T.root_path(tree, v).tolist()
                 count = [0] * len(path)
                 for w in range(tree.n):
                     u = w

@@ -126,3 +126,18 @@ def test_child_lists_are_walked_only_in_tree():
                           and isinstance(node.func, ast.Attribute)
                           and node.func.attr == "children"]
     assert not walks, sorted(set(walks))
+
+
+def test_reroot_only_where_a_rerooted_tree_is_needed():
+    # hitting times, orbit classes and retraction spines read the tree's own
+    # lowest common ancestors; only the center-of-mass split and the
+    # label-one option of the size-conditioned sampler build a re-rooted tree
+    callers = set()
+    for path in sorted((REPO_ROOT / "src" / "treecut").glob("*.py")):
+        module = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in module.body:
+            if isinstance(fn, ast.FunctionDef):
+                callers |= {f"{path.stem}.{fn.name}" for node in ast.walk(fn)
+                            if isinstance(node, ast.Call)
+                            and isinstance(node.func, ast.Name) and node.func.id == "reroot"}
+    assert callers == {"spectral._split", "generate.gw_conditioned_size"}

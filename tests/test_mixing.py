@@ -14,7 +14,7 @@ from treecut import mixing as M
 from treecut.errors import ResourceLimitError, ValidationError
 from treecut.generate import OffspringDistribution as OD
 from treecut.spectral import bottom_pairs, decompose
-from treecut.tree import _per_tree, root_orbits, root_path
+from treecut.tree import _lca_depth, _per_tree, root_orbits
 
 from util import (dense_mixing_time, dense_tv_rows, grafted_tree, legs_tree, power_comb,
                   random_tree)
@@ -792,7 +792,7 @@ class TestOrbitQuotients:
         # quotient is past the bound, so one start's classes are built, not
         # the six that orbit order built before reaching such a start
         passes = []
-        monkeypatch.setattr(M, "root_path", lambda tree, x: passes.append(x) or root_path(tree, x))
+        monkeypatch.setattr(M, "_lca_depth", lambda tree, x: passes.append(x) or _lca_depth(tree, x))
         tree = T.binary_of_size(200)
         assert M._orbit_quotients(tree) is None
         assert len(passes) == 1 and tree.depth[passes[0]] == tree.height
@@ -837,16 +837,38 @@ class TestHitting:
         # independent route: full dense linear system with a pinned row
         for seed in (0, 1):
             tree = random_tree(35, seed=seed, tall=seed == 0)
-            target = tree.n // 2
-            Q = T.laplacian(tree)
-            A = Q.copy()
-            A[target, :] = 0.0
-            A[target, target] = 1.0
-            b = np.ones(tree.n)
-            b[target] = 0.0
-            expected = np.linalg.solve(A, b)
-            hp = T.hitting_profile(tree, target)
-            assert np.abs(hp.expected - expected).max() < 1e-9
+            for target in sorted({tree.root, tree.n // 3, tree.n // 2, tree.n - 1,
+                                  int(np.argmax(tree.depth))}):
+                Q = T.laplacian(tree)
+                A = Q.copy()
+                A[target, :] = 0.0
+                A[target, target] = 1.0
+                b = np.ones(tree.n)
+                b[target] = 0.0
+                expected = np.linalg.solve(A, b)
+                hp = T.hitting_profile(tree, target)
+                assert np.abs(hp.expected - expected).max() < 1e-9
+
+    def test_matches_rerooted_path_loads(self, random_suite):
+        # the path loads of the tree re-rooted at the target, bit for bit
+        for tree in random_suite[:60]:
+            for target in range(tree.n):
+                expected = T.compute_metrics(T.reroot(tree, target)).path_load
+                hp = T.hitting_profile(tree, target)
+                assert hp.expected.dtype == np.float64
+                assert np.array_equal(hp.expected, expected.astype(np.float64))
+                assert hp.max_vertex == int(np.argmax(expected))
+
+    def test_builds_no_tree(self, monkeypatch):
+        tree = random_tree(40, seed=5, tall=True)
+        expected = T.compute_metrics(T.reroot(tree, 7)).path_load
+        tree = T.from_parents(tree.n, tree.parent)  # no cached metrics
+
+        def refuse(*args):
+            raise AssertionError("hitting_profile built a tree")
+        monkeypatch.setattr(T.tree, "from_parents", refuse)
+        monkeypatch.setattr(T.tree, "reroot", refuse)
+        assert T.hitting_profile(tree, 7).expected.tolist() == expected.tolist()
 
     def test_non_root_target_positive(self):
         hp = T.hitting_profile(T.segment(3), 2)
@@ -855,6 +877,11 @@ class TestHitting:
 
 
 class TestLowerBounds:
+    def test_one_vertex(self):
+        lb = T.mixing_lower_bounds(T.from_parents(1, [-1]), 0.5)
+        assert (lb.hitting_bound, lb.degree_bound) == (0.0, 0.0)
+        assert T.hardy_lower(T.from_parents(1, [-1])).value == 0.0
+
     def test_two_path(self):
         lb = T.mixing_lower_bounds(T.segment(1), 0.5)
         assert lb.hitting_bound == pytest.approx(0.25)

@@ -10,9 +10,9 @@ from treecut.errors import (CycleError, ParentIndexError, RootCountError,
                             TreeFormatError, ValidationError)
 
 from treecut import _kernels
-from treecut.tree import _int_text, root_orbits
+from treecut.tree import _int_text, _lca_depth, root_orbits
 
-from util import (best_center_split, brute_depth, brute_diameter,
+from util import (best_center_split, brute_depth, brute_diameter, brute_lca_depth,
                   brute_max_edge_load, brute_path_load, brute_reroot_parent,
                   brute_root_orbits, brute_subtree_size, brute_tail_value,
                   brute_unreachable, grafted_tree, random_tree)
@@ -466,5 +466,51 @@ class TestIntText:
 
 def test_root_path():
     t = T.segment(4)
-    assert T.root_path(t, 3) == [0, 1, 2, 3]
-    assert T.root_path(t, 0) == [0]
+    assert T.root_path(t, 3).tolist() == [0, 1, 2, 3]
+    assert T.root_path(t, 0).tolist() == [0]
+    path = T.root_path(t, np.int64(2))
+    assert isinstance(path, np.ndarray) and path.dtype == np.int64
+
+
+def test_lca_depth_matches_parent_walk(random_suite):
+    for t in random_suite:
+        for x in {t.root, t.n // 2, t.n - 1, int(np.argmax(t.depth))}:
+            lca = _lca_depth(t, x)
+            assert lca.dtype == np.int64 and lca.tolist() == brute_lca_depth(t, x)
+
+
+# every entry point that takes a vertex, called on segment(3) with a vertex
+# that is not an integer or not in 0..3
+BAD_VERTEX_CALLS = {
+    "root_path": (lambda t, v: T.root_path(t, v), "vertex"),
+    "reroot": (lambda t, v: T.reroot(t, v), "new root"),
+    "center_of_mass": (lambda t, v: T.center_of_mass(t, at=v), "split vertex"),
+    "hitting_profile": (lambda t, v: T.hitting_profile(t, v), "target vertex"),
+    "tv_from_start": (lambda t, v: T.tv_from_start(t, 1.0, v), "start vertex"),
+    "mixing_time": (lambda t, v: T.mixing_time(t, 0.25, start=v), "start vertex"),
+    "tv_curve": (lambda t, v: T.tv_curve(t, 3, t_max=1.0, start=v), "start vertex"),
+    "nu_exact": (lambda t, v: T.nu_exact(t, [1, v]), "vertex"),
+    "retraction_weights": (lambda t, v: T.retraction_weights(t, v), "vertex"),
+    "hanging_sizes": (lambda t, v: T.hanging_sizes(t, v), "vertex"),
+}
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, "2", -1, 4, np.int64(4)])
+@pytest.mark.parametrize("call", BAD_VERTEX_CALLS.values(), ids=BAD_VERTEX_CALLS.keys())
+def test_vertex_arguments_checked(call, bad):
+    fn, name = call
+    with pytest.raises(ValidationError, match=f"^{name} "):
+        fn(T.segment(3), bad)
+
+
+@pytest.mark.parametrize("call", BAD_VERTEX_CALLS.values(), ids=BAD_VERTEX_CALLS.keys())
+def test_numpy_integer_vertices_accepted(call):
+    fn, _ = call
+    t = T.segment(3)
+    assert repr(fn(t, 2)) == repr(fn(t, np.int64(2)))
+
+
+@pytest.mark.parametrize("part", [[0, 1.5], [0, 1.0], [0, "1"]])
+def test_hardy_part_entries_must_be_integers(part):
+    with pytest.raises(ValidationError, match="integers"):
+        T.hardy_constant(T.segment(3), part)

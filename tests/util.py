@@ -158,6 +158,21 @@ def brute_diameter(tree):
     return max(max(_bfs_parents(adj, s)[1].values()) for s in range(tree.n))
 
 
+def brute_lca_depth(tree, x):
+    """Per vertex, the depth of its lowest common ancestor with ``x``: each
+    parent chain is walked up to the first ancestor of ``x`` it meets."""
+    ancestors = {x}
+    while tree.parent[x] >= 0:
+        x = int(tree.parent[x])
+        ancestors.add(x)
+    lca = []
+    for v in range(tree.n):
+        while v not in ancestors:
+            v = int(tree.parent[v])
+        lca.append(brute_depth(tree, v))
+    return lca
+
+
 def brute_reroot_parent(tree, new_root):
     """Parent array oriented toward ``new_root``: each vertex's BFS predecessor."""
     parent, _ = _bfs_parents(adjacency(tree), new_root)

@@ -11,8 +11,9 @@ arrays turned into lists.  It exists for speed: CPython runs its C encoder
 only when ``indent`` is None, and the pure-Python indenting encoder spends
 most of a large tree's ``metrics`` call on the per-vertex arrays.
 ``_json_text`` writes a signed-integer array with the numpy writer
-``tree._int_text``, with no Python int per entry, hands every flat number
-list to the C encoder in one call, and indents the result itself.
+``tree._int_text`` (digits right-aligned in a zeroed byte grid whose zeros
+are then deleted, no Python int per entry), hands every flat number list
+to the C encoder in one call, and indents the result itself.
 """
 
 from __future__ import annotations
@@ -231,7 +232,7 @@ def cmd_mix(args) -> int:
             start = int(args.start)
         except ValueError:
             raise ValidationError(f"--start must be 'worst' or a vertex, got {args.start!r}") from None
-    if args.curve:
+    if args.curve is not None:
         table = mixing.tv_curve(tree, args.curve, start=start)
         lines = ["t,tv"] + [f"{t:.12g},{v:.12g}" for t, v in table]
         _emit(args, "\n".join(lines) + "\n")
@@ -340,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_flags(p)
     p.add_argument("--eps", type=float, default=0.25)
     p.add_argument("--start", default=None, help="'worst' (default) or a vertex")
-    p.add_argument("--curve", type=int, default=0, metavar="N",
+    p.add_argument("--curve", type=int, metavar="N",
                    help="emit an N-sample t,tv CSV instead of the mixing time")
     p.add_argument("--rtol", type=float, default=1e-8)
     p.add_argument("--format", choices=("json", "text"), default="json")

@@ -88,17 +88,26 @@ def from_parents(n: int, parent: Sequence) -> RootedTree:
     """Validate a parent sequence and build the tree.
 
     ``parent`` has length ``n``; the root is marked by ``-1`` or ``None``.
-    Raises :class:`RootCountError`, :class:`ParentIndexError` or
+    An integer ndarray is read as int64 (an unsigned one wraps modulo
+    ``2**64``); otherwise each entry must be ``None`` or an integer other
+    than a bool, or :class:`ValidationError` is raised.  Raises
+    :class:`RootCountError`, :class:`ParentIndexError` or
     :class:`CycleError` for the respective defects.
     """
     if n < 1:
         raise ValidationError(f"vertex count must be >= 1, got {n}")
     if len(parent) != n:
         raise ValidationError(f"parent array has length {len(parent)}, expected {n}")
-    if isinstance(parent, np.ndarray) and parent.dtype.kind == "i":
+    if isinstance(parent, np.ndarray) and parent.dtype.kind in "iu":
         par = parent.astype(np.int64)  # always a fresh copy
     else:
-        par = np.array([-1 if p is None else int(p) for p in parent], dtype=np.int64)
+        entries = [-1 if p is None else p for p in parent]
+        for i, p in enumerate(entries):
+            if isinstance(p, bool) or not isinstance(p, (int, np.integer)):
+                raise ValidationError(f"parent[{i}] = {p!r} is not an integer")
+            if not -1 <= p < n:  # before int64 could overflow
+                raise ParentIndexError(f"parent[{i}] = {p} is out of range")
+        par = np.array(entries, dtype=np.int64)
     roots = np.nonzero(par == -1)[0]
     if len(roots) != 1:
         raise RootCountError(f"expected exactly one root sentinel, found {len(roots)}")
@@ -108,15 +117,18 @@ def from_parents(n: int, parent: Sequence) -> RootedTree:
     root = int(roots[0])
 
     # children in CSR form: a stable sort by parent keeps each child list
-    # ascending, and the root (parent -1) sorts first
+    # ascending, and the root (parent -1) sorts first; its -1 also fills
+    # bin 0 of the child counts, so their running sum is one ahead
     child_flat = np.argsort(par, kind="stable")[1:]
-    child_ptr = np.concatenate(([0], np.cumsum(np.bincount(par[child_flat], minlength=n))))
+    child_ptr = np.bincount(par + 1, minlength=n + 1).cumsum() - 1
 
     # pointer jumping (Wyllie): each step doubles the jump and adds the
     # depth found at its target; a vertex still short of the sentinel after
     # bit_length(n) steps sits on a cycle or below one
-    jump = np.append(np.where(par >= 0, par, n), n)
-    depth = np.append(par >= 0, False).astype(np.int64)
+    jump = np.append(par, n)
+    jump[root] = n
+    depth = np.ones(n + 1, dtype=np.int64)
+    depth[[root, n]] = 0
     jumps = []
     for _ in range(int(n).bit_length()):
         if (jump[:n] == n).all():
@@ -454,67 +466,76 @@ def root_orbits(tree: RootedTree) -> np.ndarray:
 # a number of the text format: an optional minus and 1 to 18 ASCII digits,
 # so that it fits int64 (``int`` would also take "+1", "1_0" and other digits)
 _COUNT_LINE = re.compile(r"\s*-?[0-9]{1,18}\s*")
-_PARENT_CHARS = re.compile(r"[-0-9 ]*")
+_PARENT_BYTES = b"-0123456789 "  # all that a plain parent line holds
 
 
 def _parse_parents(line: str) -> np.ndarray:
     """The numbers of the parent line, checked and converted in numpy, with
-    no Python int per entry.  One regular expression with a group repeated
-    per entry would be shorter, but ``re`` keeps some 230 bytes of
-    backtracking state for every repetition."""
-    if not _PARENT_CHARS.fullmatch(line):
-        line = " ".join(line.split())  # separators other than the space
-        if not _PARENT_CHARS.fullmatch(line):
+    no Python int per entry (``re`` would keep some 230 bytes of
+    backtracking state per entry).  Deleting the allowed bytes (minus,
+    digits, space; other whitespace becomes spaces) must leave nothing, a
+    minus needs a space before it and a digit after it, and no run of 19
+    digits survives five ands of the digit mask with shifted copies."""
+    data = line.encode("ascii", "replace")  # a non-ASCII character becomes "?"
+    if data.translate(None, _PARENT_BYTES):
+        data = " ".join(line.split()).encode("ascii", "replace")  # other separators
+        if data.translate(None, _PARENT_BYTES):
             raise TreeFormatError("parent entries must be integers")
-    b = np.frombuffer(line.encode("ascii"), dtype=np.uint8)
-    digit = b >= ord("0")
+    # the appended space ends the last number and, read as b[-1], comes
+    # before the first
+    b = np.frombuffer(data + b" ", dtype=np.uint8)
     signs = np.flatnonzero(b == ord("-"))
-    # a minus opens a number: the line start or a space before it, a digit after
-    if not (np.append(digit, False)[signs + 1].all()
-            and ((signs == 0) | (b[signs - 1] == ord(" "))).all()):
+    if not ((b[signs - 1] == ord(" ")) & (b[signs + 1] >= ord("0"))).all():
         raise TreeFormatError("parent entries must be integers")
-    edges = np.flatnonzero(np.diff(digit, prepend=False, append=False))
-    if (edges[1::2] - edges[::2]).max(initial=0) > 18:
+    run = b >= ord("0")
+    for k in (1, 2, 4, 8, 3):  # run[i]: 2, 4, 8, 16, then 19 digits from i on
+        run = run[:-k] & run[k:]
+    if run.any():
         raise TreeFormatError("parent entries must have at most 18 digits")
-    return np.fromstring(line, dtype=np.int64, sep=" ")
-
-
-_POW10 = np.uint64(10) ** np.arange(1, 20, dtype=np.uint64)  # 10 .. 10**19
+    return np.fromstring(data, dtype=np.int64, sep=" ")
 
 
 def _int_text(values: np.ndarray, sep: str) -> str:
     """``sep.join(map(str, values.tolist()))`` for a signed-integer array,
     built in numpy with no Python int per entry; the inverse of
-    :func:`_parse_parents`.
+    :func:`_parse_parents`.  ``sep`` holds no NUL.
 
-    Each entry's magnitude is taken as uint64, which is exact for the int64
-    minimum too, and its digits are counted against powers of ten.  The
-    entries fill the rows of one byte grid, right-aligned before the
-    separator columns: digits are written one column at a time, right to
-    left, by floor division (numpy's divide by a constant is several times
-    faster than its ``divmod``), then the minus signs.  The grid is read
-    out without each row's padding on the left, and the last separator is
-    cut off.
+    Magnitudes are taken as uint64, exact for the int64 minimum too, then
+    in the narrowest unsigned type that holds them (narrow words divide
+    faster).  Each entry fills a row of a zeroed byte grid, right-aligned
+    before the separator: digits by floor division one column at a time
+    (numpy's divide by a constant beats its ``divmod``), only where the
+    quotient is nonzero, and a minus left of the first nonzero byte.  The
+    grid's bytes without the zeros, less the last separator, are the text.
     """
     neg = values < 0
     mag = values.astype(np.uint64)
     np.negative(mag, out=mag, where=neg)  # modulo 2**64: the magnitude
-    width = np.searchsorted(_POW10, mag, side="right") + 1 + neg
-    cols = int(width.max(initial=0))
-    grid = np.empty((values.size, cols + len(sep)), dtype=np.uint8)
-    grid[:, cols:] = np.frombuffer(sep.encode("ascii"), dtype=np.uint8)
-    for k in range(cols - 1, -1, -1):
+    top = mag.max(initial=0)
+    mag = mag.astype(np.min_scalar_type(top))
+    digits = len(str(top))
+    cols = digits + int(neg.any())
+    row = bytes(cols) + sep.encode("ascii")
+    buf = bytearray(row) * values.size
+    grid = np.frombuffer(buf, dtype=np.uint8).reshape(-1, len(row))
+    for k in range(digits):
         quot = mag // 10
-        grid[:, k] = mag - quot * 10 + 48
+        digit = mag - quot * 10 + ord("0")
+        if k:  # the units column is written for 0 too
+            digit *= mag != 0
+        grid[:, cols - 1 - k] = digit
         mag = quot
-    grid[neg, cols - width[neg]] = ord("-")
-    text = grid[np.arange(grid.shape[1]) >= cols - width[:, None]].tobytes().decode("ascii")
-    return text[:len(text) - len(sep)]
+    rows = np.flatnonzero(neg)
+    grid[rows, (grid[rows, :cols] != 0).argmax(axis=1) - 1] = ord("-")
+    text = buf.translate(None, b"\0")
+    del text[len(text) - len(sep):]
+    return text.decode("ascii")
 
 
 def to_text(tree: RootedTree) -> str:
     """The canonical two-line text: the vertex count, then the parent
-    entries separated by single spaces, written by :func:`_int_text`."""
+    entries separated by single spaces.  The parent line is written by
+    :func:`_int_text` in numpy, and :func:`from_text` reads it back."""
     return f"{tree.n}\n{_int_text(tree.parent, ' ')}\n"
 
 

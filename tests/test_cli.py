@@ -16,7 +16,7 @@ import treecut as T
 from treecut.cli import _json_text, build_parser, main
 from treecut.criteria import FAMILIES
 
-from util import REPO_ROOT, subprocess_env
+from util import REPO_ROOT, listed, subprocess_env
 
 
 def run_cli(args, capsys):
@@ -306,6 +306,14 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "rtol" in err
 
+    @pytest.mark.parametrize("samples", ["0", "1", "-1"])
+    def test_curve_needs_two_samples(self, samples, capsys):
+        # --curve 0 used to be read as no curve and print the mixing time
+        code, out, err = run_cli(["mix", "--family", "segment", "--n", "5",
+                                  "--curve", samples], capsys)
+        assert (code, out) == (2, "")
+        assert "two samples" in err
+
     @pytest.mark.parametrize("entry", ["12345678901234567890", "1_0", "+0"])
     def test_malformed_parent_entry(self, entry, tmp_path, capsys):
         # an oversized entry used to escape as OverflowError
@@ -407,15 +415,6 @@ _FLOAT_ARRAYS = st.lists(st.floats(), max_size=4).map(lambda xs: np.array(xs, dt
 _ARRAY_DICTS = st.dictionaries(_STRINGS, st.one_of(
     _INT64_ARRAYS, _FLOAT_ARRAYS, _SCALARS,
     st.dictionaries(_STRINGS, _INT64_ARRAYS, max_size=3)), max_size=5)
-
-
-def listed(obj):
-    """``obj`` with every ndarray ``.tolist()``'d."""
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, dict):
-        return {k: listed(v) for k, v in obj.items()}
-    return obj
 
 
 class TestJsonText:

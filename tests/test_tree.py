@@ -1,5 +1,8 @@
 """Tree construction, geometry, center of mass, rerooting, text format."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,13 +12,13 @@ import treecut as T
 from treecut.errors import (CycleError, ParentIndexError, RootCountError,
                             TreeFormatError, ValidationError)
 
-from treecut import _kernels
+from treecut import _kernels, cli
 from treecut.tree import _int_text, _lca_depth, root_orbits
 
 from util import (best_center_split, brute_depth, brute_diameter, brute_lca_depth,
                   brute_max_edge_load, brute_path_load, brute_reroot_parent,
                   brute_root_orbits, brute_subtree_size, brute_tail_value,
-                  brute_unreachable, grafted_tree, random_tree)
+                  brute_unreachable, grafted_tree, listed, random_tree)
 
 # the 14-site tree from the contour illustration: root with four branches
 FIG_PARENTS = [-1, 0, 0, 0, 0, 1, 2, 3, 4, 5, 5, 5, 11, 7]
@@ -96,6 +99,46 @@ class TestFromParents:
         assert t.parent.dtype == np.int64
         assert t.parent.tolist() == [-1, 0, 0, 1, 1]
         assert t.parent.tolist() == T.from_parents(5, [-1, 0, 0, 1, 1]).parent.tolist()
+
+    @pytest.mark.parametrize("parent", [[-1, 0.7], np.array([-1.0, 0.9]), [-1, "0"], [-1, True],
+                                        np.array([True, False]), [-1, np.float64(0.0)]],
+                             ids=["float", "float_array", "str", "bool", "bool_array",
+                                  "numpy_float"])
+    def test_non_integer_entries_rejected(self, parent):
+        # these used to be truncated to an int, accepted, or end in CycleError
+        with pytest.raises(ValidationError, match="is not an integer"):
+            T.from_parents(2, parent)
+
+    @pytest.mark.parametrize("big", [2 ** 70, -(2 ** 70), 2 ** 63])
+    def test_entry_past_int64_is_out_of_range(self, big):
+        # used to escape as a bare OverflowError
+        with pytest.raises(ParentIndexError, match=f"parent\\[1\\] = {big} "):
+            T.from_parents(2, [-1, big])
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
+    def test_signed_arrays_of_every_width(self, dtype):
+        assert T.from_parents(3, np.array([1, 2, -1], dtype=dtype)).parent.tolist() == [1, 2, -1]
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int64, np.uint64])
+    def test_numpy_integer_entries_with_none_root(self, dtype):
+        assert T.from_parents(3, [dtype(1), dtype(2), None]).parent.tolist() == [1, 2, -1]
+
+    def test_unsigned_arrays_read_as_int64(self):
+        # uint64 wraps modulo 2**64, so its -1 is the root; narrower
+        # unsigned arrays cannot hold a root marker
+        assert T.from_parents(3, np.array([-1, 0, 1]).astype(np.uint64)).parent.tolist() == [-1, 0, 1]
+        with pytest.raises(ParentIndexError):
+            T.from_parents(2, np.array([2 ** 64 - 1, 2 ** 63], dtype=np.uint64))
+        with pytest.raises(RootCountError):
+            T.from_parents(2, np.array([1, 0], dtype=np.uint8))
+
+    def test_signed_array_is_not_iterated(self):
+        class NoIter(np.ndarray):
+            def __iter__(self):
+                raise AssertionError("iterated per entry")
+
+        t = T.from_parents(3, np.array([-1, 0, 0], dtype=np.int32).view(NoIter))
+        assert np.asarray(t.parent).tolist() == [-1, 0, 0]
 
 
 def test_deep_segment_closed_forms():
@@ -420,6 +463,62 @@ class TestTextFormat:
         assert back.parent.dtype == np.int64
         assert np.array_equal(back.parent, t.parent)
 
+    @pytest.mark.parametrize("where", [0, 1, 2], ids=["start", "middle", "end"])
+    def test_digit_limit_at_every_position(self, where):
+        tokens = ["-1", "0", "1"]
+        sign, value = ("-", "1") if where == 0 else ("", tokens[where])
+        for digits, ok in ((18, True), (19, False)):
+            tokens[where] = sign + value.rjust(digits, "0")
+            text = "3\n" + " ".join(tokens) + "\n"
+            if ok:
+                assert T.from_text(text).parent.tolist() == [-1, 0, 1]
+            else:
+                with pytest.raises(TreeFormatError, match="18 digits"):
+                    T.from_text(text)
+
+    @pytest.mark.parametrize("line", ["-1 0 1 -", "-1 0 1-", "-1 0\x00 1", "-1 0 \x001",
+                                      "\x00-1 0 1", "-1 0 1\x00"],
+                             ids=["minus_last", "minus_after_digit", "nul_after", "nul_before",
+                                  "nul_first", "nul_last"])
+    def test_rejects_trailing_minus_and_nul(self, line):
+        with pytest.raises(TreeFormatError):
+            T.from_text(f"3\n{line}\n")
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_parser_matches_per_token_oracle(self, seed):
+        # a random tree's parent line, each entry with leading zeros up to
+        # 19 digits and at times a minus, a stray minus or a NUL, joined by
+        # runs of mixed separators; the oracle splits on whitespace and
+        # matches each token alone, then builds the tree from the ints
+        rng = np.random.default_rng(seed)
+        t = random_tree(int(rng.integers(1, 25)), seed=seed)
+        tokens = []
+        for p in t.parent.tolist():
+            digits = str(abs(p)).rjust(int(rng.integers(1, 20)), "0")
+            sign = "-" if p < 0 or rng.random() < 0.05 else ""
+            token = sign + digits
+            if rng.random() < 0.03:
+                cut = int(rng.integers(0, len(token) + 1))
+                token = token[:cut] + ["-", "\x00"][int(rng.integers(2))] + token[cut:]
+            tokens.append(token)
+        seps = [" ", "  ", "\t", "\x1c", "\u00a0"]
+        line = "".join(tok + "".join(rng.choice(seps, int(rng.integers(1, 3))))
+                       for tok in tokens)
+        line = line.rstrip() if rng.random() < 0.5 else line
+        text = f"{t.n}\n{line}\n"
+        words = line.split()
+        if all(re.fullmatch(r"-?[0-9]{1,18}", w) for w in words):
+            try:
+                expected = T.from_parents(t.n, [int(w) for w in words]).parent.tolist()
+            except ValidationError as exc:
+                with pytest.raises(type(exc)):
+                    T.from_text(text)
+            else:
+                assert T.from_text(text).parent.tolist() == expected
+        else:
+            with pytest.raises(TreeFormatError):
+                T.from_text(text)
+
 
 _I64 = np.iinfo(np.int64)
 # 0, +-1, both sides of every power of ten up to 10**18, the int64 extremes
@@ -462,6 +561,25 @@ class TestIntText:
             info = np.iinfo(dtype)
             values = np.array([info.min, -1, 0, 9, 10, info.max], dtype=dtype)
             assert _int_text(values, " ") == self.oracle(values, " ")
+
+    @pytest.mark.parametrize("sep", SEPS, ids=repr)
+    def test_read_only_strided_view(self, sep):
+        values = np.random.default_rng(4).integers(-10 ** 12, 10 ** 12, 300)
+        values.setflags(write=False)
+        view, before = values[::3], values.copy()
+        assert _int_text(view, sep) == self.oracle(view, sep)
+        assert np.array_equal(values, before)
+
+    @pytest.mark.parametrize("make", [lambda: T.binary_of_size(30_000), lambda: T.segment(5000)],
+                             ids=["binary_30k", "segment_5k"])
+    def test_metrics_payload_matches_stdlib(self, make, tmp_path, monkeypatch):
+        path = tmp_path / "tree.txt"
+        path.write_text(T.to_text(make()), encoding="ascii")
+        payloads = []
+        monkeypatch.setattr(cli, "_dump", lambda args, payload: payloads.append(payload))
+        assert cli.main(["metrics", str(path)]) == 0
+        payload, = payloads
+        assert cli._json_text(payload) == json.dumps(listed(payload), sort_keys=True, indent=2)
 
 
 def test_root_path():

@@ -40,6 +40,15 @@ def subprocess_env(base=None):
     return env
 
 
+def listed(obj):
+    """``obj`` with every ndarray ``.tolist()``'d."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {k: listed(v) for k, v in obj.items()}
+    return obj
+
+
 def random_tree(n, seed, tall=False):
     """Random attachment tree; ``tall`` biases 70% of edges onto a chain."""
     rng = SplitMix64(seed)

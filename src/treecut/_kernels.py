@@ -18,10 +18,10 @@ vertex to its ``2**k``-th ancestor, past the root to a zero sentinel slot):
 ``ancestor_sum`` gathers ``S += S[jumps[k]]`` with k ascending, and
 ``subtree_sum``, its transpose, scatters ``G[jumps[k]] += G`` with k
 descending (``np.bincount`` on floats, ``np.add.at`` on integers: the same
-sums in the same order, bincount in a fraction of the time).  Each costs ``height.bit_length()`` vectorized O(n) steps,
-whatever the shape of the tree, and only adds disjoint ranges, so nothing
-is ever subtracted.  Integer input is summed in int64 and stays exact; any
-other input is summed in float64.
+sums in the same order; bincount is faster only on small trees).  Each
+costs ``height.bit_length()`` vectorized O(n) steps, whatever the shape of
+the tree, and only adds disjoint ranges, so nothing is ever subtracted.
+Integer input is summed in int64 and stays exact, any other in float64.
 
 Outside these two kernels the package has just two level passes, one
 vectorized step per depth: ``tree.root_orbits`` and ``spectral.count_below``.

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DegenerateInputError, ValidationError
-from .tree import RootedTree, compute_metrics
+from .tree import RootedTree, _check_count, compute_metrics
 
 __all__ = ["BDChain", "BDSpectrum", "LiftResult", "strip_to_first_branching",
            "project", "bd_spectrum", "lift", "cs_lower_bound"]
@@ -55,7 +55,7 @@ def strip_to_first_branching(degrees: Sequence[int]) -> Tuple[list, int]:
     two children, plus the number of levels removed.  The new root absorbs
     one degree unit for its deleted parent edge.
     """
-    degrees = [int(d) for d in degrees]
+    degrees = [_check_count(d, f"degree at depth {k}", 1) for k, d in enumerate(degrees)]
     if not degrees:
         raise ValidationError("degree sequence must be nonempty")
     if degrees[0] >= 2:
@@ -75,16 +75,12 @@ def project(degrees: Sequence[int], n: int) -> BDChain:
     prefixes are stripped first; n shrinks by the stripped amount.
     """
     degrees, stripped = strip_to_first_branching(degrees)
-    n = int(n) - stripped
-    if n < 2:
-        raise ValidationError(f"need n >= 2 after stripping, got {n}")
+    n = _check_count(n, "n", 2 + stripped) - stripped
     if len(degrees) < n - 1:
         raise ValidationError(
             f"degree sequence too short: need {n - 1} levels, have {len(degrees)}")
-    used = [degrees[0]] + [int(d) for d in degrees[1:n - 1]]
-    for k, d in enumerate(used[1:], start=1):
-        if d < 2:
-            raise ValidationError(f"interior degree at depth {k} must be >= 2, got {d}")
+    used = [degrees[0]] + [_check_count(d, f"degree at depth {k}", 2)  # k: unstripped depth
+                           for k, d in enumerate(degrees[1:n - 1], start=stripped + 1)]
 
     size = 2 * n - 1
     up = np.zeros(size, dtype=np.float64)
@@ -232,6 +228,5 @@ def cs_lower_bound(chain: BDChain, max_degree: int) -> float:
     (1/(16 * max_degree)) times the sum of reciprocal stationary weights
     over the lower half of the chain; always at most 1/gap.
     """
-    if max_degree < 1:
-        raise ValidationError(f"max degree must be >= 1, got {max_degree}")
+    max_degree = _check_count(max_degree, "max degree", 1)
     return float((1.0 / chain.stationary[:chain.half]).sum()) / (16.0 * max_degree)

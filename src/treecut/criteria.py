@@ -31,8 +31,8 @@ from .generate import (OffspringDistribution, _check_size, binary_of_size,
 from .mixing import _check_epsilon, _gap, _modes, mixing_lower_bounds, mixing_time
 from .rng import derive_seed
 from .spectral import _upper_bounds, hardy_lower
-from .tree import (RootedTree, _lca_depth, compute_metrics, max_edge_load,
-                   max_path_load, root_path, tail_profile)
+from .tree import (RootedTree, _check_count, _lca_depth, compute_metrics,
+                   max_edge_load, max_path_load, root_path, tail_profile)
 
 __all__ = [
     "TrendFit", "Diagnostic", "FamilyRow", "FamilyReport", "RetractionReport",
@@ -59,8 +59,8 @@ def fit_loglog(xs: Sequence[float], ys: Sequence[float]) -> TrendFit:
     ys = np.asarray(ys, dtype=np.float64)
     if len(xs) != len(ys) or len(xs) < 2:
         raise ValidationError("need at least two (x, y) pairs")
-    if np.any(xs <= 0) or np.any(ys <= 0):
-        raise ValidationError("log-log fit needs positive values")
+    if not (np.all((xs > 0) & (xs < np.inf)) and np.all((ys > 0) & (ys < np.inf))):
+        raise ValidationError("log-log fit needs finite positive values")
     lx, ly = np.log(xs), np.log(ys)
     slope, intercept = np.polyfit(lx, ly, 1)
     pred = slope * lx + intercept
@@ -127,7 +127,7 @@ def analyze_tree(tree: RootedTree, epsilon: float, size_label: float) -> FamilyR
     rows compute no gap; their ``t_mix_lower`` is the hitting bound of
     ``mixing_lower_bounds`` at min(epsilon, delta), on the split that the
     Hardy lower bound already made.
-    ``ValidationError`` unless 0 < epsilon < 1.
+    ``ValidationError`` unless 1e-8 <= epsilon < 1 (``mixing._check_epsilon``).
     """
     _check_epsilon(epsilon)
     metrics = compute_metrics(tree)
@@ -302,8 +302,7 @@ def _build_family_member(family: str, size: int, seed: Optional[int],
     if family == "binary":
         return binary_of_size(size)
     if family == "ssym_binary":
-        if size < 1:
-            raise ValidationError(f"ssym_binary needs depth >= 1, got {size}")
+        size = _check_count(size, "ssym_binary depth", 1)
         _check_size(2 ** (min(size, 62) + 1) - 1)  # before the degree list
         return spherically_symmetric([2] + [3] * (size - 1))
     if family == "cor15":
@@ -355,11 +354,10 @@ def sweep(family: str, sizes: Sequence[int], epsilon: float = 0.25,
     ``reps > 1`` each row reports the per-size median.
     """
     _check_family(family, seed, offspring)
-    if reps < 1 or jobs < 1:
-        raise ValidationError("reps and jobs must be >= 1")
+    reps, jobs = _check_count(reps, "reps", 1), _check_count(jobs, "jobs", 1)
     _check_epsilon(epsilon)
     _check_threshold(threshold)
-    sizes = sorted(int(s) for s in sizes)
+    sizes = sorted(_check_count(s, "size", 0) for s in sizes)
     if not sizes:
         raise ValidationError("need at least one size")
 

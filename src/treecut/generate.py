@@ -36,7 +36,8 @@ import numpy as np
 from . import _kernels
 from .errors import RejectionCapError, ResourceLimitError, ValidationError
 from .rng import SplitMix64, derive_seed, derive_seeds, uniforms
-from .tree import RootedTree, compute_metrics, from_parents, reroot, root_path
+from .tree import (RootedTree, _check_count, _check_vertex, compute_metrics,
+                   from_parents, reroot, root_path)
 
 __all__ = [
     "OffspringDistribution", "Contour", "segment", "binary_of_size",
@@ -216,16 +217,14 @@ def _check_size(total: int) -> None:
 
 def segment(n: int) -> RootedTree:
     """Path with n edges (n+1 vertices), rooted at an endpoint."""
-    if n < 0:
-        raise ValidationError(f"segment edge count must be >= 0, got {n}")
+    n = _check_count(n, "segment edge count", 0)
     _check_size(n + 1)
     return from_parents(n + 1, np.arange(-1, n))
 
 
 def binary_of_size(m: int) -> RootedTree:
     """Complete binary tree with exactly m vertices, filled level by level."""
-    if m < 1:
-        raise ValidationError(f"binary tree size must be >= 1, got {m}")
+    m = _check_count(m, "binary tree size", 1)
     _check_size(m)
     return from_parents(m, (np.arange(m) - 1) // 2)  # the root gets -1 // 2 == -1
 
@@ -238,15 +237,9 @@ def spherically_symmetric(degrees: Sequence[int]) -> RootedTree:
     children for 1 <= k < len(degrees), and depth ``len(degrees)`` holds
     the leaves.  Interior levels need degree >= 2 so no level dies early.
     """
-    degrees = [int(d) for d in degrees]
-    if not degrees:
-        return from_parents(1, [-1])
-    if degrees[0] < 1:
-        raise ValidationError(f"root degree must be >= 1, got {degrees[0]}")
-    for k, d in enumerate(degrees[1:], start=1):
-        if d < 2:
-            raise ValidationError(f"interior degree at depth {k} must be >= 2, got {d}")
-    kids = [degrees[0]] + [d - 1 for d in degrees[1:]]  # children per vertex, by depth
+    kids = [_check_count(d, "root degree", 1) for d in degrees[:1]] + [  # children per vertex
+        _check_count(d, f"interior degree at depth {k}", 2) - 1
+        for k, d in enumerate(degrees[1:], start=1)]
     total = width = 1
     for c in kids:
         width *= c
@@ -257,7 +250,7 @@ def spherically_symmetric(degrees: Sequence[int]) -> RootedTree:
     # vertices numbered level by level, each vertex's children contiguous:
     # every non-leaf vertex, in that order, is the parent of its count
     kids = np.array(kids, dtype=np.int64)
-    widths = np.cumprod(np.concatenate(([1], kids[:-1])))
+    widths = np.cumprod(np.concatenate(([1], kids)))[:-1]
     counts = np.repeat(kids, widths)
     return from_parents(total, np.concatenate(([-1], np.repeat(np.arange(counts.size), counts))))
 
@@ -300,7 +293,7 @@ def retraction(tree: RootedTree, v: int) -> RootedTree:
     level-filled binary tree of matching size at each path position, so the
     total vertex count and the hanging-size sequence are both preserved.
     """
-    if v == tree.root:
+    if _check_vertex(tree, v) == tree.root:
         raise ValidationError("retraction needs a vertex different from the root")
     sizes = hanging_sizes(tree, v)
     return _segment_with_binaries(sizes.size - 1, sizes)
@@ -311,8 +304,7 @@ def cor15_tree(n: int) -> RootedTree:
     distance i from the root, for every i in 0..n; the sizes are 0 from
     i = isqrt(n) on, so only the first isqrt(n) are listed, once the
     segment alone is known to fit."""
-    if n < 1:
-        raise ValidationError(f"family parameter must be >= 1, got {n}")
+    n = _check_count(n, "segment edge count", 1)
     _check_size(n + 1)
     i = np.arange(math.isqrt(n), dtype=np.int64)
     return _segment_with_binaries(n, n // (i + 1) ** 2)
@@ -322,8 +314,9 @@ def peres_sousi(k: int) -> RootedTree:
     """Doubly-exponential comb: segment of length 2^(2^k) with binary trees
     of size N = (2^(2^k))^3 at the root and N / 2^(2^i) at distance 2^(2^i)
     for i = k/2..k.  Requires k even and >= 2."""
-    if k < 2 or k % 2:
-        raise ValidationError(f"parameter must be even and >= 2, got {k}")
+    k = _check_count(k, "parameter k", 2)
+    if k % 2:
+        raise ValidationError(f"parameter k must be even, got {k}")
     n_k = 2 ** (2 ** k)
     big = n_k ** 3
     dist = [0] + [2 ** (2 ** i) for i in range(k // 2, k + 1)]
@@ -390,9 +383,8 @@ def _grow_branching(take, max_gen: int, room: int) -> Optional[np.ndarray]:
 def gw_tree(dist: OffspringDistribution, max_gen: int, seed: int,
             max_vertices: int = DEFAULT_VERTEX_CAP) -> RootedTree:
     """Branching-process tree truncated at generation ``max_gen``."""
-    if max_gen < 0:
-        raise ValidationError(f"generation cap must be >= 0, got {max_gen}")
-    room = max(max_vertices - 1, 0)
+    max_gen = _check_count(max_gen, "generation cap", 0)
+    room = max(_check_count(max_vertices, "vertex cap", 0) - 1, 0)
     parent = _grow_branching(_count_reader(SplitMix64(seed), dist, room + 1), max_gen, room)
     if parent is None:
         raise ResourceLimitError(
@@ -412,8 +404,9 @@ def gw_survival_truncated(dist: OffspringDistribution, n: int, seed: int,
     """
     if dist.mean <= 1.0:
         raise ValidationError(f"needs a supercritical law, mean {dist.mean} <= 1")
-    if n < 0:
-        raise ValidationError(f"target generation must be >= 0, got {n}")
+    n = _check_count(n, "target generation", 0)
+    max_attempts = _check_count(max_attempts, "attempt cap", 0)
+    _check_count(max_vertices, "vertex cap", 0)  # before any attempt
     for attempt in range(max_attempts):
         tree = gw_tree(dist, n, derive_seed(seed, attempt), max_vertices)
         if tree.height == n:
@@ -474,8 +467,8 @@ def gw_conditioned_size(dist: OffspringDistribution, n: int, seed: int,
     for some seeds.  The tree stays rooted at the progenitor unless
     ``reroot_at_label_one`` re-roots it at the vertex labeled 1.
     """
-    if n < 1:
-        raise ValidationError(f"target size must be >= 1, got {n}")
+    n = _check_count(n, "target size", 1)
+    max_attempts = _check_count(max_attempts, "attempt cap", 0)
     for start in range(0, max_attempts, _BLOCK):
         seeds = derive_seeds(seed, start, min(start + _BLOCK, max_attempts))
         hit = _first_accepted(dist, n, seeds)
@@ -508,8 +501,8 @@ def kesten_tree(dist: OffspringDistribution, n: int, seed: int,
     """
     if dist.mean > 1.0:
         raise ValidationError(f"needs mean <= 1, got {dist.mean}")
-    if n < 0:
-        raise ValidationError(f"spine depth must be >= 0, got {n}")
+    n = _check_count(n, "spine depth", 0)
+    max_vertices = _check_count(max_vertices, "vertex cap", 0)
     spine_law = OffspringDistribution.table(dist.size_biased_table())
     rng = SplitMix64(seed)
     parent = [np.array([-1])]
@@ -524,11 +517,11 @@ def kesten_tree(dist: OffspringDistribution, n: int, seed: int,
         if size > max_vertices:
             raise ResourceLimitError(f"spine tree exceeded the vertex cap {max_vertices}")
         pos = rng.below(count)
-        take = _count_reader(rng, dist, max(max_vertices, 0) + 1)
+        take = _count_reader(rng, dist, max_vertices + 1)
         for idx, child in enumerate(kids):
             if idx == pos:
                 continue
-            sub = _grow_branching(take, n - d - 1, max(max_vertices - size, 0))
+            sub = _grow_branching(take, n - d - 1, max_vertices - size)
             if sub is None:
                 raise ResourceLimitError(
                     f"spine tree exceeded the vertex cap {max_vertices}")
@@ -591,8 +584,8 @@ def normalized_contour(cont: Contour, c: float = 1.0) -> np.ndarray:
     recovers the full function.
     """
     c = float(c)
-    if c <= 0:
-        raise ValidationError(f"normalization constant must be positive, got {c}")
+    if not 0 < c < math.inf:  # NaN too
+        raise ValidationError(f"normalization constant must be finite and positive, got {c}")
     n = cont.n
     xs = np.arange(2 * n + 1, dtype=np.float64) / (2 * n)
     ys = np.zeros(2 * n + 1, dtype=np.float64)

@@ -93,8 +93,8 @@ import numpy as np
 from .errors import DegenerateInputError, ResourceLimitError, ValidationError
 from .spectral import (_over_cap, _recentered, Eigensystem, bottom_pairs,
                        decompose, dense_cap, gap_iterative)
-from .tree import (RootedTree, _check_vertex, _lca_depth, _per_tree,
-                   compute_metrics, max_path_load, root_orbits)
+from .tree import (RootedTree, _check_count, _check_vertex, _lca_depth,
+                   _per_tree, compute_metrics, max_path_load, root_orbits)
 
 __all__ = [
     "MixingResult", "HittingProfile", "MixingLowerBounds",
@@ -426,8 +426,11 @@ def _check_time(t: float, name: str = "time") -> None:
 
 
 def _check_epsilon(epsilon: float) -> None:
-    if not 0.0 < epsilon < 1.0:
-        raise ValidationError(f"epsilon must be in (0, 1), got {epsilon}")
+    """``ValidationError`` unless 1e-8 <= epsilon < 1.  The floor, 1e4 TAIL_TOL,
+    keeps the TAIL_TOL a TV evaluation may drop (all of a TV that reads 0 once
+    no mode is kept) within 1e-4 epsilon, so that a crossing is certified."""
+    if not 1e4 * TAIL_TOL <= epsilon < 1.0:
+        raise ValidationError(f"epsilon must be in [{1e4 * TAIL_TOL:g}, 1), got {epsilon}")
 
 
 def heat_kernel_tv(tree: RootedTree, t: float) -> float:
@@ -477,9 +480,9 @@ def mixing_time(tree: RootedTree, epsilon: float, start: Optional[int] = None,
     ``start``, the upper end is accepted only if d <= epsilon there over
     all starts; otherwise that time becomes the lower end, the worst start
     there the candidate, and the bracket grows again.  epsilon at or above
-    the t=0 distance 1 - 1/n yields 0.  The search runs on the start
-    oracles of ``_modes`` (``_starts``); from a time before the floor of a
-    partial eigensystem covers, they run on ``decompose``.
+    the t=0 distance 1 - 1/n yields 0, below 1e-8 an error.  The search runs
+    on the start oracles of ``_modes`` (``_starts``); from a time before the
+    floor of a partial eigensystem covers, they run on ``decompose``.
     """
     _check_epsilon(epsilon)
     # a bracket a few ulps of t wide cannot shrink any further
@@ -592,8 +595,7 @@ def tv_curve(tree: RootedTree, n_samples: int, t_max: Optional[float] = None,
     Without an explicit t_max the range extends to 1.5x the 0.01-mixing
     time, which shows the full drop of the curve.
     """
-    if n_samples < 2:
-        raise ValidationError("need at least two samples")
+    n_samples = _check_count(n_samples, "sample count", 2)
     if t_max is not None:
         _check_time(t_max, "t_max")
     if start is not None:

@@ -32,8 +32,8 @@ import numpy as np
 from . import _kernels
 from .errors import DegenerateInputError, ResourceLimitError, ValidationError
 from .rng import SplitMix64, derive_seed
-from .tree import (CenterOfMass, RootedTree, _check_vertex, _lca_depth, _per_tree,
-                   center_of_mass, compute_metrics, from_parents, max_edge_load,
+from .tree import (CenterOfMass, RootedTree, _check_count, _check_vertex, _lca_depth,
+                   _per_tree, center_of_mass, compute_metrics, from_parents, max_edge_load,
                    max_path_load, reroot, root_path, tail_profile)
 
 __all__ = [
@@ -57,9 +57,7 @@ def dense_cap() -> int:
         cap = int(raw)
     except ValueError:
         raise ValidationError(f"TREECUT_MAX_VERTICES is not an integer: {raw!r}") from None
-    if cap < 1:
-        raise ValidationError(f"TREECUT_MAX_VERTICES must be at least 1, got {cap}")
-    return cap
+    return _check_count(cap, "TREECUT_MAX_VERTICES", 1)
 
 
 def _over_cap(n: int, cap: int) -> ResourceLimitError:
@@ -248,14 +246,16 @@ def count_below(tree: RootedTree, sigma: float) -> int:
     at a child sends its term, and so its parent's pivot, to -inf; as in
     Jacobs & Trevisan, that parent counts as negative and its edge upward
     is cut: it passes only the 1 its degree adds.  One vectorized step per
-    level, deepest first.
+    level, deepest first.  ``ValidationError`` if sigma is NaN.
     """
+    if np.isnan(sigma := float(sigma)):
+        raise ValidationError("sigma must be a number, got nan")
     order = np.argsort(tree.depth, kind="stable")
     ends = np.cumsum(np.bincount(tree.depth))
     position = np.empty(tree.n, dtype=np.int64)
     position[order] = np.arange(tree.n)
     up = position[tree.parent[order[1:]]]  # parent position, by position - 1
-    acc = np.full(tree.n, -float(sigma))   # e_v so far, by position
+    acc = np.full(tree.n, -sigma)   # e_v so far, by position
     pivot = np.empty(tree.n)
     with np.errstate(divide="ignore", invalid="ignore"):
         for d in range(len(ends) - 1, 0, -1):
@@ -289,8 +289,10 @@ def bottom_pairs(tree: RootedTree, span: float) -> Optional[Eigensystem]:
     unmet after ``LANCZOS_MAX_STEPS`` steps over all runs (the step
     budget).  Otherwise the result holds eigenvalue 0 with the constant
     vector and the pairs found, ascending, with ``floor`` sigma: every
-    eigenvalue it omits is at least sigma.  ``span`` must exceed 1.
+    eigenvalue it omits is at least sigma.  ``ValidationError`` unless span > 1.
     """
+    if not span > 1:  # NaN too
+        raise ValidationError(f"span must exceed 1, got {span}")
     if tree.n < 2:
         return None
     need = []  # [sigma, number of nonzero eigenvalues below it], once known

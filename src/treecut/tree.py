@@ -94,8 +94,7 @@ def from_parents(n: int, parent: Sequence) -> RootedTree:
     :class:`RootCountError`, :class:`ParentIndexError` or
     :class:`CycleError` for the respective defects.
     """
-    if n < 1:
-        raise ValidationError(f"vertex count must be >= 1, got {n}")
+    n = _check_count(n, "vertex count", 1)
     if len(parent) != n:
         raise ValidationError(f"parent array has length {len(parent)}, expected {n}")
     if isinstance(parent, np.ndarray) and parent.dtype.kind in "iu":
@@ -130,7 +129,7 @@ def from_parents(n: int, parent: Sequence) -> RootedTree:
     depth = np.ones(n + 1, dtype=np.int64)
     depth[[root, n]] = 0
     jumps = []
-    for _ in range(int(n).bit_length()):
+    for _ in range(n.bit_length()):
         if (jump[:n] == n).all():
             break
         jumps.append(jump)
@@ -403,11 +402,20 @@ def _lca_depth(tree: RootedTree, x: int) -> np.ndarray:
 
 def _check_vertex(tree: RootedTree, v, name: str = "vertex") -> int:
     """``v`` as an int; ``ValidationError`` unless an integer in 0..n-1."""
-    if not isinstance(v, (int, np.integer)):
-        raise ValidationError(f"{name} must be an integer, got {v!r}")
-    if not 0 <= v < tree.n:
-        raise ValidationError(f"{name} {v} out of range")
-    return int(v)
+    v = _check_count(v, name, 0)
+    if v >= tree.n:
+        raise ValidationError(f"{name} must be <= {tree.n - 1}, got {v}")
+    return v
+
+
+def _check_count(value, name: str, low: int) -> int:
+    """``value`` as an int; ``ValidationError`` unless an integer (not a
+    bool) that is at least ``low``: a size, depth, degree, cap or count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValidationError(f"{name} must be >= {low}, got {value}")
+    return int(value)
 
 
 @_per_tree

@@ -5,7 +5,7 @@ import pytest
 
 import treecut as T
 from treecut import bdchain as bd
-from treecut.errors import ValidationError
+from treecut.errors import DegenerateInputError, ValidationError
 
 BINARY = [2] + [3] * 20
 
@@ -55,6 +55,36 @@ class TestProject:
 
 
 class TestBDSpectrum:
+    @staticmethod
+    def eigh_with_gap_vector(monkeypatch, f):
+        """``np.linalg.eigh`` whose second eigenvector is f, in the
+        symmetrised coordinates of ``bd_spectrum`` (times sqrt(pi))."""
+        eigh = np.linalg.eigh
+
+        def patched(S):
+            vals, vecs = eigh(S)
+            vecs[:, 1] = f
+            return vals, vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", patched)
+
+    def test_symmetric_part_is_removed(self, monkeypatch):
+        # an eigensolver free to mix the gap eigenspace may return an
+        # antisymmetric eigenfunction plus a symmetric part
+        ch = bd.project(BINARY, 4)
+        exact = bd.bd_spectrum(ch)
+        sqrt_pi = np.sqrt(ch.stationary)
+        self.eigh_with_gap_vector(monkeypatch, sqrt_pi * (exact.eigenfunction + 0.3))
+        mixed = bd.bd_spectrum(ch)
+        assert mixed.gap == exact.gap
+        assert np.allclose(mixed.eigenfunction, exact.eigenfunction, rtol=0, atol=1e-12)
+
+    def test_symmetric_gap_vector_is_reported(self, monkeypatch):
+        ch = bd.project(BINARY, 4)
+        self.eigh_with_gap_vector(monkeypatch, np.sqrt(ch.stationary))
+        with pytest.raises(DegenerateInputError, match="antisymmetrization failed"):
+            bd.bd_spectrum(ch)
+
     def test_three_state_by_hand(self):
         sp = bd.bd_spectrum(bd.project(BINARY, 2))
         assert sp.gap == pytest.approx(1.0, abs=1e-12)

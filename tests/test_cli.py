@@ -277,9 +277,13 @@ class TestSweep:
         assert (code, out) == (2, "") and "threshold" in err
 
     def test_ssym_binary_needs_depth(self, capsys):
-        # sizes -1, 0 and 1 used to give three identical 3-vertex rows
+        # sizes -1, 0 and 1 used to give three identical 3-vertex rows;
+        # no family takes a negative size, so sweep refuses -1 itself
         code, out, err = run_cli(["sweep", "--family", "ssym_binary",
                                   "--sizes=-1,0,1,2"], capsys)
+        assert (code, out) == (2, "") and "size must be >= 0, got -1" in err
+        code, out, err = run_cli(["sweep", "--family", "ssym_binary",
+                                  "--sizes=0,1,2"], capsys)
         assert (code, out) == (2, "") and "depth" in err
         code, out, _ = run_cli(["gen", "--family", "ssym_binary", "--n", "0"], capsys)
         assert (code, out) == (2, "")
@@ -312,7 +316,7 @@ class TestExitCodes:
         code, out, err = run_cli(["mix", "--family", "segment", "--n", "5",
                                   "--curve", samples], capsys)
         assert (code, out) == (2, "")
-        assert "two samples" in err
+        assert f"sample count must be >= 2, got {samples}" in err
 
     @pytest.mark.parametrize("entry", ["12345678901234567890", "1_0", "+0"])
     def test_malformed_parent_entry(self, entry, tmp_path, capsys):

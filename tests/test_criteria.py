@@ -36,6 +36,13 @@ class TestFitLoglog:
         with pytest.raises(ValidationError):
             C.fit_loglog([1, 2], [0.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        # a nan or infinite value used to give a nan fit, read as a verdict
+        for xs, ys in (([1, 2, bad], [1.0, 2.0, 3.0]), ([1, 2, 3], [1.0, bad, 3.0])):
+            with pytest.raises(ValidationError, match="finite positive"):
+                C.fit_loglog(xs, ys)
+
 
 def test_product_ratio_two_path():
     assert product_ratio(T.segment(1), 0.25) == pytest.approx(np.log(2), rel=1e-7)
@@ -284,9 +291,10 @@ class TestAnalyzeAndSweep:
                 check()
 
     def test_ssym_binary_needs_depth(self):
-        for size in (-1, 0):
-            with pytest.raises(ValidationError, match="depth"):
-                C.sweep("ssym_binary", [size, 2])
+        with pytest.raises(ValidationError, match="^size must be >= 0, got -1$"):
+            C.sweep("ssym_binary", [-1, 2])
+        with pytest.raises(ValidationError, match="depth"):
+            C.sweep("ssym_binary", [0, 2])
         assert C.sweep("ssym_binary", [1]).rows[0].sites == 3
 
     @pytest.mark.parametrize("jobs", [1, 2])

@@ -329,6 +329,13 @@ class TestBranchingFamilies:
             T.gw_conditioned_size(OD.table([0, 0, 1]), 9, seed=0, max_attempts=40)
         assert info.value.attempts == 40
 
+    def test_survival_truncated_rejection_cap(self):
+        dist = OD.geometric(0.4)
+        with pytest.raises(RejectionCapError, match="generation 30 in 1 attempts") as info:
+            T.gw_survival_truncated(dist, 30, seed=1, max_attempts=1)
+        assert info.value.attempts == 1
+        assert info.value.acceptance_estimate == 1.0 - dist.extinction_probability()
+
     def test_kesten_point_mass_one_is_segment(self):
         t = T.kesten_tree(OD.table([0, 1]), 5, seed=0)
         assert t.parent.tolist() == [-1, 0, 1, 2, 3, 4]
@@ -631,3 +638,10 @@ class TestContour:
         one = T.normalized_contour(c, 1.0)
         two = T.normalized_contour(c, 2.0)
         assert np.allclose(two[:, 1], 2 * one[:, 1])
+
+    @pytest.mark.parametrize("c", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_normalization_constant_must_be_positive(self, c):
+        # nan and inf used to give a table holding nan
+        cont = T.contour(T.segment(3), [1, 2, 3, 4])
+        with pytest.raises(ValidationError, match="normalization constant"):
+            T.normalized_contour(cont, c)

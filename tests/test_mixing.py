@@ -68,6 +68,37 @@ class TestMixingTime:
         with pytest.raises(ValidationError):
             T.mixing_time(T.segment(1), 1.0)
 
+    def test_epsilon_below_the_tail_floor_rejected(self):
+        # 1e-300 used to give t_mix 47.17 on segment(3), where the curve
+        # still reads 6e-13: with every mode dropped the truncated TV is 0
+        for run in (lambda eps: T.mixing_time(T.segment(3), eps),
+                    lambda eps: criteria.analyze_tree(T.segment(3), eps, 3),
+                    lambda eps: T.sweep("segment", [3], epsilon=eps)):
+            with pytest.raises(ValidationError, match=r"^epsilon must be in \[1e-08, 1\)"):
+                run(1e-300)
+            with pytest.raises(ValidationError, match="epsilon"):
+                run(np.nextafter(1e4 * M.TAIL_TOL, 0))
+
+    def test_epsilon_at_the_tail_floor(self):
+        tree = T.segment(3)
+        eps = 1e4 * M.TAIL_TOL
+        res = T.mixing_time(tree, eps)
+        assert res.tail_bound <= 1e-4 * eps
+        # the expm oracle has TV above epsilon just before t_mix, at most
+        # epsilon (plus rounding) at it
+        assert tv_by_expm(tree, res.t_mix * (1 - 1e-6)) > eps
+        assert tv_by_expm(tree, res.t_mix) <= eps * (1 + 1e-4)
+
+    def test_search_gives_up_after_400_doublings(self):
+        class Stuck:  # start oracles whose TV never drops
+            gap, first = 1.0, 0
+
+            def tv(self, x, t):
+                return 0.5
+
+        with pytest.raises(ValidationError, match="failed to drop below epsilon"):
+            M._search(T.segment(3), 0.25, None, 1e-8, Stuck())
+
     def test_against_expm_bisection_oracle(self):
         tree = T.segment(2)
         eps = 0.25

@@ -103,6 +103,13 @@ class TestGapIterative:
     def test_two_path(self):
         assert T.gap_iterative(T.segment(1)) == pytest.approx(2.0, rel=1e-10)
 
+    def test_non_positive_ritz_value_refused(self, monkeypatch):
+        t = T.segment(5)
+        monkeypatch.setattr(S, "_lanczos_top", lambda *args: (
+            np.array([0.0]), np.array([True]), np.zeros((t.n, 1))))
+        with pytest.raises(ResourceLimitError, match="positive Ritz value"):
+            T.gap_iterative(t)
+
     @pytest.mark.parametrize("legs", [[10, 10] + [1] * 30, [8, 8, 8] + [1] * 40],
                              ids=["two_long_legs", "three_long_legs"])
     def test_matches_dense_on_spiders(self, legs):
@@ -162,9 +169,24 @@ class TestCountBelow:
             [0, 1, 1, 9, 10]
         assert T.count_below(T.from_parents(1, [-1]), 0.5) == 1
 
+    def test_nan_rejected(self):
+        # used to return 0
+        with pytest.raises(ValidationError, match="sigma"):
+            T.count_below(T.segment(3), float("nan"))
+
 
 class TestBottomPairs:
     SPAN = 60.0
+
+    @pytest.mark.parametrize("span", [1.0, 0.5, -2.0, float("nan")])
+    def test_span_must_exceed_one(self, span):
+        # used to return None
+        with pytest.raises(ValidationError, match="^span must exceed 1"):
+            T.bottom_pairs(T.segment(20), span)
+
+    def test_none_when_the_gap_never_converges(self, monkeypatch):
+        monkeypatch.setattr(S, "LANCZOS_MAX_STEPS", 2)
+        assert T.bottom_pairs(T.segment(40), self.SPAN) is None
 
     def test_pairs_below_the_floor(self):
         found = 0

@@ -1,6 +1,9 @@
 """Tree construction, geometry, center of mass, rerooting, text format."""
 
+import importlib
+import inspect
 import json
+import pkgutil
 import re
 
 import numpy as np
@@ -12,7 +15,8 @@ import treecut as T
 from treecut.errors import (CycleError, ParentIndexError, RootCountError,
                             TreeFormatError, ValidationError)
 
-from treecut import _kernels, cli
+from treecut import _kernels, bdchain as bd, cli, criteria as C
+from treecut.generate import OffspringDistribution as OD
 from treecut.tree import _int_text, _lca_depth, root_orbits
 
 from util import (best_center_split, brute_depth, brute_diameter, brute_lca_depth,
@@ -598,34 +602,132 @@ def test_lca_depth_matches_parent_walk(random_suite):
 
 
 # every entry point that takes a vertex, called on segment(3) with a vertex
-# that is not an integer or not in 0..3
+# that is not an integer or not in 0..3: the call, the name its message
+# starts with, and the parameter
 BAD_VERTEX_CALLS = {
-    "root_path": (lambda t, v: T.root_path(t, v), "vertex"),
-    "reroot": (lambda t, v: T.reroot(t, v), "new root"),
-    "center_of_mass": (lambda t, v: T.center_of_mass(t, at=v), "split vertex"),
-    "hitting_profile": (lambda t, v: T.hitting_profile(t, v), "target vertex"),
-    "tv_from_start": (lambda t, v: T.tv_from_start(t, 1.0, v), "start vertex"),
-    "mixing_time": (lambda t, v: T.mixing_time(t, 0.25, start=v), "start vertex"),
-    "tv_curve": (lambda t, v: T.tv_curve(t, 3, t_max=1.0, start=v), "start vertex"),
-    "nu_exact": (lambda t, v: T.nu_exact(t, [1, v]), "vertex"),
-    "retraction_weights": (lambda t, v: T.retraction_weights(t, v), "vertex"),
-    "hanging_sizes": (lambda t, v: T.hanging_sizes(t, v), "vertex"),
+    "root_path": (lambda t, v: T.root_path(t, v), "vertex", "v"),
+    "reroot": (lambda t, v: T.reroot(t, v), "new root", "new_root"),
+    "center_of_mass": (lambda t, v: T.center_of_mass(t, at=v), "split vertex", "at"),
+    "hitting_profile": (lambda t, v: T.hitting_profile(t, v), "target vertex", "target"),
+    "tv_from_start": (lambda t, v: T.tv_from_start(t, 1.0, v), "start vertex", "start"),
+    "mixing_time": (lambda t, v: T.mixing_time(t, 0.25, start=v), "start vertex", "start"),
+    "tv_curve": (lambda t, v: T.tv_curve(t, 3, t_max=1.0, start=v), "start vertex", "start"),
+    "nu_exact": (lambda t, v: T.nu_exact(t, [1, v]), "vertex", "B"),
+    "retraction_weights": (lambda t, v: T.retraction_weights(t, v), "vertex", "v"),
+    "hanging_sizes": (lambda t, v: T.hanging_sizes(t, v), "vertex", "v"),
+    "retraction": (lambda t, v: T.retraction(t, v), "vertex", "v"),
+    "retraction_report": (lambda t, v: T.retraction_report(t, v), "vertex", "v_star"),
+    "retraction_alpha": (lambda t, v: T.retraction_alpha(t, v), "vertex", "v"),
 }
 
 
-@pytest.mark.parametrize("bad", [2.5, 2.0, "2", -1, 4, np.int64(4)])
+@pytest.mark.parametrize("bad", [2.5, 2.0, "2", -1, 4, np.int64(4), True])
 @pytest.mark.parametrize("call", BAD_VERTEX_CALLS.values(), ids=BAD_VERTEX_CALLS.keys())
 def test_vertex_arguments_checked(call, bad):
-    fn, name = call
+    fn, name, _ = call
     with pytest.raises(ValidationError, match=f"^{name} "):
         fn(T.segment(3), bad)
 
 
 @pytest.mark.parametrize("call", BAD_VERTEX_CALLS.values(), ids=BAD_VERTEX_CALLS.keys())
 def test_numpy_integer_vertices_accepted(call):
-    fn, _ = call
+    fn, _, _ = call
     t = T.segment(3)
     assert repr(fn(t, 2)) == repr(fn(t, np.int64(2)))
+
+
+# every count argument (a size, depth, degree, cap or repetition count),
+# keyed function.parameter, with a bracketed note where one parameter has
+# several checks: the call, the name its message starts with, the least
+# value allowed, and a valid value
+BAD_COUNT_CALLS = {
+    "from_parents.n": (lambda v: T.from_parents(v, [-1, 0]), "vertex count", 1, 2),
+    "segment.n": (T.segment, "segment edge count", 0, 3),
+    "binary_of_size.m": (T.binary_of_size, "binary tree size", 1, 5),
+    "spherically_symmetric.degrees[root]": (
+        lambda v: T.spherically_symmetric([v, 3]), "root degree", 1, 2),
+    "spherically_symmetric.degrees[interior]": (
+        lambda v: T.spherically_symmetric([2, v]), "interior degree at depth 1", 2, 3),
+    "cor15_tree.n": (T.cor15_tree, "segment edge count", 1, 9),
+    "peres_sousi.k": (T.peres_sousi, "parameter k", 2, 2),
+    "gw_tree.max_gen": (lambda v: T.gw_tree(OD.geometric(0.5), v, 1),
+                        "generation cap", 0, 3),
+    "gw_tree.max_vertices": (lambda v: T.gw_tree(OD.geometric(0.5), 3, 1, max_vertices=v),
+                             "vertex cap", 0, 1000),
+    "gw_survival_truncated.n": (lambda v: T.gw_survival_truncated(OD.geometric(0.4), v, 1),
+                                "target generation", 0, 3),
+    "gw_survival_truncated.max_attempts": (
+        lambda v: T.gw_survival_truncated(OD.geometric(0.4), 3, 1, max_attempts=v),
+        "attempt cap", 0, 1000),
+    "gw_survival_truncated.max_vertices": (
+        lambda v: T.gw_survival_truncated(OD.geometric(0.4), 3, 1, max_vertices=v),
+        "vertex cap", 0, 1000),
+    "gw_conditioned_size.n": (lambda v: T.gw_conditioned_size(OD.geometric(0.5), v, 1),
+                              "target size", 1, 5),
+    "gw_conditioned_size.max_attempts": (
+        lambda v: T.gw_conditioned_size(OD.geometric(0.5), 5, 1, max_attempts=v),
+        "attempt cap", 0, 1000),
+    "kesten_tree.n": (lambda v: T.kesten_tree(OD.geometric(0.5), v, 1), "spine depth", 0, 4),
+    "kesten_tree.max_vertices": (
+        lambda v: T.kesten_tree(OD.geometric(0.5), 4, 1, max_vertices=v), "vertex cap", 0, 1000),
+    "sweep.sizes": (lambda v: C.sweep("segment", [v]), "size", 0, 4),
+    "sweep.reps": (lambda v: C.sweep("segment", [4], reps=v), "reps", 1, 2),
+    "sweep.jobs": (lambda v: C.sweep("segment", [4], jobs=v), "jobs", 1, 1),
+    "_build_family_member.size[ssym_binary]": (
+        lambda v: C._build_family_member("ssym_binary", v, None, None),
+        "ssym_binary depth", 1, 2),
+    "tv_curve.n_samples": (lambda v: T.tv_curve(T.segment(3), v, t_max=1.0),
+                           "sample count", 2, 3),
+    "strip_to_first_branching.degrees": (
+        lambda v: bd.strip_to_first_branching([1, v, 3]), "degree at depth 1", 1, 2),
+    "project.degrees": (lambda v: T.project([2, v, 3], 3), "degree at depth 1", 2, 3),
+    "project.n": (lambda v: T.project([2, 3, 3], v), "n", 2, 3),
+    "cs_lower_bound.max_degree": (lambda v: T.cs_lower_bound(T.project([2, 3], 3), v),
+                                  "max degree", 1, 3),
+}
+# integer parameters that are neither counts nor vertices
+NOT_COUNTS = {"gw_tree.seed", "gw_survival_truncated.seed", "gw_conditioned_size.seed",
+              "kesten_tree.seed", "sweep.seed",  # any int seeds a stream
+              "contour.labels",  # a permutation of 1..n, checked whole
+              "hardy_constant.part"}  # a vertex set, checked as an array
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, "2", True, np.float64(3.0), None],
+                         ids=["2.5", "2.0", "str", "True", "float64", "below"])
+@pytest.mark.parametrize("row", BAD_COUNT_CALLS.values(), ids=BAD_COUNT_CALLS.keys())
+def test_count_arguments_checked(row, bad):
+    fn, name, low, _ = row
+    if bad is None:  # one below the least value allowed
+        bad, message = low - 1, f"must be >= {low}, got {low - 1}$"
+    else:
+        message = f"must be an integer, got {re.escape(repr(bad))}$"
+    with pytest.raises(ValidationError, match=f"^{re.escape(name)} {message}"):
+        fn(bad)
+
+
+@pytest.mark.parametrize("row", BAD_COUNT_CALLS.values(), ids=BAD_COUNT_CALLS.keys())
+def test_numpy_integer_counts_accepted(row):
+    fn, _, _, good = row
+    assert repr(fn(good)) == repr(fn(np.int64(good)))
+
+
+def test_every_integer_parameter_is_checked():
+    # a new integer parameter of the public API needs a row in one of the
+    # two tables above, or a place in NOT_COUNTS
+    covered = {key.split("[")[0] for key in BAD_COUNT_CALLS} | NOT_COUNTS | {
+        f"{fn}.{param}" for fn, (_, _, param) in BAD_VERTEX_CALLS.items()}
+    found = set()
+    for info in pkgutil.iter_modules(T.__path__, "treecut."):
+        if info.name == "treecut.__main__":
+            continue
+        module = importlib.import_module(info.name)
+        for name in getattr(module, "__all__", ()):
+            fn = getattr(module, name)
+            if inspect.isfunction(fn):
+                found |= {f"{name}.{p.name}" for p in inspect.signature(fn).parameters.values()
+                          if re.search(r"\bint\b", str(p.annotation))}
+    assert found - covered == set()
+    assert {key for key in covered if not key.startswith("_")} - found == set()
 
 
 @pytest.mark.parametrize("part", [[0, 1.5], [0, 1.0], [0, "1"]])

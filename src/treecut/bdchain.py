@@ -22,8 +22,8 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from . import _kernels
-from .errors import DegenerateInputError, ValidationError
-from .tree import RootedTree, _check_count, compute_metrics
+from .errors import DegenerateInputError, ValidationError, _check_count
+from .tree import RootedTree, compute_metrics
 
 __all__ = ["BDChain", "BDSpectrum", "LiftResult", "strip_to_first_branching",
            "project", "bd_spectrum", "lift", "cs_lower_bound"]

@@ -16,14 +16,13 @@ instead and are labeled "bounded".
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
 from . import _kernels
-from .errors import ResourceLimitError, ValidationError
+from .errors import ResourceLimitError, ValidationError, _check_count, _check_real
 from .generate import (OffspringDistribution, _check_size, binary_of_size,
                        cor15_tree, gw_conditioned_size, gw_survival_truncated,
                        gw_tree, kesten_tree, peres_sousi, segment,
@@ -31,8 +30,8 @@ from .generate import (OffspringDistribution, _check_size, binary_of_size,
 from .mixing import _check_epsilon, _gap, _modes, mixing_lower_bounds, mixing_time
 from .rng import derive_seed
 from .spectral import _upper_bounds, hardy_lower
-from .tree import (RootedTree, _check_count, _lca_depth, compute_metrics,
-                   max_edge_load, max_path_load, root_path, tail_profile)
+from .tree import (RootedTree, _lca_depth, compute_metrics, max_edge_load,
+                   max_path_load, root_path, tail_profile)
 
 __all__ = [
     "TrendFit", "Diagnostic", "FamilyRow", "FamilyReport", "RetractionReport",
@@ -129,11 +128,12 @@ def analyze_tree(tree: RootedTree, epsilon: float, size_label: float) -> FamilyR
     Hardy lower bound already made.
     ``ValidationError`` unless 1e-8 <= epsilon < 1 (``mixing._check_epsilon``).
     """
-    _check_epsilon(epsilon)
+    epsilon = _check_epsilon(epsilon)
+    size_label = _check_real(size_label, "size label", 0, ends="[)")
     metrics = compute_metrics(tree)
     lower = hardy_lower(tree)
     base = dict(
-        n=float(size_label), sites=float(tree.n),
+        n=size_label, sites=float(tree.n),
         max_degree=float(metrics.max_degree),
         max_edge_load=float(max_edge_load(metrics).value),
         max_path_load=float(max_path_load(metrics).value),
@@ -153,14 +153,9 @@ def analyze_tree(tree: RootedTree, epsilon: float, size_label: float) -> FamilyR
                      t_mix_lower=hitting, **base)
 
 
-def _check_threshold(threshold: float) -> None:
-    if not (math.isfinite(threshold) and threshold > 0):
-        raise ValidationError(f"threshold must be finite and > 0, got {threshold}")
-
-
 def _verdict_fit(rows: Sequence[FamilyRow], quotient: Callable[[FamilyRow], float],
                  name: str, threshold: float, direction: str) -> Diagnostic:
-    _check_threshold(threshold)
+    threshold = _check_real(threshold, "threshold", 0, ends="()")
     values = tuple(quotient(r) for r in rows)
     if len(rows) < MIN_TREND_POINTS:
         return Diagnostic(name, "insufficient data (diagnostic)", None,
@@ -224,7 +219,7 @@ def retraction_trend(reports: Sequence[RetractionReport],
     the maximal load (falling ratio).  All three together predict cutoff
     for the retracted family.
     """
-    _check_threshold(threshold)
+    threshold = _check_real(threshold, "threshold", 0, ends="()")
     if len(reports) < MIN_TREND_POINTS:
         return {"verdict": "insufficient data (diagnostic)", "fits": {}}
     sites = [r.sites for r in reports]
@@ -355,8 +350,8 @@ def sweep(family: str, sizes: Sequence[int], epsilon: float = 0.25,
     """
     _check_family(family, seed, offspring)
     reps, jobs = _check_count(reps, "reps", 1), _check_count(jobs, "jobs", 1)
-    _check_epsilon(epsilon)
-    _check_threshold(threshold)
+    epsilon = _check_epsilon(epsilon)
+    threshold = _check_real(threshold, "threshold", 0, ends="()")
     sizes = sorted(_check_count(s, "size", 0) for s in sizes)
     if not sizes:
         raise ValidationError("need at least one size")

@@ -34,9 +34,10 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from . import _kernels
-from .errors import RejectionCapError, ResourceLimitError, ValidationError
+from .errors import (RejectionCapError, ResourceLimitError, ValidationError,
+                     _check_count, _check_real)
 from .rng import SplitMix64, derive_seed, derive_seeds, uniforms
-from .tree import (RootedTree, _check_count, _check_vertex, compute_metrics,
+from .tree import (RootedTree, _check_vertex, compute_metrics,
                    from_parents, reroot, root_path)
 
 __all__ = [
@@ -76,24 +77,22 @@ class OffspringDistribution:
 
     @staticmethod
     def geometric(p: float) -> "OffspringDistribution":
-        if not 0.0 < p <= 1.0:
-            raise ValidationError(f"geometric parameter must be in (0, 1], got {p}")
+        p = _check_real(p, "geometric parameter", 0, 1, "(]")
         q = 1.0 - p
         return OffspringDistribution("geometric", (p,), q / p, q / p**2)
 
     @staticmethod
     def poisson(lam: float) -> "OffspringDistribution":
-        if not lam >= 0:  # rejects nan too
-            raise ValidationError(f"poisson rate must be >= 0, got {lam}")
+        lam = _check_real(lam, "poisson rate", 0, ends="[)")
         if math.exp(-lam) == 0.0:
             raise ValidationError(f"poisson rate {lam} too large: exp(-rate) underflows to 0")
         return OffspringDistribution("poisson", (lam,), lam, lam)
 
     @staticmethod
     def table(probs: Sequence[float]) -> "OffspringDistribution":
-        probs = tuple(float(p) for p in probs)
-        if not probs or not all(p >= 0 for p in probs):  # rejects nan too
-            raise ValidationError("table probabilities must be nonnegative and nonempty")
+        probs = tuple(_check_real(p, "table probability", 0, ends="[)") for p in probs)
+        if not probs:
+            raise ValidationError("table probabilities must be nonempty")
         if abs(sum(probs) - 1.0) > 1e-12:
             raise ValidationError(f"table probabilities sum to {sum(probs)}, not 1")
         mean = sum(j * p for j, p in enumerate(probs))
@@ -118,6 +117,7 @@ class OffspringDistribution:
         is never seen, because with this law every tree is a lone root and
         nothing is drawn after it.)
         """
+        cap = _check_count(cap, "cap", 0)
         if self.kind == "geometric":
             p = self.params[0]
             if p >= 1.0:
@@ -583,9 +583,7 @@ def normalized_contour(cont: Contour, c: float = 1.0) -> np.ndarray:
     zero endpoints pinned at 0 and 1; linear interpolation between rows
     recovers the full function.
     """
-    c = float(c)
-    if not 0 < c < math.inf:  # NaN too
-        raise ValidationError(f"normalization constant must be finite and positive, got {c}")
+    c = _check_real(c, "normalization constant", 0, ends="()")
     n = cont.n
     xs = np.arange(2 * n + 1, dtype=np.float64) / (2 * n)
     ys = np.zeros(2 * n + 1, dtype=np.float64)

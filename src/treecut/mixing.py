@@ -90,11 +90,12 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import DegenerateInputError, ResourceLimitError, ValidationError
+from .errors import (DegenerateInputError, ResourceLimitError, ValidationError,
+                     _check_count, _check_real)
 from .spectral import (_over_cap, _recentered, Eigensystem, bottom_pairs,
                        decompose, dense_cap, gap_iterative)
-from .tree import (RootedTree, _check_count, _check_vertex, _lca_depth,
-                   _per_tree, compute_metrics, max_path_load, root_orbits)
+from .tree import (RootedTree, _check_vertex, _lca_depth, _per_tree,
+                   compute_metrics, max_path_load, root_orbits)
 
 __all__ = [
     "MixingResult", "HittingProfile", "MixingLowerBounds",
@@ -420,30 +421,24 @@ def _lump(tree: RootedTree, blocks: np.ndarray):
     return sizes, np.diag(c.sum(axis=1)) - c * sizes[:, None] / np.outer(root, root)
 
 
-def _check_time(t: float, name: str = "time") -> None:
-    if not (math.isfinite(t) and t >= 0):
-        raise ValidationError(f"{name} must be finite and >= 0, got {t}")
-
-
-def _check_epsilon(epsilon: float) -> None:
-    """``ValidationError`` unless 1e-8 <= epsilon < 1.  The floor, 1e4 TAIL_TOL,
-    keeps the TAIL_TOL a TV evaluation may drop (all of a TV that reads 0 once
-    no mode is kept) within 1e-4 epsilon, so that a crossing is certified."""
-    if not 1e4 * TAIL_TOL <= epsilon < 1.0:
-        raise ValidationError(f"epsilon must be in [{1e4 * TAIL_TOL:g}, 1), got {epsilon}")
+def _check_epsilon(epsilon: float) -> float:
+    """``epsilon`` as a float; ``ValidationError`` unless 1e-8 <= epsilon < 1.  The floor,
+    1e4 TAIL_TOL, keeps the TAIL_TOL a TV evaluation may drop (all of a TV that reads 0
+    once no mode is kept) within 1e-4 epsilon, so that a crossing is certified."""
+    return _check_real(epsilon, "epsilon", 1e4 * TAIL_TOL, 1, "[)")
 
 
 def heat_kernel_tv(tree: RootedTree, t: float) -> float:
     """Worst-case total-variation distance to uniform at time t, on the
     start oracles of ``mixing_time``."""
-    _check_time(t)
+    t = _check_real(t, "time", 0, ends="[)")
     return _starts(tree).worst(t, None, None)[0]
 
 
 def tv_from_start(tree: RootedTree, t: float, start: int) -> float:
     """Total-variation distance to uniform at time t from one start, on the
     start oracles of ``mixing_time``."""
-    _check_time(t)
+    t = _check_real(t, "time", 0, ends="[)")
     start = _check_vertex(tree, start, "start vertex")
     return _starts(tree).tv(start, t)
 
@@ -484,12 +479,10 @@ def mixing_time(tree: RootedTree, epsilon: float, start: Optional[int] = None,
     on the start oracles of ``_modes`` (``_starts``); from a time before the
     floor of a partial eigensystem covers, they run on ``decompose``.
     """
-    _check_epsilon(epsilon)
+    epsilon = _check_epsilon(epsilon)
     # a bracket a few ulps of t wide cannot shrink any further
-    if not 1e-15 <= rtol < 1.0:
-        raise ValidationError(f"rtol must be in [1e-15, 1), got {rtol}")
-    if start is not None:
-        start = _check_vertex(tree, start, "start vertex")
+    rtol = _check_real(rtol, "rtol", 1e-15, 1, "[)")
+    start = None if start is None else _check_vertex(tree, start, "start vertex")
     d0 = 1.0 - 1.0 / tree.n  # P_0 = I: every start sits at 1 - 1/n
     if epsilon >= d0:
         return MixingResult(epsilon, 0.0, tree.root if start is None else start,
@@ -596,14 +589,12 @@ def tv_curve(tree: RootedTree, n_samples: int, t_max: Optional[float] = None,
     time, which shows the full drop of the curve.
     """
     n_samples = _check_count(n_samples, "sample count", 2)
-    if t_max is not None:
-        _check_time(t_max, "t_max")
-    if start is not None:
-        start = _check_vertex(tree, start, "start vertex")
+    t_max = None if t_max is None else _check_real(t_max, "t_max", 0, ends="[)")
+    start = None if start is None else _check_vertex(tree, start, "start vertex")
     starts = _starts(tree)
     if t_max is None:
         t_max = 1.5 * mixing_time(tree, 0.01, start=start).t_mix
-    ts = np.linspace(0.0, float(t_max), n_samples)
+    ts = np.linspace(0.0, t_max, n_samples)
     if start is None:
         vals = [starts.worst(t, None, None)[0] for t in ts.tolist()]
     else:
@@ -657,9 +648,7 @@ def mixing_lower_bounds(tree: RootedTree, epsilon: float) -> MixingLowerBounds:
     ``ValidationError`` unless 0 < epsilon <= delta.
     """
     com, base = _recentered(tree)
-    if not 0.0 < epsilon <= com.delta + 1e-12:
-        raise ValidationError(
-            f"epsilon must be in (0, delta = {com.delta}], got {epsilon}")
+    epsilon = _check_real(epsilon, "epsilon", 0, com.delta + 1e-12, "(]")
     metrics = compute_metrics(base)
     load = max_path_load(metrics).value
     return MixingLowerBounds(

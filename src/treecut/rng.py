@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import _check_count
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -119,12 +119,11 @@ class SplitMix64:
         The modulo bias is below 2**-50 for every bound used here; taking
         the simple draw keeps the stream layout easy to reproduce.
         """
-        if bound <= 0:
-            raise ValidationError("bound must be positive")
+        bound = _check_count(bound, "bound", 1)
         return self.next_u64() % bound
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle driven by ``below``."""
         for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
+            j = self.next_u64() % (i + 1)  # below(i + 1), with no check per item
             items[i], items[j] = items[j], items[i]

@@ -30,9 +30,10 @@ from typing import Callable, Iterable, Optional, Tuple
 import numpy as np
 
 from . import _kernels
-from .errors import DegenerateInputError, ResourceLimitError, ValidationError
+from .errors import (DegenerateInputError, ResourceLimitError, ValidationError,
+                     _check_count, _check_real)
 from .rng import SplitMix64, derive_seed
-from .tree import (CenterOfMass, RootedTree, _check_count, _check_vertex, _lca_depth,
+from .tree import (CenterOfMass, RootedTree, _check_vertex, _lca_depth,
                    _per_tree, center_of_mass, compute_metrics, from_parents, max_edge_load,
                    max_path_load, reroot, root_path, tail_profile)
 
@@ -246,10 +247,9 @@ def count_below(tree: RootedTree, sigma: float) -> int:
     at a child sends its term, and so its parent's pivot, to -inf; as in
     Jacobs & Trevisan, that parent counts as negative and its edge upward
     is cut: it passes only the 1 its degree adds.  One vectorized step per
-    level, deepest first.  ``ValidationError`` if sigma is NaN.
+    level, deepest first.  ``ValidationError`` unless sigma is a real number, not NaN.
     """
-    if np.isnan(sigma := float(sigma)):
-        raise ValidationError("sigma must be a number, got nan")
+    sigma = _check_real(sigma, "sigma")
     order = np.argsort(tree.depth, kind="stable")
     ends = np.cumsum(np.bincount(tree.depth))
     position = np.empty(tree.n, dtype=np.int64)
@@ -291,8 +291,7 @@ def bottom_pairs(tree: RootedTree, span: float) -> Optional[Eigensystem]:
     vector and the pairs found, ascending, with ``floor`` sigma: every
     eigenvalue it omits is at least sigma.  ``ValidationError`` unless span > 1.
     """
-    if not span > 1:  # NaN too
-        raise ValidationError(f"span must exceed 1, got {span}")
+    span = _check_real(span, "span", 1, ends="(]")
     if tree.n < 2:
         return None
     need = []  # [sigma, number of nonzero eigenvalues below it], once known

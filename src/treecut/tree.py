@@ -38,7 +38,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import (CycleError, ParentIndexError, RootCountError,
-                     TreeFormatError, ValidationError)
+                     TreeFormatError, ValidationError, _check_count)
 
 __all__ = [
     "RootedTree", "TreeMetrics", "CenterOfMass", "EdgeLoad", "VertexLoad",
@@ -406,16 +406,6 @@ def _check_vertex(tree: RootedTree, v, name: str = "vertex") -> int:
     if v >= tree.n:
         raise ValidationError(f"{name} must be <= {tree.n - 1}, got {v}")
     return v
-
-
-def _check_count(value, name: str, low: int) -> int:
-    """``value`` as an int; ``ValidationError`` unless an integer (not a
-    bool) that is at least ``low``: a size, depth, degree, cap or count."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    if value < low:
-        raise ValidationError(f"{name} must be >= {low}, got {value}")
-    return int(value)
 
 
 @_per_tree

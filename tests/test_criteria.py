@@ -272,6 +272,15 @@ class TestAnalyzeAndSweep:
         with pytest.raises(ValidationError):
             C.sweep("gw_size", [10], offspring=OD.geometric(0.5))
 
+    def test_numpy_reals_come_back_as_python_floats(self):
+        row = C.analyze_tree(T.segment(3), np.float32(0.25), np.int64(4))
+        assert type(row.n) is float and row.n == 4.0
+        diagnostic = C.no_cutoff_check([row], np.float32(0.5))
+        assert type(diagnostic.threshold) is float and diagnostic.threshold == 0.5
+        report = C.sweep("segment", [3], epsilon=np.float64(0.25), threshold=np.float32(0.5))
+        assert type(report.epsilon) is float
+        assert type(report.trends["no_cutoff"].threshold) is float
+
     @pytest.mark.parametrize("cap", ["50", "4096"], ids=["bounded", "exact"])
     @pytest.mark.parametrize("eps", [math.nan, -1.0, 0.0, 1.0, 5.0])
     def test_analyze_tree_rejects_epsilon(self, cap, eps, monkeypatch):

@@ -62,6 +62,15 @@ class TestOffspring:
         with pytest.raises(ValidationError):
             build()
 
+    def test_numpy_parameters_stored_as_python_floats(self):
+        # geometric(np.float32(0.3)).mean used to be np.float32(2.3333333)
+        p = float(np.float32(0.3))
+        d = OD.geometric(np.float32(0.3))
+        assert (d.params, d.mean, d.variance) == ((p,), (1 - p) / p, (1 - p) / p**2)
+        for d in (d, OD.poisson(np.float32(1.5)),
+                  OD.table([np.float32(0.5), np.float64(0.25), 0.25])):
+            assert {type(x) for x in (*d.params, d.mean, d.variance)} == {float}
+
     def test_pmf_table_matches_kind(self):
         probs = OD.geometric(0.5).pmf_table()
         assert probs[0] == pytest.approx(0.5)
@@ -431,6 +440,12 @@ class TestOffspringCounts:
         assert scalar_counts(dist, u)[1] > 2**63
         assert dist.counts(u, 7).tolist() == [0, 7, 7]
         assert OD.poisson(30.0).counts(np.array([0.5, _U_MAX]), 3).tolist() == [3, 3]
+
+    @pytest.mark.parametrize("cap", [2.5, 2.0, True, "3", -1])
+    def test_cap_must_be_an_integer(self, cap):
+        # 2.5 used to clip to 2, True to 1
+        with pytest.raises(ValidationError, match="^cap "):
+            OD.geometric(0.1).counts(np.array([0.9]), cap)
 
     def test_poisson_break(self):
         # the running sum of poisson(1.3) stops below the largest uniform, so

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from treecut.errors import ValidationError
 from treecut.rng import SplitMix64, derive_seed, derive_seeds, mix64, uniforms
 
 from util import scalar_geometric, scalar_poisson, scalar_table
@@ -61,6 +62,22 @@ def test_below_range_and_shuffle_permutes():
     g.shuffle(items)
     assert sorted(items) == list(range(50))
     assert items != list(range(50))
+
+
+@pytest.mark.parametrize("bound", [2.5, 2.0, True, "3", 0, -1])
+def test_below_bound_must_be_a_positive_integer(bound):
+    # 2.5 used to give 1.0, 2.0 gave 0.0 and True gave 0
+    g = SplitMix64(9)
+    with pytest.raises(ValidationError, match="^bound "):
+        g.below(bound)
+    assert g.next_u64() == SplitMix64(9).next_u64()  # a refused call draws nothing
+
+
+def test_below_numpy_bound_is_the_int_bound():
+    # np.int64(3) used to raise OverflowError: a Python-int draw % an int64
+    draws = [SplitMix64(seed).below(np.int64(3)) for seed in range(50)]
+    assert draws == [SplitMix64(seed).below(3) for seed in range(50)]
+    assert {type(d) for d in draws} == {int}
 
 
 def test_geometric_mean():

@@ -169,6 +169,13 @@ class TestCountBelow:
             [0, 1, 1, 9, 10]
         assert T.count_below(T.from_parents(1, [-1]), 0.5) == 1
 
+    def test_infinities_accepted(self):
+        # sigma and span keep the closed ends of the real line
+        t = T.segment(5)
+        assert (T.count_below(t, np.inf), T.count_below(t, -np.inf)) == (t.n, 0)
+        eig = T.bottom_pairs(T.segment(600), np.inf)
+        assert eig is not None and eig.values.size == 601
+
     def test_nan_rejected(self):
         # used to return 0
         with pytest.raises(ValidationError, match="sigma"):
@@ -181,7 +188,7 @@ class TestBottomPairs:
     @pytest.mark.parametrize("span", [1.0, 0.5, -2.0, float("nan")])
     def test_span_must_exceed_one(self, span):
         # used to return None
-        with pytest.raises(ValidationError, match="^span must exceed 1"):
+        with pytest.raises(ValidationError, match=r"^span must be in \(1, inf\]"):
             T.bottom_pairs(T.segment(20), span)
 
     def test_none_when_the_gap_never_converges(self, monkeypatch):

@@ -711,23 +711,106 @@ def test_numpy_integer_counts_accepted(row):
     assert repr(fn(good)) == repr(fn(np.int64(good)))
 
 
-def test_every_integer_parameter_is_checked():
-    # a new integer parameter of the public API needs a row in one of the
-    # two tables above, or a place in NOT_COUNTS
-    covered = {key.split("[")[0] for key in BAD_COUNT_CALLS} | NOT_COUNTS | {
-        f"{fn}.{param}" for fn, (_, _, param) in BAD_VERTEX_CALLS.items()}
+def _public_parameters(kind):
+    """``function.parameter`` for every parameter annotated with ``kind`` of a
+    function in some ``__all__``, and ``Class.method.parameter`` for a public
+    static method of a class in some ``__all__``."""
     found = set()
     for info in pkgutil.iter_modules(T.__path__, "treecut."):
         if info.name == "treecut.__main__":
             continue
         module = importlib.import_module(info.name)
         for name in getattr(module, "__all__", ()):
-            fn = getattr(module, name)
-            if inspect.isfunction(fn):
-                found |= {f"{name}.{p.name}" for p in inspect.signature(fn).parameters.values()
-                          if re.search(r"\bint\b", str(p.annotation))}
+            obj = getattr(module, name)
+            if inspect.isfunction(obj):
+                fns = {name: obj}
+            elif inspect.isclass(obj):
+                fns = {f"{name}.{key}": value.__func__ for key, value in vars(obj).items()
+                       if isinstance(value, staticmethod) and not key.startswith("_")}
+            else:
+                continue
+            found |= {f"{fn_name}.{p.name}" for fn_name, fn in fns.items()
+                      for p in inspect.signature(fn).parameters.values()
+                      if re.search(rf"\b{kind}\b", str(p.annotation))}
+    return found
+
+
+def test_every_integer_parameter_is_checked():
+    # a new integer parameter of the public API needs a row in one of the
+    # two tables above, or a place in NOT_COUNTS
+    covered = {key.split("[")[0] for key in BAD_COUNT_CALLS} | NOT_COUNTS | {
+        f"{fn}.{param}" for fn, (_, _, param) in BAD_VERTEX_CALLS.items()}
+    found = _public_parameters("int")
     assert found - covered == set()
     assert {key for key in covered if not key.startswith("_")} - found == set()
+
+
+# every scalar real argument, keyed function.parameter: the call, the name
+# its message starts with, a value outside its interval (None where only NaN
+# is), and a valid value
+BAD_REAL_CALLS = {
+    "heat_kernel_tv.t": (lambda v: T.heat_kernel_tv(T.segment(3), v), "time", -1.0, 2),
+    "tv_from_start.t": (lambda v: T.tv_from_start(T.segment(3), v, 0), "time", -1.0, 2),
+    "tv_curve.t_max": (lambda v: T.tv_curve(T.segment(3), 3, t_max=v), "t_max", np.inf, 2),
+    "mixing_time.epsilon": (lambda v: T.mixing_time(T.segment(3), v), "epsilon", 1.0, 0.25),
+    "mixing_time.rtol": (lambda v: T.mixing_time(T.segment(3), 0.25, rtol=v),
+                         "rtol", 1e-16, 0.25),
+    "mixing_lower_bounds.epsilon": (lambda v: T.mixing_lower_bounds(T.segment(20), v),
+                                    "epsilon", 0.9, 0.25),
+    "analyze_tree.epsilon": (lambda v: C.analyze_tree(T.segment(3), v, 4),
+                             "epsilon", 0.0, 0.25),
+    "analyze_tree.size_label": (lambda v: C.analyze_tree(T.segment(3), 0.25, v),
+                                "size label", -1.0, 4),
+    "sweep.epsilon": (lambda v: C.sweep("segment", [3], epsilon=v), "epsilon", 1e-9, 0.25),
+    "sweep.threshold": (lambda v: C.sweep("segment", [3], threshold=v), "threshold", 0.0, 1),
+    "no_cutoff_check.threshold": (lambda v: C.no_cutoff_check([], v), "threshold", np.inf, 1),
+    "tail_cutoff_check.threshold": (lambda v: C.tail_cutoff_check([], v),
+                                    "threshold", -1.0, 1),
+    "retraction_trend.threshold": (lambda v: C.retraction_trend([], v), "threshold", 0.0, 1),
+    "count_below.sigma": (lambda v: T.count_below(T.segment(3), v), "sigma", None, 2),
+    "bottom_pairs.span": (lambda v: T.bottom_pairs(T.segment(3), v), "span", 1.0, 60),
+    "normalized_contour.c": (lambda v: T.normalized_contour(T.contour(T.segment(3),
+                                                                      [1, 2, 3, 4]), v),
+                             "normalization constant", np.inf, 2),
+    "OffspringDistribution.geometric.p": (OD.geometric, "geometric parameter", 1.5, 1),
+    "OffspringDistribution.poisson.lam": (OD.poisson, "poisson rate", -1.0, 2),
+    "OffspringDistribution.table.probs": (lambda v: OD.table([0, v]),
+                                          "table probability", -1.0, 1),
+}
+# real parameters that are not scalars
+NOT_REALS = {"fit_loglog.xs", "fit_loglog.ys"}  # arrays, checked whole
+OPTIONAL_REALS = {"tv_curve.t_max"}  # None asks for the default
+
+
+@pytest.mark.parametrize("key", BAD_REAL_CALLS)
+def test_real_arguments_checked(key):
+    # True used to pass as 1.0, and "0.5", None and 1+0j to raise TypeError
+    fn, name, outside, _ = BAD_REAL_CALLS[key]
+    for bad in (True, "0.5", 1 + 0j) + (() if key in OPTIONAL_REALS else (None,)):
+        with pytest.raises(ValidationError, match=(
+                f"^{re.escape(name)} must be a real number, got {re.escape(repr(bad))}$")):
+            fn(bad)
+    for bad in (np.nan,) if outside is None else (np.nan, outside):
+        with pytest.raises(ValidationError, match=(
+                f"^{re.escape(name)} must be in [\\[(].*, got {re.escape(str(bad))}$")):
+            fn(bad)
+
+
+@pytest.mark.parametrize("row", BAD_REAL_CALLS.values(), ids=BAD_REAL_CALLS.keys())
+def test_numpy_and_integer_reals_accepted(row):
+    fn, _, _, good = row
+    alike = [np.float32(good), np.float64(good)]
+    if isinstance(good, int):
+        alike.append(good)
+    expected = repr(fn(float(good)))
+    assert [repr(fn(value)) for value in alike] == [expected] * len(alike)
+
+
+def test_every_real_parameter_is_checked():
+    # a new real parameter of the public API needs a row in BAD_REAL_CALLS,
+    # or a place in NOT_REALS
+    covered = set(BAD_REAL_CALLS) | NOT_REALS
+    assert _public_parameters("float") == covered
 
 
 @pytest.mark.parametrize("part", [[0, 1.5], [0, 1.0], [0, "1"]])

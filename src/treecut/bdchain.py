@@ -22,7 +22,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from . import _kernels
-from .errors import DegenerateInputError, ValidationError, _check_count
+from .errors import DegenerateInputError, ValidationError, _check_array, _check_count
 from .tree import RootedTree, compute_metrics
 
 __all__ = ["BDChain", "BDSpectrum", "LiftResult", "strip_to_first_branching",
@@ -83,13 +83,9 @@ def project(degrees: Sequence[int], n: int) -> BDChain:
                            for k, d in enumerate(degrees[1:n - 1], start=stripped + 1)]
 
     size = 2 * n - 1
-    up = np.zeros(size, dtype=np.float64)
-    down = np.zeros(size, dtype=np.float64)
-    for x in range(1, size + 1):
-        if x < size:
-            up[x - 1] = used[x - n] - 1 if x + 1 > n + 1 else 1.0
-        if x > 1:
-            down[x - 1] = used[n - x] - 1 if x - 1 < n - 1 else 1.0
+    # up: 1 to the center, deg - 1 above it, 0 at the top; down: the same, reversed
+    up = np.concatenate((np.ones(n), np.array(used[1:]) - 1.0, [0.0]))
+    down = up[::-1].copy()
 
     weights = np.ones(size, dtype=np.float64)
     for i in range(size - 1):
@@ -101,11 +97,7 @@ def project(degrees: Sequence[int], n: int) -> BDChain:
 
 def generator_matrix(chain: BDChain) -> np.ndarray:
     """Dense chain generator G, rows summing to zero."""
-    size = chain.size
-    G = np.zeros((size, size))
-    for i in range(size - 1):
-        G[i, i + 1] = chain.up_rate[i]
-        G[i + 1, i] = chain.down_rate[i + 1]
+    G = np.diag(chain.up_rate[:-1], 1) + np.diag(chain.down_rate[1:], -1)
     np.fill_diagonal(G, -(chain.up_rate + chain.down_rate))
     return G
 
@@ -184,11 +176,9 @@ def lift(tree: RootedTree, chain: BDChain, f: np.ndarray) -> LiftResult:
     root subtree, f at state n+d in the second, and 0 elsewhere; the
     returned residual is the sup-norm of (A - D) F + gap * F computed from
     the chain's gap via ``bd_spectrum``.  The tree must be spherically
-    symmetric with the chain's degree sequence and leaves at depth n-1.
+    symmetric with the chain's degrees and leaves at depth n-1; f finite.
     """
-    f = np.asarray(f, dtype=np.float64)
-    if f.shape != (chain.size,):
-        raise ValidationError(f"eigenfunction must have {chain.size} entries")
+    f = _check_array(f, "eigenfunction", shape=(chain.size,), ends="()")
     level_deg = _level_degrees(tree)
     n = chain.half
     if len(level_deg) != n:
@@ -201,11 +191,10 @@ def lift(tree: RootedTree, chain: BDChain, f: np.ndarray) -> LiftResult:
     kids = tree.children(tree.root)
     if len(kids) < 2:
         raise ValidationError("root must have at least two children to mark")
-    x1, x2 = int(kids[0]), int(kids[1])
 
     depth = compute_metrics(tree).depth
     mark = np.zeros(tree.n, dtype=np.int64)
-    mark[[x1, x2]] = [1, 2]
+    mark[kids[:2]] = [1, 2]
     side = _kernels.ancestor_sum(tree, mark)
     F = np.zeros(tree.n)
     for m, sign_offset in ((1, -1), (2, +1)):

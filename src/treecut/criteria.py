@@ -22,7 +22,7 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from . import _kernels
-from .errors import ResourceLimitError, ValidationError, _check_count, _check_real
+from .errors import ResourceLimitError, ValidationError, _check_array, _check_count, _check_real
 from .generate import (OffspringDistribution, _check_size, binary_of_size,
                        cor15_tree, gw_conditioned_size, gw_survival_truncated,
                        gw_tree, kesten_tree, peres_sousi, segment,
@@ -53,13 +53,11 @@ class TrendFit:
 
 
 def fit_loglog(xs: Sequence[float], ys: Sequence[float]) -> TrendFit:
-    """Least-squares slope of log(y) against log(x)."""
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
+    """Least-squares slope of log(y) against log(x), all finite and positive."""
+    xs = _check_array(xs, "x values", low=0, ends="()")
+    ys = _check_array(ys, "y values", low=0, ends="()")
     if len(xs) != len(ys) or len(xs) < 2:
         raise ValidationError("need at least two (x, y) pairs")
-    if not (np.all((xs > 0) & (xs < np.inf)) and np.all((ys > 0) & (ys < np.inf))):
-        raise ValidationError("log-log fit needs finite positive values")
     lx, ly = np.log(xs), np.log(ys)
     slope, intercept = np.polyfit(lx, ly, 1)
     pred = slope * lx + intercept

@@ -3,12 +3,13 @@
 Validation problems (bad trees, bad parameters, malformed files) raise
 :class:`ValidationError`; blown size or attempt budgets raise
 :class:`ResourceLimitError`.  The CLI maps the former to exit code 2 and
-the latter to exit code 3.  The two number checks, :func:`_check_count` for
-integers and :func:`_check_real` for reals, live here: one module decides both.
+the latter to exit code 3.  The argument checks, :func:`_check_count`,
+:func:`_check_real` and :func:`_check_array`, live here: one module decides all.
 """
 
 import math
 import numbers
+import sys
 
 import numpy as np
 
@@ -74,12 +75,47 @@ def _check_count(value, name: str, low: int) -> int:
 
 def _check_real(value, name: str, low: float = -math.inf, high: float = math.inf,
                 ends: str = "[]") -> float:
-    """``value`` as a float; ``ValidationError`` unless a real number (not a bool)
-    from ``low`` to ``high``, each end closed or open as ``ends`` marks it: NaN never."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    """``value`` as a float; ``ValidationError`` unless a real number in the float range
+    (not a bool) from ``low`` to ``high``, each end closed or open as ``ends`` marks it:
+    NaN never."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or isinstance(value, numbers.Rational) and abs(value) > sys.float_info.max):
         raise ValidationError(f"{name} must be a real number, got {value!r}")
     value = float(value)
     if not ((low <= value if ends[0] == "[" else low < value)
             and (value <= high if ends[1] == "]" else value < high)):
         raise ValidationError(f"{name} must be in {ends[0]}{low}, {high}{ends[1]}, got {value}")
     return value
+
+
+def _check_array(value, name: str, shape: tuple = None, integer: bool = False,
+                 low: float = -math.inf, high: float = math.inf, ends: str = "[]") -> np.ndarray:
+    """A fresh int64 (``integer``) or float64 copy of ``value``; ``ValidationError``
+    unless it has ``shape`` (any 1-d if None) and each entry is an integer (or real),
+    not a bool, that fits the dtype and lies in the interval, read as in ``_check_real``.
+    An ndarray is judged by its dtype; a list entry by entry, as numpy reads True as 1."""
+    dtype, number, kind = (np.dtype(np.int64), (int, np.integer), "integers that fit int64") \
+        if integer else (np.dtype(np.float64), numbers.Real, "real numbers that fit float64")
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind == "b" or not np.can_cast(value.dtype, dtype):
+            raise ValidationError(f"{name} must hold {kind}, got a {value.dtype} array")
+    else:
+        try:
+            value = list(value)
+        except TypeError:
+            raise ValidationError(f"{name} must be an array, got {value!r}") from None
+        for entry in value:
+            if isinstance(entry, bool) or not isinstance(entry, number):
+                raise ValidationError(f"{name} must hold {kind}, got {entry!r}")
+    try:
+        array = np.array(value, dtype=dtype)
+    except OverflowError:  # a Python int or fraction too large for the dtype
+        raise ValidationError(f"{name} must hold {kind}, got {max(value, key=abs)!r}") from None
+    if array.ndim != 1 or shape is not None and array.shape != shape:
+        raise ValidationError(f"{name} must have shape {shape or '(k,)'}, got {array.shape}")
+    inside = ((low <= array) if ends[0] == "[" else (low < array)) & (
+        (array <= high) if ends[1] == "]" else (array < high))
+    if not inside.all():
+        raise ValidationError(
+            f"{name} must be in {ends[0]}{low}, {high}{ends[1]}, got {array[~inside][0]}")
+    return array

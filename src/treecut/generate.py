@@ -25,17 +25,17 @@ right and may leave the last level partial.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import _kernels
 from .errors import (RejectionCapError, ResourceLimitError, ValidationError,
-                     _check_count, _check_real)
+                     _check_array, _check_count, _check_real)
 from .rng import SplitMix64, derive_seed, derive_seeds, uniforms
 from .tree import (RootedTree, _check_vertex, compute_metrics,
                    from_parents, reroot, root_path)
@@ -135,51 +135,42 @@ class OffspringDistribution:
             np.minimum(k, self._cumulative.size - 1, out=k)
         return np.minimum(k, cap).astype(np.int64)
 
+    def _terms(self):
+        """P(0), P(1), ... of the geometric or Poisson law, each term from the last."""
+        x = self.params[0]
+        term = x if self.kind == "geometric" else math.exp(-x)
+        for k in itertools.count(1):
+            yield term
+            term *= 1.0 - x if self.kind == "geometric" else x / k
+
     @cached_property
     def _cumulative(self) -> np.ndarray:
         """Running sums the scalar Poisson or table sampler compares u with.
 
-        Poisson: ``exp(-rate)``, then ``term *= rate / k`` added in turn,
-        stopped once no uniform (at most ``1 - 2**-53``) can pass the sum,
-        the terms have underflowed to zero, or at the scalar break.
+        Poisson: the terms added in turn, stopped once no uniform (at most
+        ``1 - 2**-53``) can pass the sum, the terms have underflowed to
+        zero, or at the scalar break.
         """
         if self.kind == "table":
-            return np.fromiter(accumulate(self.params), dtype=np.float64)
-        lam = self.params[0]
-        term = math.exp(-lam)
-        cum, k = term, 0
-        sums = [cum]
-        while cum < 1.0 - 2.0**-53 and term > 0.0 and k < _POISSON_BREAK:
-            k += 1
-            term *= lam / k
+            return np.fromiter(itertools.accumulate(self.params), dtype=np.float64)
+        sums, cum = [], 0.0
+        for k, term in enumerate(self._terms()):
             cum += term
             sums.append(cum)
-        return np.array(sums)
+            if not (cum < 1.0 - 2.0**-53 and term > 0.0 and k < _POISSON_BREAK):
+                return np.array(sums)
 
     def pmf_table(self) -> list:
         """Probabilities P(0), P(1), ..., truncated once the tail is below
         ``_PMF_TAIL_TOL`` or after ``_PMF_CAP`` terms."""
         if self.kind == "table":
             return list(self.params)
-        probs = []
-        if self.kind == "geometric":
-            p = self.params[0]
-            cum, j, term = 0.0, 0, p
-            while cum < 1.0 - _PMF_TAIL_TOL and j < _PMF_CAP:
-                probs.append(term)
-                cum += term
-                term *= 1.0 - p
-                j += 1
-        else:
-            lam = self.params[0]
-            term = math.exp(-lam)
-            cum, j = 0.0, 0
-            while cum < 1.0 - _PMF_TAIL_TOL and j < _PMF_CAP:
-                probs.append(term)
-                cum += term
-                j += 1
-                term *= lam / j
-        return probs
+        probs, cum = [], 0.0
+        for term in self._terms():
+            if not (cum < 1.0 - _PMF_TAIL_TOL and len(probs) < _PMF_CAP):
+                return probs
+            probs.append(term)
+            cum += term
 
     def size_biased_table(self) -> list:
         """P(j) proportional to j * pmf(j); requires positive mean."""
@@ -557,9 +548,8 @@ def contour(tree: RootedTree, labels: Sequence[int]) -> Contour:
     The walk first reaches v at step 2 pre(v) - depth(v), and steps from v
     back to its parent 2 |subtree(v)| - 1 steps later.
     """
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != (tree.n,) or not np.array_equal(np.sort(labels),
-                                                       np.arange(1, tree.n + 1)):
+    labels = _check_array(labels, "labels", shape=(tree.n,), integer=True, low=1, high=tree.n)
+    if np.unique(labels).size != tree.n:
         raise ValidationError("labels must be a permutation of 1..n, one per vertex")
     metrics = compute_metrics(tree)
     size, depth = metrics.subtree_size, metrics.depth

@@ -25,15 +25,15 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Tuple
+from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import _kernels
 from .errors import (DegenerateInputError, ResourceLimitError, ValidationError,
-                     _check_count, _check_real)
+                     _check_array, _check_count, _check_real)
 from .rng import SplitMix64, derive_seed
-from .tree import (CenterOfMass, RootedTree, _check_vertex, _lca_depth,
+from .tree import (CenterOfMass, RootedTree, _lca_depth,
                    _per_tree, center_of_mass, compute_metrics, from_parents, max_edge_load,
                    max_path_load, reroot, root_path, tail_profile)
 
@@ -363,12 +363,7 @@ def hardy_constant(tree: RootedTree, part: Iterable[int]) -> float:
     the top eigenvalue of the Gram operator of the ancestor-incidence map
     of the part, which is relabelled as a tree of its own for ``_hardy_top``.
     """
-    part = np.array(list(part))
-    if part.size and part.dtype.kind not in "iu":
-        raise ValidationError("part entries must be integers")
-    part = np.unique(part.astype(np.int64))
-    if part.size and not 0 <= part[0] <= part[-1] < tree.n:
-        raise ValidationError(f"part has a vertex outside 0..{tree.n - 1}")
+    part = np.unique(_check_array(part, "part", integer=True, low=0, high=tree.n - 1))
     is_root = part == tree.root
     if not is_root.any():
         raise ValidationError("the part must contain the root")
@@ -458,26 +453,21 @@ def retraction_weights(tree: RootedTree, v: int) -> np.ndarray:
     return a
 
 
-def weighted_path_bound(tree: RootedTree, weights) -> float:
+def weighted_path_bound(tree: RootedTree, weights: Sequence[float]) -> float:
     """Upper bound on the relaxation time from positive edge weights.
 
     ``weights[v]`` weighs the edge from v to its parent; the root's entry
     is ignored.  The bound is the max over edges e of a_e^{-1} times the
     sum, over the vertices below e, of the weight sums along their root
     paths: one downward and one upward pass.  ``ValidationError`` unless
-    there is one weight per vertex and every edge's is finite and positive.
+    there is one weight per vertex, none NaN, every edge's finite and positive.
     """
-    a = np.array(weights, dtype=np.float64)
-    if a.shape != (tree.n,):
-        raise ValidationError(f"expected {tree.n} edge weights, got shape {a.shape}")
-    a[tree.root] = 0.0
+    a = _check_array(weights, "edge weights", shape=(tree.n,))
     nonroot = np.nonzero(tree.parent >= 0)[0]
-    if not np.all(np.isfinite(a[nonroot]) & (a[nonroot] > 0)):
-        raise ValidationError("edge weights must be finite and strictly positive")
-    if tree.n < 2:
-        return 0.0
+    _check_array(a[nonroot], "edge weights", low=0, ends="()")  # the root's is ignored
+    a[tree.root] = 0.0
     G = _kernels.subtree_sum(tree, _kernels.ancestor_sum(tree, a))
-    return float((G[nonroot] / a[nonroot]).max())
+    return float((G[nonroot] / a[nonroot]).max(initial=0.0))
 
 
 def bound_log_diameter(tree: RootedTree) -> float:
@@ -501,9 +491,8 @@ def bound_summable_weights(tree: RootedTree,
     height = int(metrics.depth.max())
     if height == 0:
         return 0.0
-    fvals = np.asarray(func(np.arange(1, height + 1, dtype=np.int64)), dtype=np.float64)
-    if fvals.shape != (height,) or not np.all(np.isfinite(fvals) & (fvals > 0)):
-        raise ValidationError("weight function must be finite and positive on 1..height")
+    fvals = _check_array(func(np.arange(1, height + 1, dtype=np.int64)),
+                         "weight function values", shape=(height,), low=0, ends="()")
     C = float((1.0 / fvals).sum())
     nonroot = metrics.depth > 0
     best = float((fvals[metrics.depth[nonroot] - 1]
@@ -583,7 +572,7 @@ def nu_exact(tree: RootedTree, B: Iterable[int]) -> float:
     (the true active set is among the subsets).  Exponential in |B|, hence
     the cap.
     """
-    B = sorted({_check_vertex(tree, v) for v in B})
+    B = np.unique(_check_array(B, "vertex set B", integer=True, low=0, high=tree.n - 1)).tolist()
     if not B:
         raise ValidationError("B must be nonempty")
     if tree.root in B:
@@ -591,16 +580,13 @@ def nu_exact(tree: RootedTree, B: Iterable[int]) -> float:
     if len(B) > NU_CAP:
         raise ValidationError(f"|B| = {len(B)} exceeds the enumeration cap {NU_CAP}")
 
-    m = tree.n  # edge e indexed by its lower endpoint; root column unused
-    rows = np.zeros((len(B), m))
+    rows = np.zeros((len(B), tree.n))  # edge e by its lower endpoint; root column unused
     for r, v in enumerate(B):
         rows[r, root_path(tree, v)[1:]] = 1.0
-    ones_b = np.ones(len(B))
     best = np.inf
     for mask in range(1, 1 << len(B)):
         sel = [i for i in range(len(B)) if mask >> i & 1]
-        M = rows[sel]
-        f, *_ = np.linalg.lstsq(M, np.ones(len(sel)), rcond=None)
+        f, *_ = np.linalg.lstsq(rows[sel], np.ones(len(sel)), rcond=None)
         if np.all(rows @ f >= 1.0 - 1e-9):
             best = min(best, float(f @ f))
     return best

@@ -34,6 +34,26 @@ class TestProject:
         for i in range(size - 1):
             assert ch.up_rate[i] == ch.down_rate[size - 1 - i]
 
+    def test_rates_and_generator_match_state_loop(self):
+        # per-state loops over the rate rule: 1 toward the center, deg - 1 away
+        for degrees, n in (([2, 3], 2), ([3, 4, 4, 4, 4], 4), ([1, 1, 3, 5, 2, 7], 6),
+                           ([5, 2, 7, 3, 3, 3], 7)):
+            ch = bd.project(degrees, n)
+            half, used, size = ch.half, ch.degrees, ch.size
+            up, down = np.zeros(size), np.zeros(size)
+            G = np.zeros((size, size))
+            for x in range(1, size + 1):
+                if x < size:
+                    up[x - 1] = used[x - half] - 1 if x > half else 1.0
+                    G[x - 1, x] = up[x - 1]
+                if x > 1:
+                    down[x - 1] = used[half - x] - 1 if x < half else 1.0
+                    G[x - 1, x - 2] = down[x - 1]
+            np.fill_diagonal(G, -(up + down))
+            assert ch.up_rate.tolist() == up.tolist()
+            assert ch.down_rate.tolist() == down.tolist()
+            assert bd.generator_matrix(ch).tolist() == G.tolist()
+
     def test_small_n_rejected(self):
         with pytest.raises(ValidationError):
             bd.project(BINARY, 1)

@@ -40,7 +40,7 @@ class TestFitLoglog:
     def test_rejects_non_finite(self, bad):
         # a nan or infinite value used to give a nan fit, read as a verdict
         for xs, ys in (([1, 2, bad], [1.0, 2.0, 3.0]), ([1, 2, 3], [1.0, bad, 3.0])):
-            with pytest.raises(ValidationError, match="finite positive"):
+            with pytest.raises(ValidationError, match=r"^[xy] values must be in \(0, inf\), got"):
                 C.fit_loglog(xs, ys)
 
 

@@ -687,9 +687,7 @@ BAD_COUNT_CALLS = {
 }
 # integer parameters that are neither counts nor vertices
 NOT_COUNTS = {"gw_tree.seed", "gw_survival_truncated.seed", "gw_conditioned_size.seed",
-              "kesten_tree.seed", "sweep.seed",  # any int seeds a stream
-              "contour.labels",  # a permutation of 1..n, checked whole
-              "hardy_constant.part"}  # a vertex set, checked as an array
+              "kesten_tree.seed", "sweep.seed"}  # any int seeds a stream
 
 
 @pytest.mark.parametrize("bad", [2.5, 2.0, "2", True, np.float64(3.0), None],
@@ -731,17 +729,17 @@ def _public_parameters(kind):
                 continue
             found |= {f"{fn_name}.{p.name}" for fn_name, fn in fns.items()
                       for p in inspect.signature(fn).parameters.values()
-                      if re.search(rf"\b{kind}\b", str(p.annotation))}
+                      if re.search(rf"\b(?:{kind})\b", str(p.annotation))}
     return found
 
 
 def test_every_integer_parameter_is_checked():
     # a new integer parameter of the public API needs a row in one of the
-    # two tables above, or a place in NOT_COUNTS
+    # two tables above or in BAD_ARRAY_CALLS, or a place in NOT_COUNTS
     covered = {key.split("[")[0] for key in BAD_COUNT_CALLS} | NOT_COUNTS | {
         f"{fn}.{param}" for fn, (_, _, param) in BAD_VERTEX_CALLS.items()}
     found = _public_parameters("int")
-    assert found - covered == set()
+    assert found - covered - set(BAD_ARRAY_CALLS) == set()
     assert {key for key in covered if not key.startswith("_")} - found == set()
 
 
@@ -777,16 +775,15 @@ BAD_REAL_CALLS = {
     "OffspringDistribution.table.probs": (lambda v: OD.table([0, v]),
                                           "table probability", -1.0, 1),
 }
-# real parameters that are not scalars
-NOT_REALS = {"fit_loglog.xs", "fit_loglog.ys"}  # arrays, checked whole
 OPTIONAL_REALS = {"tv_curve.t_max"}  # None asks for the default
 
 
 @pytest.mark.parametrize("key", BAD_REAL_CALLS)
 def test_real_arguments_checked(key):
-    # True used to pass as 1.0, and "0.5", None and 1+0j to raise TypeError
+    # True used to pass as 1.0, "0.5", None and 1+0j to raise TypeError,
+    # and 10**400 OverflowError
     fn, name, outside, _ = BAD_REAL_CALLS[key]
-    for bad in (True, "0.5", 1 + 0j) + (() if key in OPTIONAL_REALS else (None,)):
+    for bad in (True, "0.5", 1 + 0j, 10**400) + (() if key in OPTIONAL_REALS else (None,)):
         with pytest.raises(ValidationError, match=(
                 f"^{re.escape(name)} must be a real number, got {re.escape(repr(bad))}$")):
             fn(bad)
@@ -807,10 +804,85 @@ def test_numpy_and_integer_reals_accepted(row):
 
 
 def test_every_real_parameter_is_checked():
-    # a new real parameter of the public API needs a row in BAD_REAL_CALLS,
-    # or a place in NOT_REALS
-    covered = set(BAD_REAL_CALLS) | NOT_REALS
-    assert _public_parameters("float") == covered
+    # a new real parameter of the public API needs a row in BAD_REAL_CALLS
+    # or in BAD_ARRAY_CALLS
+    assert _public_parameters("float") - set(BAD_ARRAY_CALLS) == set(BAD_REAL_CALLS)
+
+
+# every array argument, keyed function.parameter: the call, the name its
+# message starts with, whether its entries are integers, a valid value, an
+# entry outside its interval (for an edge weight, the (0, inf) of a non-root
+# entry), and whether its length is fixed
+BAD_ARRAY_CALLS = {
+    "weighted_path_bound.weights": (lambda v: T.weighted_path_bound(T.segment(3), v),
+                                    "edge weights", False, [0, 1, 2, 3], -1, True),
+    "bound_summable_weights.func": (
+        lambda v: T.bound_summable_weights(T.segment(3), lambda k: v),
+        "weight function values", False, [1, 4, 9], 0, True),
+    "hardy_constant.part": (lambda v: T.hardy_constant(T.segment(3), v),
+                            "part", True, [0, 1, 2], 4, False),
+    "nu_exact.B": (lambda v: T.nu_exact(T.segment(3), v), "vertex set B", True, [1, 3], 4,
+                   False),
+    "contour.labels": (lambda v: T.contour(T.segment(3), v), "labels", True, [2, 1, 4, 3], 5,
+                       True),
+    "fit_loglog.xs": (lambda v: C.fit_loglog(v, [1, 2, 5]), "x values", False, [1, 2, 3], 0,
+                      False),
+    "fit_loglog.ys": (lambda v: C.fit_loglog([1, 2, 3], v), "y values", False, [1, 2, 5], -1,
+                      False),
+    "lift.f": (lambda v: bd.lift(T.spherically_symmetric([2]), bd.project([2], 2), v),
+               "eigenfunction", False, [1, 2, 3], np.inf, True),
+}
+# array parameters whose entries are checked one at a time, and report rows
+NOT_ARRAYS = {"spherically_symmetric.degrees", "strip_to_first_branching.degrees",
+              "project.degrees", "sweep.sizes", "OffspringDistribution.table.probs",
+              "from_parents.parent",  # ParentIndexError names the entry
+              "no_cutoff_check.rows", "tail_cutoff_check.rows", "retraction_trend.reports"}
+
+
+@pytest.mark.parametrize("key", BAD_ARRAY_CALLS)
+def test_array_arguments_checked(key):
+    # "1" and 1j used to raise TypeError or ValueError, True to pass as 1,
+    # a 2-d part to be flattened, 2.5 labels to be truncated and a NaN
+    # eigenfunction to give a NaN residual
+    fn, name, integer, valid, outside, fixed = BAD_ARRAY_CALLS[key]
+    kind = "integers that fit int64" if integer else "real numbers that fit float64"
+    wrong = f"must hold {kind}, got"
+
+    def refused(value, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(name)} {message}$"):
+            fn(value)
+
+    for entry in ("1", True, 1j, None, [1]) + ((2.5, np.nan) if integer else ()):
+        refused(valid[:-1] + [entry], f"{wrong} {re.escape(repr(entry))}")
+    huge = 2**63 if integer else 10**400
+    refused(valid[:-1] + [huge], f"{wrong} {huge}")
+    for dtype in (bool, complex, object, str) + ((np.float64, np.uint64) if integer else ()):
+        bad = np.array(valid).astype(dtype)
+        refused(bad, f"{wrong} a {re.escape(str(bad.dtype))} array")
+    refused(5, "must be an array, got 5")
+    refused(np.array([valid]), rf"must have shape .*, got \(1, {len(valid)}\)")
+    if fixed:
+        refused(valid + valid[-1:], rf"must have shape \({len(valid)},\), got \({len(valid) + 1},\)")
+    if not integer:
+        refused(valid[:-1] + [np.nan], r"must be in .*, got nan")
+    refused(valid[:-1] + [outside], rf"must be in .*, got {re.escape(str(outside))}(\.0)?")
+
+
+@pytest.mark.parametrize("row", BAD_ARRAY_CALLS.values(), ids=BAD_ARRAY_CALLS.keys())
+def test_array_forms_accepted_alike(row):
+    fn, _, integer, valid, _, _ = row
+    alike = [tuple(valid), np.array(valid, dtype=np.int64), np.array(valid, dtype=np.int32)]
+    if not integer:
+        alike += [[float(x) for x in valid], np.array(valid, dtype=np.float64),
+                  np.array(valid, dtype=np.float32)]
+    expected = repr(fn(list(valid)))
+    assert [repr(fn(value)) for value in alike] == [expected] * len(alike)
+
+
+def test_every_array_parameter_is_checked():
+    # a new array parameter of the public API needs a row in BAD_ARRAY_CALLS,
+    # or a place in NOT_ARRAYS
+    assert _public_parameters("Sequence|Iterable|ndarray") == set(BAD_ARRAY_CALLS) | NOT_ARRAYS
 
 
 @pytest.mark.parametrize("part", [[0, 1.5], [0, 1.0], [0, "1"]])

@@ -16,6 +16,7 @@ instead and are labeled "bounded".
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, fields
 from typing import Callable, List, Optional, Sequence
 
@@ -246,9 +247,8 @@ def retraction_alpha(tree: RootedTree, v: int) -> float:
     binary attachments stay at or below 2, length-L path attachments reach
     (L+1)/2.  Returns 1.0 when nothing hangs off the spine.
     """
-    on_spine = _lca_depth(tree, v) == tree.depth
-    kids = tree.child_flat
-    hanging = kids[on_spine[tree.parent[kids]] & ~on_spine[kids]]
+    on_spine = _lca_depth(tree, v) == tree.depth  # the root too, so its -1 is masked
+    hanging = np.flatnonzero(on_spine[tree.parent] & ~on_spine)
     if not hanging.size:
         return 1.0
     metrics = compute_metrics(tree)
@@ -256,9 +256,8 @@ def retraction_alpha(tree: RootedTree, v: int) -> float:
     label = np.zeros(tree.n, dtype=np.int64)
     label[hanging] = np.arange(1, hanging.size + 1)
     label = _kernels.ancestor_sum(tree, label)
-    inside = label > 0
-    top = np.zeros(hanging.size + 1, dtype=np.int64)
-    np.maximum.at(top, label[inside], metrics.path_load[inside])
+    top = np.zeros(hanging.size + 1, dtype=np.int64)  # top[0] takes the rest
+    np.maximum.at(top, label, metrics.path_load)
     local_max = top[1:] - metrics.path_load[tree.parent[hanging]]
     return max(1.0, float((local_max / metrics.subtree_size[hanging]).max()))
 
@@ -343,8 +342,8 @@ def sweep(family: str, sizes: Sequence[int], epsilon: float = 0.25,
 
     Random families require a seed; each (size, rep) draws from the stream
     ``derive_seed(seed, size, rep)``, so results do not depend on
-    evaluation order and workers can run concurrently (``jobs``).  With
-    ``reps > 1`` each row reports the per-size median.
+    evaluation order and up to ``jobs`` workers, no more than the tasks or
+    cores, can run concurrently.  With ``reps > 1`` each row reports the per-size median.
     """
     _check_family(family, seed, offspring)
     reps, jobs = _check_count(reps, "reps", 1), _check_count(jobs, "jobs", 1)
@@ -357,20 +356,19 @@ def sweep(family: str, sizes: Sequence[int], epsilon: float = 0.25,
     tasks = [(family, size, epsilon,
               derive_seed(seed, size, rep) if seed is not None else None, offspring)
              for size in sizes for rep in range(reps)]
-    if jobs > 1:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)  # each a spawned process
+    if workers > 1:
         # spawn context: forking is unsafe once the OpenBLAS thread pool
         # has started in this process
         import multiprocessing as mp
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs,
+        with ProcessPoolExecutor(max_workers=workers,
                                  mp_context=mp.get_context("spawn")) as pool:
             flat = list(pool.map(_sweep_one, tasks))
     else:
         flat = [_sweep_one(t) for t in tasks]
 
-    rows = []
-    for i, size in enumerate(sizes):
-        rows.append(_median_row(flat[i * reps:(i + 1) * reps]))
+    rows = [_median_row(flat[i:i + reps]) for i in range(0, len(flat), reps)]
 
     trends = {
         "no_cutoff": no_cutoff_check(rows, threshold),

@@ -63,13 +63,23 @@ class RejectionCapError(ResourceLimitError):
         self.acceptance_estimate = acceptance_estimate
 
 
+def _shown(value) -> str:
+    """``repr(value)`` for an error message, cut in the middle to 60 characters;
+    Python writes no int of more than 4300 digits, so one shows as a placeholder."""
+    try:
+        text = repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"
+    return text if len(text) <= 60 else f"{text[:28]}...{text[-28:]}"
+
+
 def _check_count(value, name: str, low: int) -> int:
     """``value`` as an int; ``ValidationError`` unless an integer (not a
     bool) that is at least ``low``: a size, depth, degree, cap or count."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
+        raise ValidationError(f"{name} must be an integer, got {_shown(value)}")
     if value < low:
-        raise ValidationError(f"{name} must be >= {low}, got {value}")
+        raise ValidationError(f"{name} must be >= {low}, got {_shown(int(value))}")
     return int(value)
 
 
@@ -80,7 +90,7 @@ def _check_real(value, name: str, low: float = -math.inf, high: float = math.inf
     NaN never."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
             or isinstance(value, numbers.Rational) and abs(value) > sys.float_info.max):
-        raise ValidationError(f"{name} must be a real number, got {value!r}")
+        raise ValidationError(f"{name} must be a real number, got {_shown(value)}")
     value = float(value)
     if not ((low <= value if ends[0] == "[" else low < value)
             and (value <= high if ends[1] == "]" else value < high)):
@@ -103,14 +113,14 @@ def _check_array(value, name: str, shape: tuple = None, integer: bool = False,
         try:
             value = list(value)
         except TypeError:
-            raise ValidationError(f"{name} must be an array, got {value!r}") from None
+            raise ValidationError(f"{name} must be an array, got {_shown(value)}") from None
         for entry in value:
             if isinstance(entry, bool) or not isinstance(entry, number):
-                raise ValidationError(f"{name} must hold {kind}, got {entry!r}")
+                raise ValidationError(f"{name} must hold {kind}, got {_shown(entry)}")
     try:
         array = np.array(value, dtype=dtype)
     except OverflowError:  # a Python int or fraction too large for the dtype
-        raise ValidationError(f"{name} must hold {kind}, got {max(value, key=abs)!r}") from None
+        raise ValidationError(f"{name} must hold {kind}, got {_shown(max(value, key=abs))}") from None
     if array.ndim != 1 or shape is not None and array.shape != shape:
         raise ValidationError(f"{name} must have shape {shape or '(k,)'}, got {array.shape}")
     inside = ((low <= array) if ends[0] == "[" else (low < array)) & (

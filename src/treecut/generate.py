@@ -35,7 +35,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import (RejectionCapError, ResourceLimitError, ValidationError,
-                     _check_array, _check_count, _check_real)
+                     _check_array, _check_count, _check_real, _shown)
 from .rng import SplitMix64, derive_seed, derive_seeds, uniforms
 from .tree import (RootedTree, _check_vertex, compute_metrics,
                    from_parents, reroot, root_path)
@@ -202,7 +202,7 @@ def _check_size(total: int) -> None:
     above ``HARD_VERTEX_CAP``; called before anything is allocated."""
     if total > HARD_VERTEX_CAP:
         raise ResourceLimitError(
-            f"construction would have at least {total} vertices, above the "
+            f"construction would have at least {_shown(total)} vertices, above the "
             f"hard cap {HARD_VERTEX_CAP}")
 
 
@@ -307,7 +307,8 @@ def peres_sousi(k: int) -> RootedTree:
     for i = k/2..k.  Requires k even and >= 2."""
     k = _check_count(k, "parameter k", 2)
     if k % 2:
-        raise ValidationError(f"parameter k must be even, got {k}")
+        raise ValidationError(f"parameter k must be even, got {_shown(k)}")
+    _check_size(2 ** 2 ** min(k, 6))  # k >= 6 is refused before 2 ** 2 ** k is made
     n_k = 2 ** (2 ** k)
     big = n_k ** 3
     dist = [0] + [2 ** (2 ** i) for i in range(k // 2, k + 1)]
@@ -553,16 +554,16 @@ def contour(tree: RootedTree, labels: Sequence[int]) -> Contour:
         raise ValidationError("labels must be a permutation of 1..n, one per vertex")
     metrics = compute_metrics(tree)
     size, depth = metrics.subtree_size, metrics.depth
-    # the child lists of child_flat, in place, each ordered by label
-    flat = tree.child_flat
-    kids = flat[np.lexsort((labels[flat], tree.parent[flat]))]
+    # after the root's -1, each child list by label, from where searchsorted finds its parent
+    kids = np.lexsort((labels, tree.parent))[1:]
+    up = tree.parent[kids]
     before = np.cumsum(size[kids]) - size[kids]
     own = np.zeros(tree.n, dtype=np.int64)
-    own[kids] = 1 + before - before[tree.child_ptr[tree.parent[kids]]]
+    own[kids] = 1 + before - before[np.searchsorted(up, up)]
     first = 2 * _kernels.ancestor_sum(tree, own) - depth
     steps = np.empty(2 * tree.n - 1, dtype=np.int64)
     steps[first] = np.arange(tree.n)
-    steps[first[kids] + 2 * size[kids] - 1] = tree.parent[kids]
+    steps[first[kids] + 2 * size[kids] - 1] = up
     return Contour(steps=steps, depths=depth[steps], n=tree.n)
 
 

@@ -91,7 +91,7 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from .errors import (DegenerateInputError, ResourceLimitError, ValidationError,
-                     _check_count, _check_real)
+                     _check_count, _check_real, _shown)
 from .spectral import (_over_cap, _recentered, Eigensystem, bottom_pairs,
                        decompose, dense_cap, gap_iterative)
 from .tree import (RootedTree, _check_vertex, _lca_depth, _per_tree,
@@ -122,6 +122,7 @@ ORBIT_MIN_VERTICES = 160
 ORBIT_RATIO = 5
 # entries of P_t that the all-starts check computes at once (1 MB)
 BLOCK_ELEMENTS = 1 << 17
+CURVE_SAMPLE_CAP = 1_000_000  # samples of tv_curve, each a TV evaluation
 
 def _modes(tree: RootedTree) -> Union[Eigensystem, "_Orbits", ResourceLimitError]:
     """The chooser: what serves the tree's gap and TV numbers, by its size
@@ -404,7 +405,7 @@ def _lump(tree: RootedTree, blocks: np.ndarray):
     """
     n, m = tree.n, int(blocks.max()) + 1
     sizes = np.bincount(blocks, minlength=m)
-    child = tree.child_flat
+    child = np.flatnonzero(tree.parent >= 0)
     tail = np.concatenate((child, tree.parent[child]))
     head = np.concatenate((tree.parent[child], child))
     keys, counts = np.unique((blocks[tail] * m + blocks[head]) * n + tail,
@@ -586,9 +587,13 @@ def tv_curve(tree: RootedTree, n_samples: int, t_max: Optional[float] = None,
     """Uniform (t, tv) samples on [0, t_max] for plotting or CSV export.
 
     Without an explicit t_max the range extends to 1.5x the 0.01-mixing
-    time, which shows the full drop of the curve.
+    time, which shows the full drop of the curve.  More than
+    ``CURVE_SAMPLE_CAP`` (10**6) samples raise ``ResourceLimitError``
+    before anything is allocated.
     """
     n_samples = _check_count(n_samples, "sample count", 2)
+    if n_samples > CURVE_SAMPLE_CAP:
+        raise ResourceLimitError(f"sample count {_shown(n_samples)} above the cap {CURVE_SAMPLE_CAP}")
     t_max = None if t_max is None else _check_real(t_max, "t_max", 0, ends="[)")
     start = None if start is None else _check_vertex(tree, start, "start vertex")
     starts = _starts(tree)

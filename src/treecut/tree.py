@@ -1,12 +1,12 @@
 """Rooted trees as parent arrays, their geometry, and the canonical text format.
 
-A tree on ``n`` vertices is stored as a dense 0-based parent array with a
-single ``-1`` sentinel at the root, plus derived structure: children in CSR
-form, depths, and the pointer-jumping tables the numeric kernels consume
-(``jumps[k][v]`` is the ``2**k``-th ancestor of ``v``, or the sentinel slot
-``n`` past the root).  :func:`from_parents` builds all of it in O(log height)
-vectorized steps, with no per-vertex Python loop.  Instances are immutable
-and safe to share across workers.
+A tree on ``n`` vertices stores a dense 0-based parent array with a single
+``-1`` sentinel at the root, the depths, and the pointer-jumping tables the
+numeric kernels consume (``jumps[k][v]`` is the ``2**k``-th ancestor of
+``v``, or the sentinel slot ``n`` past the root), and no child lists.
+:func:`from_parents` builds them in O(log height) vectorized steps, with no
+sort and no per-vertex Python loop.  Instances are immutable and safe to
+share across workers.
 
 The quantities computed here are purely combinatorial: depths, subtree
 sizes, the per-vertex sum of subtree sizes along the root path ("path
@@ -21,8 +21,8 @@ array, and walked in one LCA pass: ``_lca_depth``, the depth of each vertex's
 lowest common ancestor with its end, one ``ancestor_sum``.  The rule holds
 package-wide: outside the two kernels there are only the level
 passes ``root_orbits`` (the classes of vertices that an automorphism
-fixing the root can exchange) and ``spectral.count_below``.  Child lists
-are walked only here, and only around one vertex (``center_of_mass``).
+fixing the root can exchange) and ``spectral.count_below``.  A child list
+is one scan of the parent array, read around one vertex (``center_of_mass``).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import (CycleError, ParentIndexError, RootCountError,
-                     TreeFormatError, ValidationError, _check_count)
+                     TreeFormatError, ValidationError, _check_count, _shown)
 
 __all__ = [
     "RootedTree", "TreeMetrics", "CenterOfMass", "EdgeLoad", "VertexLoad",
@@ -50,11 +50,11 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class RootedTree:
-    """Immutable rooted tree on vertices ``0..n-1``.
+    """Immutable rooted tree on vertices ``0..n-1``: parent array, depths, jumps.
 
-    ``children(v)`` returns the sorted child indices of ``v``; ``depth`` holds
-    every vertex's distance to the root.  ``jumps`` is what the kernels
-    iterate over: ``jumps[k]`` has length ``n + 1`` and maps ``v`` to its
+    ``children(v)`` scans ``parent`` for the sorted child indices of ``v``;
+    ``depth`` holds every vertex's distance to the root.  ``jumps`` is what the
+    kernels iterate over: ``jumps[k]`` has length ``n + 1`` and maps ``v`` to its
     ``2**k``-th ancestor, or to the sentinel slot ``n`` when that lies past
     the root (``jumps[k][n] == n``).  It holds ``height.bit_length()``
     tables, the last one with ``2**k <= height``.
@@ -63,22 +63,19 @@ class RootedTree:
     n: int
     root: int
     parent: np.ndarray
-    child_ptr: np.ndarray = field(repr=False)
-    child_flat: np.ndarray = field(repr=False)
     depth: np.ndarray = field(repr=False)
     jumps: tuple = field(repr=False)
 
     def children(self, v: int) -> np.ndarray:
-        return self.child_flat[self.child_ptr[v]:self.child_ptr[v + 1]]
+        return np.flatnonzero(self.parent == _check_vertex(self, v))
 
     @property
     def height(self) -> int:
         return int(self.depth.max())
 
     def degrees(self) -> np.ndarray:
-        deg = np.diff(self.child_ptr).astype(np.int64)
-        deg[np.arange(self.n) != self.root] += 1
-        return deg
+        # child counts (bin 0 takes the root's -1), plus the edge up
+        return np.bincount(self.parent + 1, minlength=self.n + 1)[1:] + (self.parent >= 0)
 
     def depths(self) -> np.ndarray:
         return self.depth.copy()
@@ -103,9 +100,9 @@ def from_parents(n: int, parent: Sequence) -> RootedTree:
         entries = [-1 if p is None else p for p in parent]
         for i, p in enumerate(entries):
             if isinstance(p, bool) or not isinstance(p, (int, np.integer)):
-                raise ValidationError(f"parent[{i}] = {p!r} is not an integer")
+                raise ValidationError(f"parent[{i}] = {_shown(p)} is not an integer")
             if not -1 <= p < n:  # before int64 could overflow
-                raise ParentIndexError(f"parent[{i}] = {p} is out of range")
+                raise ParentIndexError(f"parent[{i}] = {_shown(int(p))} is out of range")
         par = np.array(entries, dtype=np.int64)
     roots = np.nonzero(par == -1)[0]
     if len(roots) != 1:
@@ -114,12 +111,6 @@ def from_parents(n: int, parent: Sequence) -> RootedTree:
     if len(bad):
         raise ParentIndexError(f"parent[{bad[0]}] = {par[bad[0]]} is out of range")
     root = int(roots[0])
-
-    # children in CSR form: a stable sort by parent keeps each child list
-    # ascending, and the root (parent -1) sorts first; its -1 also fills
-    # bin 0 of the child counts, so their running sum is one ahead
-    child_flat = np.argsort(par, kind="stable")[1:]
-    child_ptr = np.bincount(par + 1, minlength=n + 1).cumsum() - 1
 
     # pointer jumping (Wyllie): each step doubles the jump and adds the
     # depth found at its target; a vertex still short of the sentinel after
@@ -142,10 +133,9 @@ def from_parents(n: int, parent: Sequence) -> RootedTree:
                              "(parent links contain a cycle)")
     depth = depth[:n]
 
-    for arr in (par, child_ptr, child_flat, depth, *jumps):
+    for arr in (par, depth, *jumps):
         arr.setflags(write=False)
-    return RootedTree(n=n, root=root, parent=par, child_ptr=child_ptr,
-                      child_flat=child_flat, depth=depth, jumps=tuple(jumps))
+    return RootedTree(n=n, root=root, parent=par, depth=depth, jumps=tuple(jumps))
 
 
 def _per_tree(fn):
@@ -234,12 +224,9 @@ def max_edge_load(metrics: TreeMetrics) -> EdgeLoad:
     Single-vertex trees have no edges and return value 0.  Ties go to the
     smallest lower-endpoint index.
     """
-    loads = metrics.depth * metrics.subtree_size
-    loads = np.where(metrics.depth > 0, loads, -1)
-    if loads.max() < 0:
-        return EdgeLoad(0, None)
+    loads = metrics.depth * metrics.subtree_size  # 0 at the root, >= 1 below it
     e = int(np.argmax(loads))
-    return EdgeLoad(int(loads[e]), e)
+    return EdgeLoad(int(loads[e]), e) if loads[e] else EdgeLoad(0, None)
 
 
 def max_path_load(metrics: TreeMetrics) -> VertexLoad:
@@ -252,10 +239,8 @@ def tail_profile(metrics: TreeMetrics) -> TailProfile:
     ks = np.arange(len(metrics.tail_size), dtype=np.int64)
     table = ks * metrics.tail_size
     table.setflags(write=False)
-    if len(table) == 1:
-        return TailProfile(0, None, table)
-    k = 1 + int(np.argmax(table[1:]))
-    return TailProfile(int(table[k]), k, table)
+    k = int(np.argmax(table))  # table[0] is 0, and table[k] >= 1 up to the height
+    return TailProfile(int(table[k]), k, table) if k else TailProfile(0, None, table)
 
 
 @dataclass(frozen=True)
@@ -312,11 +297,9 @@ def center_of_mass(tree: RootedTree, at: Optional[int] = None) -> CenterOfMass:
     size = metrics.subtree_size
 
     if x is None:
-        max_comp = n - size
-        np.maximum.at(max_comp, tree.parent[tree.parent >= 0],
-                      size[tree.parent >= 0])
-        candidates = np.nonzero(2 * max_comp <= n)[0]
-        x = int(candidates[0])
+        max_comp = np.append(n - size, 0)  # slot n takes the root's -1
+        np.maximum.at(max_comp, tree.parent, size)
+        x = int(np.argmax(2 * max_comp[:n] <= n))
 
     # components of the tree minus x as a min-heap on (size, -neighbor):
     # smallest first, ties to the larger neighbor index; a merged component
@@ -404,7 +387,7 @@ def _check_vertex(tree: RootedTree, v, name: str = "vertex") -> int:
     """``v`` as an int; ``ValidationError`` unless an integer in 0..n-1."""
     v = _check_count(v, name, 0)
     if v >= tree.n:
-        raise ValidationError(f"{name} must be <= {tree.n - 1}, got {v}")
+        raise ValidationError(f"{name} must be <= {tree.n - 1}, got {_shown(v)}")
     return v
 
 

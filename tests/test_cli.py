@@ -302,6 +302,12 @@ class TestExitCodes:
                                 "--eps", "0.25"], capsys)
         assert code == 3
 
+    def test_curve_sample_cap(self, capsys):
+        # it used to exit 1 with numpy's _ArrayMemoryError from np.linspace
+        code, out, err = run_cli(["mix", "--family", "segment", "--n", "3",
+                                  "--curve", "1000000000000"], capsys)
+        assert (code, out) == (3, "") and "sample count 1000000000000 above the cap" in err
+
     @pytest.mark.parametrize("rtol", ["0", "-1", "1e-17", "nan"])
     def test_rtol_out_of_range(self, rtol, capsys):
         # these used to hang (0, -1, 1e-17) or print "rtol": NaN (nan)

@@ -334,6 +334,34 @@ class TestAnalyzeAndSweep:
         with pytest.raises(ValidationError):
             C.sweep("moebius", [4])
 
+    @pytest.mark.parametrize("jobs, cores, workers", [
+        (5000, 4, 3), (2, 4, 2), (5000, 2, 2), (5000, None, None), (1, 4, None)])
+    def test_sweep_pool_is_bounded(self, jobs, cores, workers, monkeypatch):
+        # the pool used to take max_workers=jobs: with 5,000 tasks, up to
+        # 5,000 spawned processes; None means the sweep ran in this process
+        import concurrent.futures
+        import os
+        pools = []
+
+        class Pool:  # starts no process
+            def __init__(self, max_workers, mp_context):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        report = C.sweep("segment", [4, 8, 16], jobs=jobs)
+        assert pools == ([] if workers is None else [workers])
+        assert report.rows == C.sweep("segment", [4, 8, 16]).rows
+
     def test_sweep_jobs_matches_serial(self):
         serial = C.sweep("segment", [8, 16], epsilon=0.25)
         parallel = C.sweep("segment", [8, 16], epsilon=0.25, jobs=2)

@@ -196,12 +196,18 @@ class TestDeterministicFamilies:
         lambda: T.cor15_tree(10**18),
         lambda: T.peres_sousi(6),
         lambda: T.peres_sousi(8),
-    ], ids=["cor15", "ssym_binary", "cor15_1e18", "peres_sousi_6", "peres_sousi_8"])
+        lambda: T.peres_sousi(14),
+        lambda: T.segment(10**5000),
+    ], ids=["cor15", "ssym_binary", "cor15_1e18", "peres_sousi_6", "peres_sousi_8",
+            "peres_sousi_14", "segment_huge"])
     def test_refused_before_listing_the_construction(self, build, monkeypatch):
         # cor15 used to list n + 1 attachments (17 MB here), later isqrt(n)
         # of them (10^9 at 10^18), and ssym_binary a degree list of n
         # entries (16 MB) before the cap refused them; peres_sousi's sizes
-        # (2^192 and 2^768) overflow any int64 cast made before the check
+        # (2^192 and 2^768) overflow any int64 cast made before the check;
+        # the sizes of peres_sousi(14) (2^49152) and segment(10^5000) used to
+        # end the message in a plain ValueError, as Python writes no int of
+        # more than 4300 digits
         monkeypatch.setattr(generate, "HARD_VERTEX_CAP", 100)
         tracemalloc.start()
         try:

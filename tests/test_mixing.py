@@ -136,6 +136,16 @@ class TestMixingTime:
         assert table[0, 1] == pytest.approx(2 / 3, abs=1e-12)
         assert np.all(np.diff(table[:, 1]) <= 1e-12)
 
+    def test_tv_curve_sample_cap(self):
+        # refused before the sample times, or anything else, are allocated
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="^sample count 1000001 above the cap 1000000$"):
+                T.tv_curve(T.segment(2), M.CURVE_SAMPLE_CAP + 1)
+            assert tracemalloc.get_traced_memory()[1] < 100_000
+        finally:
+            tracemalloc.stop()
+
 
 class TestPublicTV:
     """``heat_kernel_tv``, ``tv_from_start`` and ``tv_curve`` on the start

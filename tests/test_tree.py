@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import treecut as T
 from treecut.errors import (CycleError, ParentIndexError, RootCountError,
-                            TreeFormatError, ValidationError)
+                            TreeFormatError, ValidationError, _shown)
 
 from treecut import _kernels, bdchain as bd, cli, criteria as C
 from treecut.generate import OffspringDistribution as OD
@@ -23,6 +23,8 @@ from util import (best_center_split, brute_depth, brute_diameter, brute_lca_dept
                   brute_max_edge_load, brute_path_load, brute_reroot_parent,
                   brute_root_orbits, brute_subtree_size, brute_tail_value,
                   brute_unreachable, grafted_tree, listed, random_tree)
+
+HUGE = 10**5000  # past 4300 digits, an int Python does not write as text
 
 # the 14-site tree from the contour illustration: root with four branches
 FIG_PARENTS = [-1, 0, 0, 0, 0, 1, 2, 3, 4, 5, 5, 5, 11, 7]
@@ -62,6 +64,21 @@ class TestFromParents:
     def test_children_sorted(self):
         t = T.from_parents(5, [-1, 0, 0, 0, 2])
         assert list(t.children(0)) == [1, 2, 3]
+
+    def test_degrees_and_children_match_edges(self, random_suite):
+        # counted one edge at a time, against the Laplacian's diagonal and
+        # its off-diagonal -1s
+        for t in random_suite:
+            count, kids = [0] * t.n, [[] for _ in range(t.n)]
+            for v, p in enumerate(t.parent.tolist()):
+                if p >= 0:
+                    count[v] += 1
+                    count[p] += 1
+                    kids[p].append(v)
+            deg, Q = t.degrees(), T.laplacian(t)
+            assert deg.dtype == np.int64 and deg.tolist() == count
+            assert np.diag(Q).tolist() == count == (Q < 0).sum(axis=1).tolist()
+            assert [t.children(v).tolist() for v in range(t.n)] == kids
 
     @pytest.mark.parametrize("parent", [
         [-1, 0, 2, 2],                               # self-loop with a child
@@ -618,10 +635,12 @@ BAD_VERTEX_CALLS = {
     "retraction": (lambda t, v: T.retraction(t, v), "vertex", "v"),
     "retraction_report": (lambda t, v: T.retraction_report(t, v), "vertex", "v_star"),
     "retraction_alpha": (lambda t, v: T.retraction_alpha(t, v), "vertex", "v"),
+    "RootedTree.children": (lambda t, v: t.children(v), "vertex", None),  # a method
 }
 
 
-@pytest.mark.parametrize("bad", [2.5, 2.0, "2", -1, 4, np.int64(4), True])
+@pytest.mark.parametrize("bad", [2.5, 2.0, "2", -1, 4, np.int64(4), True,
+                                 pytest.param(HUGE, id="huge")])
 @pytest.mark.parametrize("call", BAD_VERTEX_CALLS.values(), ids=BAD_VERTEX_CALLS.keys())
 def test_vertex_arguments_checked(call, bad):
     fn, name, _ = call
@@ -690,13 +709,16 @@ NOT_COUNTS = {"gw_tree.seed", "gw_survival_truncated.seed", "gw_conditioned_size
               "kesten_tree.seed", "sweep.seed"}  # any int seeds a stream
 
 
-@pytest.mark.parametrize("bad", [2.5, 2.0, "2", True, np.float64(3.0), None],
-                         ids=["2.5", "2.0", "str", "True", "float64", "below"])
+@pytest.mark.parametrize("bad", [2.5, 2.0, "2", True, np.float64(3.0), None, -HUGE],
+                         ids=["2.5", "2.0", "str", "True", "float64", "below", "huge"])
 @pytest.mark.parametrize("row", BAD_COUNT_CALLS.values(), ids=BAD_COUNT_CALLS.keys())
 def test_count_arguments_checked(row, bad):
     fn, name, low, _ = row
     if bad is None:  # one below the least value allowed
         bad, message = low - 1, f"must be >= {low}, got {low - 1}$"
+    elif type(bad) is int:  # its text would raise a plain ValueError; project
+        # meets strip_to_first_branching's check, with its own least value, first
+        message = r"must be >= \d+, got <int too long to print>$"
     else:
         message = f"must be an integer, got {re.escape(repr(bad))}$"
     with pytest.raises(ValidationError, match=f"^{re.escape(name)} {message}"):
@@ -737,7 +759,7 @@ def test_every_integer_parameter_is_checked():
     # a new integer parameter of the public API needs a row in one of the
     # two tables above or in BAD_ARRAY_CALLS, or a place in NOT_COUNTS
     covered = {key.split("[")[0] for key in BAD_COUNT_CALLS} | NOT_COUNTS | {
-        f"{fn}.{param}" for fn, (_, _, param) in BAD_VERTEX_CALLS.items()}
+        f"{fn}.{param}" for fn, (_, _, param) in BAD_VERTEX_CALLS.items() if param}
     found = _public_parameters("int")
     assert found - covered - set(BAD_ARRAY_CALLS) == set()
     assert {key for key in covered if not key.startswith("_")} - found == set()
@@ -781,11 +803,12 @@ OPTIONAL_REALS = {"tv_curve.t_max"}  # None asks for the default
 @pytest.mark.parametrize("key", BAD_REAL_CALLS)
 def test_real_arguments_checked(key):
     # True used to pass as 1.0, "0.5", None and 1+0j to raise TypeError,
-    # and 10**400 OverflowError
+    # 10**400 OverflowError and 10**5000 a plain ValueError (its text); a
+    # long value is shown cut in the middle
     fn, name, outside, _ = BAD_REAL_CALLS[key]
-    for bad in (True, "0.5", 1 + 0j, 10**400) + (() if key in OPTIONAL_REALS else (None,)):
+    for bad in (True, "0.5", 1 + 0j, 10**400, HUGE) + (() if key in OPTIONAL_REALS else (None,)):
         with pytest.raises(ValidationError, match=(
-                f"^{re.escape(name)} must be a real number, got {re.escape(repr(bad))}$")):
+                f"^{re.escape(name)} must be a real number, got {re.escape(_shown(bad))}$")):
             fn(bad)
     for bad in (np.nan,) if outside is None else (np.nan, outside):
         with pytest.raises(ValidationError, match=(
@@ -854,8 +877,8 @@ def test_array_arguments_checked(key):
 
     for entry in ("1", True, 1j, None, [1]) + ((2.5, np.nan) if integer else ()):
         refused(valid[:-1] + [entry], f"{wrong} {re.escape(repr(entry))}")
-    huge = 2**63 if integer else 10**400
-    refused(valid[:-1] + [huge], f"{wrong} {huge}")
+    for huge in (2**63 if integer else 10**400, HUGE):
+        refused(valid[:-1] + [huge], f"{wrong} {re.escape(_shown(huge))}")
     for dtype in (bool, complex, object, str) + ((np.float64, np.uint64) if integer else ()):
         bad = np.array(valid).astype(dtype)
         refused(bad, f"{wrong} a {re.escape(str(bad.dtype))} array")

@@ -16,12 +16,13 @@ Laplacian is ``ancestor_sum(subtree_sum(b))``.  Both primitives run by
 pointer doubling over the tree's jump tables (``tree.jumps[k]`` maps each
 vertex to its ``2**k``-th ancestor, past the root to a zero sentinel slot):
 ``ancestor_sum`` gathers ``S += S[jumps[k]]`` with k ascending, and
-``subtree_sum``, its transpose, scatters ``G[jumps[k]] += G`` with k
-descending (``np.bincount`` on floats, ``np.add.at`` on integers: the same
-sums in the same order; bincount is faster only on small trees).  Each
-costs ``height.bit_length()`` vectorized O(n) steps, whatever the shape of
-the tree, and only adds disjoint ranges, so nothing is ever subtracted.
-Integer input is summed in int64 and stays exact, any other in float64.
+``subtree_sum``, its transpose, scatters ``G[jumps[k]] += G`` in place with
+k descending, one ``np.add.at`` for every dtype: slots in index order add
+their values from before the step, so ``a`` gets ``(G[a] + G[v1]) + G[v2]``
+from ``v1 < v2`` jumping to it.  Each costs ``height.bit_length()``
+vectorized O(n) steps, whatever the shape of the tree, and only adds
+disjoint ranges, so nothing is ever subtracted.  Integer input is summed
+in int64 and stays exact, any other in float64.
 
 Outside these two kernels the package has just two level passes, one
 vectorized step per depth: ``tree.root_orbits`` and ``spectral.count_below``.
@@ -51,12 +52,9 @@ def subtree_sum(tree, x) -> np.ndarray:
     """G[v] = sum of x over the subtree below and including v."""
     G = _as_sum_array(tree, x)
     for jump in reversed(tree.jumps):
-        if G.dtype == np.float64:
-            G += np.bincount(jump, weights=G, minlength=G.size)
-        else:
-            up = np.zeros_like(G)
-            np.add.at(up, jump, G)
-            G += up
+        # numpy already reads an overlapping operand as a copy; this one states
+        # the rule.  Sums past the root pile up in the sentinel slot.
+        np.add.at(G, jump, G.copy())
     return G[:tree.n]
 
 

@@ -31,8 +31,8 @@ from .generate import (OffspringDistribution, _check_size, binary_of_size,
 from .mixing import _check_epsilon, _gap, _modes, mixing_lower_bounds, mixing_time
 from .rng import derive_seed
 from .spectral import _upper_bounds, hardy_lower
-from .tree import (RootedTree, _lca_depth, compute_metrics, max_edge_load,
-                   max_path_load, root_path, tail_profile)
+from .tree import (RootedTree, compute_metrics, max_edge_load, max_path_load,
+                   root_path, tail_profile)
 
 __all__ = [
     "TrendFit", "Diagnostic", "FamilyRow", "FamilyReport", "RetractionReport",
@@ -247,7 +247,8 @@ def retraction_alpha(tree: RootedTree, v: int) -> float:
     binary attachments stay at or below 2, length-L path attachments reach
     (L+1)/2.  Returns 1.0 when nothing hangs off the spine.
     """
-    on_spine = _lca_depth(tree, v) == tree.depth  # the root too, so its -1 is masked
+    on_spine = np.zeros(tree.n, dtype=bool)
+    on_spine[root_path(tree, v)] = True  # the root too, so its -1 is masked
     hanging = np.flatnonzero(on_spine[tree.parent] & ~on_spine)
     if not hanging.size:
         return 1.0

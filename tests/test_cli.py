@@ -16,6 +16,7 @@ import treecut as T
 from treecut.cli import _json_text, build_parser, main
 from treecut.criteria import FAMILIES
 
+import record_golden
 from util import REPO_ROOT, listed, subprocess_env
 
 
@@ -398,6 +399,25 @@ def test_golden_bytes(case, capsys, monkeypatch):
     else:
         monkeypatch.setenv("TREECUT_MAX_VERTICES", case["cap"])
     assert run_cli(case["argv"], capsys) == (case["code"], case["stdout"], case["stderr"])
+
+
+def test_golden_recorder_moves_only_numbers_a_little():
+    # the re-record tool measures how far each changed number moved, an int
+    # past float range too, and refuses a changed exit code, stderr, text or
+    # count of numbers
+    case = {"argv": [], "cap": None, "code": 0, "stderr": "",
+            "stdout": '{"gap": 0.01812574293986801, "n": 7, "s": "cor15"}\n'}
+    moved = dict(case, stdout=case["stdout"].replace("801", "8007"))
+    assert max(record_golden.compare(case, moved)) == pytest.approx(2.4e-16, rel=0.1)
+    assert record_golden.compare(case, case) == []
+    for change in ({"code": 2}, {"stderr": "warning\n"},
+                   {"stdout": case["stdout"].replace("cor15", "cor16")},
+                   {"stdout": case["stdout"].replace('"n": 7', '"n": [7, 8]')},
+                   {"stdout": case["stdout"].replace('"gap"', '"Gap"')}):
+        with pytest.raises(ValueError):
+            record_golden.compare(case, dict(case, **change))
+    assert max(record_golden.numeric_moves("x 1.0", "x 1.00000000001")) > record_golden.MAX_MOVE
+    assert record_golden.numeric_moves("9" * 400, "8" * 400) == [pytest.approx(1 / 9)]
 
 
 def stdlib_json(obj):

@@ -74,14 +74,15 @@ def test_primitives_match_level_oracle_on_large_trees(make):
 
 
 def scatter_subtree_sum(t, x):
-    """subtree_sum of floats by ``np.add.at`` scatters, one per jump table:
-    the reference whose sums, added in the same order, bincount must give."""
-    G = np.append(np.asarray(x, dtype=np.float64), 0.0)
+    """subtree_sum of floats in the documented order, one Python addition at
+    a time: tables descending, and within a step every slot in index order
+    adds its value from before the step onto its ancestor."""
+    G = [float(v) for v in x] + [0.0]
     for jump in reversed(t.jumps):
-        up = np.zeros_like(G)
-        np.add.at(up, jump, G)
-        G += up
-    return G[:t.n]
+        before = list(G)
+        for v, a in enumerate(jump.tolist()):
+            G[a] += before[v]
+    return np.array(G[:t.n])
 
 
 @pytest.mark.parametrize("make", list(PRIMITIVE_TREES.values()) + [
@@ -129,9 +130,10 @@ def test_child_lists_are_walked_only_in_tree():
 
 
 def test_reroot_only_where_a_rerooted_tree_is_needed():
-    # hitting times, orbit classes and retraction spines read the tree's own
-    # lowest common ancestors; only the center-of-mass split and the
-    # label-one option of the size-conditioned sampler build a re-rooted tree
+    # hitting times and orbit classes read the tree's own lowest common
+    # ancestors, retraction spines its root paths; only the center-of-mass
+    # split and the label-one option of the size-conditioned sampler build a
+    # re-rooted tree
     callers = set()
     for path in sorted((REPO_ROOT / "src" / "treecut").glob("*.py")):
         module = ast.parse(path.read_text(encoding="utf-8"))

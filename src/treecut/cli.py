@@ -5,15 +5,12 @@ field, or CSV where tabular) and byte-identical across runs for identical
 arguments and seeds.  Exit codes: 0 success, 2 validation error, 3 resource
 cap exceeded.
 
-JSON is written by :func:`_json_text`, whose output is byte-identical to
-``json.dumps(payload, sort_keys=True, indent=2)`` of the payload with its
-arrays turned into lists.  It exists for speed: CPython runs its C encoder
-only when ``indent`` is None, and the pure-Python indenting encoder spends
-most of a large tree's ``metrics`` call on the per-vertex arrays.
-``_json_text`` writes a signed-integer array with the numpy writer
+JSON is ``json.dumps(payload, sort_keys=True, indent=2)`` of the payload
+with its arrays as lists (:func:`_json_text`).  Only the per-vertex integer
+arrays skip that pure-Python indenting encoder, for the numpy writer
 ``tree._int_text`` (digits right-aligned in a zeroed byte grid whose zeros
-are then deleted, no Python int per entry), hands every flat number list
-to the C encoder in one call, and indents the result itself.
+are then deleted, no Python int per entry).  Integer arguments are an
+optional minus and ASCII digits, as in the tree format (:func:`_parse_int`).
 """
 
 from __future__ import annotations
@@ -21,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from typing import Optional
 
@@ -50,10 +48,19 @@ def _parse_offspring(text: str) -> generate.OffspringDistribution:
         f"unknown offspring kind {kind!r}; use geom:P, poisson:L or table:p0,p1,...")
 
 
+def _parse_int(text: str) -> int:
+    """An optional minus and ASCII digits, surrounding whitespace allowed;
+    no digit cap, since seeds reach 2**64."""
+    digits = text.strip()
+    if not re.fullmatch("-?[0-9]+", digits):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return int(digits)
+
+
 def _parse_int_list(text: str) -> list:
     try:
-        return [int(x) for x in text.split(",") if x]
-    except ValueError:
+        return [_parse_int(x) for x in text.split(",") if x]
+    except (argparse.ArgumentTypeError, ValueError):
         raise ValidationError(f"expected comma-separated integers, got {text!r}") from None
 
 
@@ -90,47 +97,30 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-_NUMBER_TYPES = frozenset((int, float))
-
-
 def _is_int_array(obj) -> bool:
     return isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "i"
 
 
 def _json_text(obj, pad: str = "") -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)``, with ``pad`` before
-    each line after the first, for ``obj`` with each ndarray ``.tolist()``'d;
-    dict keys must be strings.
+    """``json.dumps(obj, sort_keys=True, indent=2)``, with ``pad`` after
+    each newline, for ``obj`` with each ndarray ``.tolist()``'d; ndarrays
+    may appear only as dict values, at any depth of dicts, as in every CLI
+    payload.
 
-    A one-dimensional signed-integer ndarray takes the numpy writer
-    ``tree._int_text``; any other ndarray is ``.tolist()``'d first.  A list
-    or tuple whose items are all exactly ``int`` or ``float`` (not
-    ``bool``) takes the C encoder in one call; its ``", "`` separators
-    become line breaks, which is safe because no number token contains
-    ``", "``.  Every other value is written item by item, and scalars by
-    ``json.dumps`` itself.
+    A non-empty one-dimensional signed-integer ndarray takes the numpy
+    writer ``tree._int_text``, and a non-empty dict is written key by key
+    so that such arrays reach it.  Every other value is one ``json.dumps``
+    call.
     """
     inner = pad + "  "
-    if _is_int_array(obj):
-        if not obj.size:
-            return "[]"
+    if _is_int_array(obj) and obj.size:
         return "[\n" + inner + tc._int_text(obj, ",\n" + inner) + "\n" + pad + "]"
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
+    if isinstance(obj, dict) and obj:
         items = [f"{json.dumps(k)}: {_json_text(obj[k], inner)}" for k in sorted(obj)]
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        if set(map(type, obj)) <= _NUMBER_TYPES:
-            body = json.dumps(obj)[1:-1].replace(", ", ",\n" + inner)
-        else:
-            body = (",\n" + inner).join(_json_text(x, inner) for x in obj)
-        return "[\n" + inner + body + "\n" + pad + "]"
-    return json.dumps(obj)
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    return json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + pad)
 
 
 def _dump(args, payload: dict) -> None:
@@ -153,8 +143,8 @@ def _dump(args, payload: dict) -> None:
 
 def _add_family_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", choices=sorted(criteria.FAMILIES))
-    p.add_argument("--n", type=int, help="family size parameter (k for peres_sousi)")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--n", type=_parse_int, help="family size parameter (k for peres_sousi)")
+    p.add_argument("--seed", type=_parse_int)
     p.add_argument("--offspring",
                    help="geom:P | poisson:L | table:p0,p1,... (branching families)")
 
@@ -229,8 +219,8 @@ def cmd_mix(args) -> int:
     start: Optional[int] = None
     if args.start not in (None, "worst"):
         try:
-            start = int(args.start)
-        except ValueError:
+            start = _parse_int(args.start)
+        except (argparse.ArgumentTypeError, ValueError):
             raise ValidationError(f"--start must be 'worst' or a vertex, got {args.start!r}") from None
     if args.curve is not None:
         table = mixing.tv_curve(tree, args.curve, start=start)
@@ -341,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_flags(p)
     p.add_argument("--eps", type=float, default=0.25)
     p.add_argument("--start", default=None, help="'worst' (default) or a vertex")
-    p.add_argument("--curve", type=int, metavar="N",
+    p.add_argument("--curve", type=_parse_int, metavar="N",
                    help="emit an N-sample t,tv CSV instead of the mixing time")
     p.add_argument("--rtol", type=float, default=1e-8)
     p.add_argument("--format", choices=("json", "text"), default="json")
@@ -351,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bdchain", help="project a spherically symmetric tree")
     p.add_argument("--degrees", required=True,
                    help="comma-separated degree per depth")
-    p.add_argument("--n", type=int, required=True,
+    p.add_argument("--n", type=_parse_int, required=True,
                    help="chain half-length (tree leaves sit at depth n-1)")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--out")
@@ -361,10 +351,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, choices=sorted(criteria.FAMILIES))
     p.add_argument("--sizes", required=True, help="comma-separated sizes")
     p.add_argument("--eps", type=float, default=0.25)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_parse_int)
     p.add_argument("--offspring")
-    p.add_argument("--reps", type=int, default=1)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--reps", type=_parse_int, default=1)
+    p.add_argument("--jobs", type=_parse_int, default=1)
     p.add_argument("--threshold", type=float, default=criteria.SLOPE_THRESHOLD,
                    help="log-log slope threshold for verdicts")
     p.add_argument("--format", choices=("json", "csv"), default="json")

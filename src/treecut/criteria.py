@@ -23,7 +23,8 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from . import _kernels
-from .errors import ResourceLimitError, ValidationError, _check_array, _check_count, _check_real
+from .errors import (DegenerateInputError, ResourceLimitError, ValidationError,
+                     _check_array, _check_count, _check_real)
 from .generate import (OffspringDistribution, _check_size, binary_of_size,
                        cor15_tree, gw_conditioned_size, gw_survival_truncated,
                        gw_tree, kesten_tree, peres_sousi, segment,
@@ -329,8 +330,12 @@ def _median_row(rows: Sequence[FamilyRow]) -> FamilyRow:
 
 
 def _sweep_one(args):
-    family, size, eps, seed, offspring = args
+    family, size, rep, eps, seed, offspring = args
     tree = _build_family_member(family, size, seed, offspring)
+    if tree.n == 1:
+        raise DegenerateInputError(
+            f"sweep member {family!r} size {size} rep {rep} (stream seed {seed}) "
+            "is a single vertex, which has no spectral gap")
     return analyze_tree(tree, eps, size_label=size)
 
 
@@ -354,7 +359,7 @@ def sweep(family: str, sizes: Sequence[int], epsilon: float = 0.25,
     if not sizes:
         raise ValidationError("need at least one size")
 
-    tasks = [(family, size, epsilon,
+    tasks = [(family, size, rep, epsilon,
               derive_seed(seed, size, rep) if seed is not None else None, offspring)
              for size in sizes for rep in range(reps)]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)  # each a spawned process

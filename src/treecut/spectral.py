@@ -475,7 +475,7 @@ def bound_log_diameter(tree: RootedTree) -> float:
     metrics = compute_metrics(tree)
     if metrics.diameter < 1:
         return 0.0
-    return (np.log(metrics.diameter) + 1.0) * max_edge_load(metrics).value
+    return float((np.log(metrics.diameter) + 1.0) * max_edge_load(metrics).value)
 
 
 def bound_summable_weights(tree: RootedTree,

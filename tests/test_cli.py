@@ -289,6 +289,56 @@ class TestSweep:
         code, out, _ = run_cli(["gen", "--family", "ssym_binary", "--n", "0"], capsys)
         assert (code, out) == (2, "")
 
+    @pytest.mark.parametrize("argv", [
+        *[["--family", "gw", "--sizes", "4,5,6,7", "--offspring", "geom:0.5", "--seed", str(s)]
+          for s in range(1, 6)],
+        ["--family", "gw", "--sizes", "4,5,6,7", "--offspring", "poisson:1.5", "--reps", "3",
+         "--seed", "1"],
+        ["--family", "binary", "--sizes", "1,2,3,4"],
+        ["--family", "gw_size", "--sizes", "1,2,3,4", "--offspring", "geom:0.5", "--seed", "1"],
+    ])
+    def test_single_vertex_member_is_named(self, argv, capsys):
+        # these exited 2 with "the spectral gap is undefined for a single
+        # vertex", naming no member
+        code, out, err = run_cli(["sweep", *argv], capsys)
+        assert (code, out) == (2, "")
+        assert re.fullmatch(f"error: sweep member '{argv[1]}' size [0-9]+ rep [0-9]+ "
+                            r"\(stream seed (None|[0-9]+)\) is a single vertex, "
+                            "which has no spectral gap\n", err)
+
+
+class TestStrictIntegers:
+    # int() took all of these; the tree format allows only a minus and ASCII digits
+    @pytest.mark.parametrize("value", ["1_0", "+5", "\u0663"])
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--family", "segment", "--n", "{}"],
+        ["gen", "--family", "gw", "--n", "4", "--offspring", "geom:0.5", "--seed", "{}"],
+        ["bdchain", "--degrees", "2,3", "--n", "{}"],
+        ["mix", "--family", "segment", "--n", "4", "--curve", "{}"],
+        ["mix", "--family", "segment", "--n", "4", "--start", "{}"],
+        ["sweep", "--family", "segment", "--sizes", "4", "--reps", "{}"],
+        ["sweep", "--family", "segment", "--sizes", "4", "--jobs", "{}"],
+        ["sweep", "--family", "segment", "--sizes", "4,{}"],
+        ["bdchain", "--degrees", "2,{}", "--n", "3"],
+    ], ids=["gen-n", "gen-seed", "bdchain-n", "mix-curve", "mix-start", "sweep-reps",
+            "sweep-jobs", "sweep-sizes", "bdchain-degrees"])
+    def test_refused(self, argv, value, capsys):
+        argv = [a.replace("{}", value) for a in argv]
+        try:
+            code, out, err = run_cli(argv, capsys)
+        except SystemExit as exc:  # argparse refuses a flag's value
+            code, out, err = exc.code, *capsys.readouterr()
+        assert (code, out) == (2, "") and value in err
+
+    def test_whitespace_minus_and_seeds_past_int64(self, capsys):
+        code, out, _ = run_cli(["gen", "--family", "segment", "--n", " 3 "], capsys)
+        assert (code, out) == (0, T.to_text(T.segment(3)))
+        code, out, _ = run_cli(["gen", "--family", "kesten", "--n", "3", "--offspring",
+                                "geom:0.5", "--seed", str(2 ** 64 - 1)], capsys)
+        assert code == 0 and out
+        code, _, err = run_cli(["gen", "--family", "segment", "--n", "-1"], capsys)
+        assert code == 2 and "-1" in err
+
 
 class TestExitCodes:
     def test_malformed_tree_file(self, tmp_path, capsys):

@@ -7,9 +7,10 @@ import pytest
 
 import treecut as T
 from treecut import criteria as C
-from treecut.errors import ValidationError
+from treecut.errors import DegenerateInputError, ValidationError
 from treecut.generate import OffspringDistribution as OD
 from treecut.mixing import _gap
+from treecut.rng import derive_seed
 
 from util import brute_subtree_size, brute_tail_value, power_comb
 
@@ -271,6 +272,22 @@ class TestAnalyzeAndSweep:
     def test_sweep_needs_seed_for_random(self):
         with pytest.raises(ValidationError):
             C.sweep("gw_size", [10], offspring=OD.geometric(0.5))
+
+    @pytest.mark.parametrize("family, sizes, reps, seed, offspring, size, rep", [
+        ("binary", [1, 2, 3, 4], 1, None, None, 1, 0),
+        ("gw_size", [1, 2, 3, 4], 1, 1, OD.geometric(0.5), 1, 0),
+        ("gw", [4, 5, 6, 7], 1, 1, OD.geometric(0.5), 4, 0),
+        ("gw", [6], 3, 12, OD.geometric(0.5), 6, 2),
+        ("gw", [4, 5, 6, 7], 3, 1, OD.poisson(1.5), 5, 0),
+    ])
+    def test_sweep_names_single_vertex_member(self, family, sizes, reps, seed,
+                                              offspring, size, rep):
+        # these used to fail inside the gap solver, naming no member
+        stream = None if seed is None else derive_seed(seed, size, rep)
+        message = (f"sweep member '{family}' size {size} rep {rep} "
+                   rf"\(stream seed {stream}\) is a single vertex")
+        with pytest.raises(DegenerateInputError, match=message):
+            C.sweep(family, sizes, seed=seed, offspring=offspring, reps=reps)
 
     def test_numpy_reals_come_back_as_python_floats(self):
         row = C.analyze_tree(T.segment(3), np.float32(0.25), np.int64(4))

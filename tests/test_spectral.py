@@ -540,6 +540,14 @@ class TestClosedFormBounds:
                           T.bound_path_load(t), T.bound_tail(t)):
                 assert bound >= t_rel * (1 - 1e-8)
 
+    @pytest.mark.parametrize("tree", [T.segment(6), T.binary_of_size(40), T.cor15_tree(32),
+                                      T.spherically_symmetric([7])],
+                             ids=["segment", "binary", "cor15", "star"])
+    def test_upper_bounds_are_python_floats(self, tree):
+        # bound_log_diameter returned np.float64 into bounds JSON and sweep rows
+        bounds = S._upper_bounds(tree)
+        assert {name: type(v) for name, v in bounds.items()} == dict.fromkeys(bounds, float)
+
 
 class TestHardyLower:
     def test_two_path_equality(self):

@@ -4,10 +4,12 @@ A spherically symmetric tree whose root has at least two children projects
 onto a nearest-neighbor chain on states 1..2n-1 (n-1 = leaf depth): the
 center state n is the root, the two halves mirror two marked root subtrees,
 and moving away from the center at distance k runs at rate deg_k - 1 while
-moving toward it runs at rate 1.  The chain's gap eigenfunction, taken
-antisymmetric about the center, lifts to an eigenfunction of the tree walk
-supported on the two marked subtrees, so the chain gap is an exact tree
-eigenvalue and 1/gap lower-bounds the tree relaxation time.
+moving toward it runs at rate 1.  The gap eigenfunction is simple and
+changes sign once (Gantmacher-Krein oscillation theorem), so with the rates
+palindromic it is antisymmetric about the center.  It lifts to an
+eigenfunction of the tree walk supported on the two marked subtrees, so the
+chain gap is an exact tree eigenvalue and 1/gap lower-bounds the tree
+relaxation time.
 
 Degree sequences that start with a unary stretch are stripped back to the
 first branching vertex before projecting (the number of removed levels is
@@ -22,7 +24,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from . import _kernels
-from .errors import DegenerateInputError, ValidationError, _check_array, _check_count
+from .errors import ResourceLimitError, ValidationError, _check_array, _check_count
 from .tree import RootedTree, compute_metrics
 
 __all__ = ["BDChain", "BDSpectrum", "LiftResult", "strip_to_first_branching",
@@ -73,6 +75,7 @@ def project(degrees: Sequence[int], n: int) -> BDChain:
     ``degrees[k]`` is the graph degree at depth k of the underlying tree
     (so the tree is ``spherically_symmetric(degrees[:n-1])``).  Unary
     prefixes are stripped first; n shrinks by the stripped amount.
+    ``ResourceLimitError`` if a stationary weight underflows.
     """
     degrees, stripped = strip_to_first_branching(degrees)
     n = _check_count(n, "n", 2 + stripped) - stripped
@@ -82,24 +85,16 @@ def project(degrees: Sequence[int], n: int) -> BDChain:
     used = [degrees[0]] + [_check_count(d, f"degree at depth {k}", 2)  # k: unstripped depth
                            for k, d in enumerate(degrees[1:n - 1], start=stripped + 1)]
 
-    size = 2 * n - 1
     # up: 1 to the center, deg - 1 above it, 0 at the top; down: the same, reversed
     up = np.concatenate((np.ones(n), np.array(used[1:]) - 1.0, [0.0]))
     down = up[::-1].copy()
 
-    weights = np.ones(size, dtype=np.float64)
-    for i in range(size - 1):
-        weights[i + 1] = weights[i] * up[i] / down[i + 1]
+    weights = np.concatenate(([1.0], np.cumprod(up[:-1] / down[1:])))
     stationary = weights / weights.sum()
-    return BDChain(size=size, half=n, up_rate=up, down_rate=down,
+    if stationary.min() < np.finfo(np.float64).tiny:  # 0, or subnormal with digits lost
+        raise ResourceLimitError(f"a stationary weight underflows at half {n}")
+    return BDChain(size=2 * n - 1, half=n, up_rate=up, down_rate=down,
                    stationary=stationary, degrees=tuple(used), stripped=stripped)
-
-
-def generator_matrix(chain: BDChain) -> np.ndarray:
-    """Dense chain generator G, rows summing to zero."""
-    G = np.diag(chain.up_rate[:-1], 1) + np.diag(chain.down_rate[1:], -1)
-    np.fill_diagonal(G, -(chain.up_rate + chain.down_rate))
-    return G
 
 
 @dataclass(frozen=True)
@@ -117,33 +112,25 @@ class BDSpectrum:
 def bd_spectrum(chain: BDChain) -> BDSpectrum:
     """Gap and antisymmetric gap eigenfunction of the chain.
 
-    The generator is symmetrized by the stationary weights and solved
-    densely.  If the computed eigenvector is not already antisymmetric
-    about the center, its reversal is subtracted (the rates are palindromic
-    so the reversal is again an eigenfunction); a vanishing difference
-    means the gap eigenspace holds no antisymmetric function, which is
-    reported instead of guessed around.
+    Antisymmetry (module docstring) kills the center: the gap is the bottom
+    eigenvalue of the m = half - 1 states below it, whose generator,
+    symmetrized by pi, is the tridiagonal S with diagonal ``up + down`` and
+    off-diagonal ``-sqrt(up[i] * down[i+1])``.  Its bottom eigenvector v gives
+    the eigenfunction ``(g, 0, -g[::-1])``, ``g = v / sqrt(pi)``.  A gap not
+    above eigh's error bound m * eps * ||S||_1 (Weyl) raises ResourceLimitError.
     """
-    G = generator_matrix(chain)
-    sqrt_pi = np.sqrt(chain.stationary)
-    S = (sqrt_pi[:, None] * -G) / sqrt_pi[None, :]
-    S = 0.5 * (S + S.T)  # symmetric up to roundoff by detailed balance
+    m = chain.half - 1
+    up, down = chain.up_rate[:m], chain.down_rate[:m]
+    off = -np.sqrt(up[:-1] * down[1:])
+    S = np.diag(up + down) + np.diag(off, 1) + np.diag(off, -1)
     vals, vecs = np.linalg.eigh(S)
-    gap = float(vals[1])
-    f = vecs[:, 1] / sqrt_pi
-    rev = f[::-1]
-    sup = float(np.abs(f).max())
-    if float(np.abs(f + rev).max()) > 1e-10 * sup:
-        anti = f - rev
-        if float(np.abs(anti).max()) <= 1e-10 * sup:
-            raise DegenerateInputError(
-                "antisymmetrization failed: the gap eigenspace is symmetric")
-        f = anti
-    f = f / np.abs(f).max()
-    if f[0] < 0:
-        f = -f
-    f[chain.half - 1] = 0.0
-    return BDSpectrum(gap=gap, eigenfunction=f)
+    gap = float(vals[0])
+    bound = m * np.finfo(np.float64).eps * float(np.abs(S).sum(axis=0).max())
+    if not gap > bound:
+        raise ResourceLimitError(f"chain gap {gap:.3g} is within eigh's error bound {bound:.3g}")
+    g = vecs[:, 0] / np.sqrt(chain.stationary[:m])
+    g /= np.copysign(np.abs(g).max(), g[0])  # sup-norm 1, first entry positive
+    return BDSpectrum(gap=gap, eigenfunction=np.concatenate((g, [0.0], -g[::-1])))
 
 
 @dataclass(frozen=True)
@@ -197,9 +184,8 @@ def lift(tree: RootedTree, chain: BDChain, f: np.ndarray) -> LiftResult:
     mark[kids[:2]] = [1, 2]
     side = _kernels.ancestor_sum(tree, mark)
     F = np.zeros(tree.n)
-    for m, sign_offset in ((1, -1), (2, +1)):
-        below = side == m
-        F[below] = f[n + sign_offset * depth[below] - 1]
+    marked = side > 0  # side 1 reads state n - depth, side 2 state n + depth
+    F[marked] = f[n - 1 + (2 * side[marked] - 3) * depth[marked]]
 
     gap = bd_spectrum(chain).gap
     QF = tree.degrees() * F

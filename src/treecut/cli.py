@@ -27,7 +27,7 @@ import numpy as np
 from . import bdchain as bd
 from . import criteria, generate, mixing, spectral
 from . import tree as tc
-from .errors import ResourceLimitError, TreeFormatError, ValidationError
+from .errors import ResourceLimitError, TreeFormatError, ValidationError, _shown
 
 SCHEMA = "treecut/1"
 
@@ -50,18 +50,22 @@ def _parse_offspring(text: str) -> generate.OffspringDistribution:
 
 def _parse_int(text: str) -> int:
     """An optional minus and ASCII digits, surrounding whitespace allowed;
-    no digit cap, since seeds reach 2**64."""
+    no digit cap but int()'s (4300 by default), since seeds reach 2**64."""
     digits = text.strip()
     if not re.fullmatch("-?[0-9]+", digits):
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    return int(digits)
+        raise argparse.ArgumentTypeError(f"expected an integer, got {_shown(text)}")
+    try:
+        return int(digits)
+    except ValueError:  # past int()'s digit limit
+        raise argparse.ArgumentTypeError(f"integer of {len(digits)} digits is too long") from None
 
 
-def _parse_int_list(text: str) -> list:
+def _parse_int_list(text: str, flag: str) -> list:
     try:
         return [_parse_int(x) for x in text.split(",") if x]
-    except (argparse.ArgumentTypeError, ValueError):
-        raise ValidationError(f"expected comma-separated integers, got {text!r}") from None
+    except argparse.ArgumentTypeError:
+        raise ValidationError(
+            f"{flag} expects comma-separated integers, got {_shown(text)}") from None
 
 
 def _build_tree_from_flags(args) -> tc.RootedTree:
@@ -220,8 +224,9 @@ def cmd_mix(args) -> int:
     if args.start not in (None, "worst"):
         try:
             start = _parse_int(args.start)
-        except (argparse.ArgumentTypeError, ValueError):
-            raise ValidationError(f"--start must be 'worst' or a vertex, got {args.start!r}") from None
+        except argparse.ArgumentTypeError:
+            raise ValidationError(
+                f"--start must be 'worst' or a vertex, got {_shown(args.start)}") from None
     if args.curve is not None:
         table = mixing.tv_curve(tree, args.curve, start=start)
         lines = ["t,tv"] + [f"{t:.12g},{v:.12g}" for t, v in table]
@@ -236,7 +241,7 @@ def cmd_mix(args) -> int:
 
 
 def cmd_bdchain(args) -> int:
-    degrees = _parse_int_list(args.degrees)
+    degrees = _parse_int_list(args.degrees, "--degrees")
     chain = bd.project(degrees, args.n)
     spec = bd.bd_spectrum(chain)
     tree = generate.spherically_symmetric(chain.degrees)
@@ -283,7 +288,7 @@ def _trend_dict(value) -> dict:
 
 def cmd_sweep(args) -> int:
     offspring = _parse_offspring(args.offspring) if args.offspring else None
-    report = criteria.sweep(args.family, _parse_int_list(args.sizes),
+    report = criteria.sweep(args.family, _parse_int_list(args.sizes, "--sizes"),
                             epsilon=args.eps, seed=args.seed,
                             offspring=offspring, reps=args.reps,
                             jobs=args.jobs, threshold=args.threshold)

@@ -123,7 +123,10 @@ class SplitMix64:
         return self.next_u64() % bound
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle driven by ``below``."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.next_u64() % (i + 1)  # below(i + 1), with no check per item
+        """In-place Fisher-Yates shuffle driven by ``below``: item i, from the top
+        down, swaps with item ``next_u64() % (i + 1)``; the words are drawn as one array."""
+        top = np.arange(len(items) - 1, 0, -1, dtype=np.uint64)
+        words = mix64_array(np.uint64(self._state) + top[::-1] * np.uint64(_GOLDEN))
+        for i, j in zip(top.tolist(), (words % (top + np.uint64(1))).tolist()):
             items[i], items[j] = items[j], items[i]
+        self.skip(top.size)

@@ -92,6 +92,10 @@ def from_parents(n: int, parent: Sequence) -> RootedTree:
     :class:`CycleError` for the respective defects.
     """
     n = _check_count(n, "vertex count", 1)
+    if isinstance(parent, np.ndarray) and parent.ndim != 1:
+        raise ValidationError(f"parent array must have shape (k,), got {parent.shape}")
+    if not isinstance(parent, (np.ndarray, Sequence)):
+        raise ValidationError(f"parent array must be a sequence, got {_shown(parent)}")
     if len(parent) != n:
         raise ValidationError(f"parent array has length {len(parent)}, expected {n}")
     if isinstance(parent, np.ndarray) and parent.dtype.kind in "iu":

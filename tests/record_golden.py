@@ -5,7 +5,8 @@ stderr and the exit code, as ``test_cli.test_golden_bytes`` compares them.
 The file is rewritten only if every case keeps its exit code, its stderr and
 all of its non-numeric text, and moves no number by more than 1e-12
 relative; otherwise nothing is written and the exit code is 1.  Each moved
-case is reported with how many numbers moved and the largest relative move.
+case is reported with how many numbers moved, the largest relative move, and
+the old and new text of its first five moved numbers.
 
     PYTHONPATH=src python tests/record_golden.py
 
@@ -43,20 +44,21 @@ def run_case(case: dict) -> dict:
     return dict(case, code=code, stdout=out.getvalue(), stderr=err.getvalue())
 
 
-def numeric_moves(old: str, new: str) -> list[float]:
-    """Relative move of every number of ``old`` whose text differs at its
-    place in ``new``; ``ValueError`` if the text around the numbers differs."""
+def numeric_moves(old: str, new: str) -> list[tuple[str, str, float]]:
+    """``(old text, new text, relative move)`` of every number of ``old``
+    whose text differs at its place in ``new``; ``ValueError`` if the text
+    around the numbers differs."""
     if _NUMBER.split(old) != _NUMBER.split(new):
         raise ValueError("non-numeric text changed")
     moves = []
     for a, b in zip(_NUMBER.findall(old), _NUMBER.findall(new)):
         if a != b:
             x, y = Decimal(a), Decimal(b)  # exact, whatever the digit count
-            moves.append(float(abs(x - y) / max(abs(x), abs(y))) if x != y else 0.0)
+            moves.append((a, b, float(abs(x - y) / max(abs(x), abs(y))) if x != y else 0.0))
     return moves
 
 
-def compare(old: dict, new: dict) -> list[float]:
+def compare(old: dict, new: dict) -> list[tuple[str, str, float]]:
     """The moves of one case's stdout; ``ValueError`` on any other change."""
     if new["code"] != old["code"]:
         raise ValueError(f"exit code {old['code']} -> {new['code']}")
@@ -80,10 +82,13 @@ def main() -> int:
             continue
         if moves:
             moved += 1
-            ok = max(moves) <= MAX_MOVE
+            largest = max(move for _, _, move in moves)
+            ok = largest <= MAX_MOVE
             refused += not ok
             print(f"{'moved' if ok else 'REFUSED'} {label}: {len(moves)} numbers, "
-                  f"largest relative move {max(moves):.2g}")
+                  f"largest relative move {largest:.2g}")
+            for a, b, _ in moves[:5]:
+                print(f"    {a} -> {b}")
     print(f"{len(cases)} cases, {moved} moved, {refused} refused")
     if refused:
         return 1

@@ -5,7 +5,9 @@ import pytest
 
 import treecut as T
 from treecut import bdchain as bd
-from treecut.errors import DegenerateInputError, ValidationError
+from treecut.errors import ResourceLimitError, ValidationError
+
+from util import loop_bd_generator
 
 BINARY = [2] + [3] * 20
 
@@ -35,24 +37,15 @@ class TestProject:
             assert ch.up_rate[i] == ch.down_rate[size - 1 - i]
 
     def test_rates_and_generator_match_state_loop(self):
-        # per-state loops over the rate rule: 1 toward the center, deg - 1 away
+        # per-state loops over the rate rule: 1 toward the center, deg - 1
+        # away; the stationary law is the generator's left null vector
         for degrees, n in (([2, 3], 2), ([3, 4, 4, 4, 4], 4), ([1, 1, 3, 5, 2, 7], 6),
                            ([5, 2, 7, 3, 3, 3], 7)):
             ch = bd.project(degrees, n)
-            half, used, size = ch.half, ch.degrees, ch.size
-            up, down = np.zeros(size), np.zeros(size)
-            G = np.zeros((size, size))
-            for x in range(1, size + 1):
-                if x < size:
-                    up[x - 1] = used[x - half] - 1 if x > half else 1.0
-                    G[x - 1, x] = up[x - 1]
-                if x > 1:
-                    down[x - 1] = used[half - x] - 1 if x < half else 1.0
-                    G[x - 1, x - 2] = down[x - 1]
-            np.fill_diagonal(G, -(up + down))
+            up, down, G = loop_bd_generator(ch)
             assert ch.up_rate.tolist() == up.tolist()
             assert ch.down_rate.tolist() == down.tolist()
-            assert bd.generator_matrix(ch).tolist() == G.tolist()
+            assert np.abs(ch.stationary @ G).max() < 1e-12
 
     def test_small_n_rejected(self):
         with pytest.raises(ValidationError):
@@ -75,35 +68,38 @@ class TestProject:
 
 
 class TestBDSpectrum:
-    @staticmethod
-    def eigh_with_gap_vector(monkeypatch, f):
-        """``np.linalg.eigh`` whose second eigenvector is f, in the
-        symmetrised coordinates of ``bd_spectrum`` (times sqrt(pi))."""
-        eigh = np.linalg.eigh
+    def test_full_chain_gap_vector_is_the_mirrored_half_chain_one(self):
+        # why bd_spectrum solves the lower half only: on seeded random chains
+        # the whole chain's gap eigenvector is antisymmetric, its eigenvalue
+        # is the half chain's gap, and it is bd_spectrum's eigenfunction up
+        # to sign and scale
+        rng = np.random.default_rng(0)
+        checked = 0
+        for _ in range(200):
+            half = int(rng.integers(2, 16))
+            ch = bd.project(rng.integers(2, 8, size=half - 1).tolist(), half)
+            sqrt_pi = np.sqrt(ch.stationary)
+            S = -loop_bd_generator(ch)[2] * sqrt_pi[:, None] / sqrt_pi[None, :]
+            vals, vecs = np.linalg.eigh(0.5 * (S + S.T))
+            if vals[1] < 1e-6:
+                continue
+            checked += 1
+            f = vecs[:, 1] / sqrt_pi
+            f *= np.sign(f[0]) / np.abs(f).max()
+            assert np.abs(f + f[::-1]).max() <= 1e-6
+            sp = bd.bd_spectrum(ch)
+            assert sp.gap == pytest.approx(vals[1], rel=1e-8)
+            assert np.abs(sp.eigenfunction - f).max() <= 1e-6
+        assert checked > 100
 
-        def patched(S):
-            vals, vecs = eigh(S)
-            vecs[:, 1] = f
-            return vals, vecs
-
-        monkeypatch.setattr(np.linalg, "eigh", patched)
-
-    def test_symmetric_part_is_removed(self, monkeypatch):
-        # an eigensolver free to mix the gap eigenspace may return an
-        # antisymmetric eigenfunction plus a symmetric part
-        ch = bd.project(BINARY, 4)
-        exact = bd.bd_spectrum(ch)
-        sqrt_pi = np.sqrt(ch.stationary)
-        self.eigh_with_gap_vector(monkeypatch, sqrt_pi * (exact.eigenfunction + 0.3))
-        mixed = bd.bd_spectrum(ch)
-        assert mixed.gap == exact.gap
-        assert np.allclose(mixed.eigenfunction, exact.eigenfunction, rtol=0, atol=1e-12)
-
-    def test_symmetric_gap_vector_is_reported(self, monkeypatch):
-        ch = bd.project(BINARY, 4)
-        self.eigh_with_gap_vector(monkeypatch, np.sqrt(ch.stationary))
-        with pytest.raises(DegenerateInputError, match="antisymmetrization failed"):
-            bd.bd_spectrum(ch)
+    @pytest.mark.parametrize("degrees, n", [([2] + [6] * 25, 25), ([2] + [11] * 20, 20),
+                                            ([2] + [3] * 1100, 1100)],
+                             ids=["gap-below-roundoff", "gap-past-cs-bound", "weight-underflow"])
+    def test_unresolved_chains_refused(self, degrees, n):
+        # these returned a gap of -5.8e-17, a gap of 3.5e-15 whose inverse is
+        # below cs_lower_bound, and a NaN gap with an infinite cs_lower_bound
+        with pytest.raises(ResourceLimitError):
+            bd.bd_spectrum(bd.project(degrees, n))
 
     def test_three_state_by_hand(self):
         sp = bd.bd_spectrum(bd.project(BINARY, 2))
@@ -119,7 +115,7 @@ class TestBDSpectrum:
 
     def test_gap_matches_dense_generator_oracle(self):
         ch = bd.project(BINARY, 5)  # 9 states
-        vals = np.sort(np.linalg.eigvals(-bd.generator_matrix(ch)).real)
+        vals = np.sort(np.linalg.eigvals(-loop_bd_generator(ch)[2]).real)
         assert bd.bd_spectrum(ch).gap == pytest.approx(vals[1], rel=1e-10)
 
 
@@ -190,7 +186,7 @@ class TestCSLowerBound:
         assert bd.cs_lower_bound(ch, 2) == pytest.approx(expect)
 
     def test_below_inverse_gap(self):
-        for n in range(2, 11):
+        for n in range(2, len(BINARY) + 2):  # half 2..22, all resolved
             ch = bd.project(BINARY, n)
             gap = bd.bd_spectrum(ch).gap
             assert bd.cs_lower_bound(ch, 3) <= 1.0 / gap + 1e-12

@@ -330,6 +330,21 @@ class TestStrictIntegers:
             code, out, err = exc.code, *capsys.readouterr()
         assert (code, out) == (2, "") and value in err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["gen", "--family", "segment", "--n", "{}"], "--n"),
+        (["sweep", "--family", "segment", "--sizes", "4,{}"], "--sizes"),
+    ], ids=["gen-n", "sweep-sizes"])
+    def test_integer_past_digit_limit(self, argv, flag, capsys):
+        # int() refuses more than 4300 digits with a ValueError, which argparse
+        # reported as "invalid _parse_int value" with every digit echoed
+        argv = [a.replace("{}", "1" * 5000) for a in argv]
+        try:
+            code, out, err = run_cli(argv, capsys)
+        except SystemExit as exc:
+            code, out, err = exc.code, *capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert flag in err and len(err) < 300 and "_parse_int" not in err
+
     def test_whitespace_minus_and_seeds_past_int64(self, capsys):
         code, out, _ = run_cli(["gen", "--family", "segment", "--n", " 3 "], capsys)
         assert (code, out) == (0, T.to_text(T.segment(3)))
@@ -453,12 +468,13 @@ def test_golden_bytes(case, capsys, monkeypatch):
 
 def test_golden_recorder_moves_only_numbers_a_little():
     # the re-record tool measures how far each changed number moved, an int
-    # past float range too, and refuses a changed exit code, stderr, text or
-    # count of numbers
+    # past float range too, keeping both texts, and refuses a changed exit
+    # code, stderr, text or count of numbers
     case = {"argv": [], "cap": None, "code": 0, "stderr": "",
             "stdout": '{"gap": 0.01812574293986801, "n": 7, "s": "cor15"}\n'}
     moved = dict(case, stdout=case["stdout"].replace("801", "8007"))
-    assert max(record_golden.compare(case, moved)) == pytest.approx(2.4e-16, rel=0.1)
+    assert record_golden.compare(case, moved) == [
+        ("0.01812574293986801", "0.018125742939868007", pytest.approx(2.4e-16, rel=0.1))]
     assert record_golden.compare(case, case) == []
     for change in ({"code": 2}, {"stderr": "warning\n"},
                    {"stdout": case["stdout"].replace("cor15", "cor16")},
@@ -466,8 +482,9 @@ def test_golden_recorder_moves_only_numbers_a_little():
                    {"stdout": case["stdout"].replace('"gap"', '"Gap"')}):
         with pytest.raises(ValueError):
             record_golden.compare(case, dict(case, **change))
-    assert max(record_golden.numeric_moves("x 1.0", "x 1.00000000001")) > record_golden.MAX_MOVE
-    assert record_golden.numeric_moves("9" * 400, "8" * 400) == [pytest.approx(1 / 9)]
+    assert record_golden.numeric_moves("x 1.0", "x 1.00000000001")[0][2] > record_golden.MAX_MOVE
+    assert record_golden.numeric_moves("9" * 400, "8" * 400) == [
+        ("9" * 400, "8" * 400, pytest.approx(1 / 9))]
 
 
 def stdlib_json(obj):

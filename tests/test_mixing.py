@@ -16,8 +16,8 @@ from treecut.generate import OffspringDistribution as OD
 from treecut.spectral import bottom_pairs, decompose
 from treecut.tree import _lca_depth, _per_tree, root_orbits
 
-from util import (dense_mixing_time, dense_tv_rows, grafted_tree, legs_tree, power_comb,
-                  random_tree)
+from util import (dense_mixing_time, dense_tv_rows, grafted_tree, legs_tree,
+                  loop_bd_generator, power_comb, random_tree)
 
 
 def tv_by_expm(tree, t):
@@ -793,7 +793,7 @@ class TestOrbitQuotients:
         values = orbits.quotients[0][0]
         chain = bdchain.project(degrees, depth + 1)
         sqrt_pi = np.sqrt(chain.stationary)
-        S = -bdchain.generator_matrix(chain) * sqrt_pi[:, None] / sqrt_pi[None, :]
+        S = -loop_bd_generator(chain)[2] * sqrt_pi[:, None] / sqrt_pi[None, :]
         chain_values, vectors = np.linalg.eigh(0.5 * (S + S.T))
         f = vectors / sqrt_pi[:, None]
         symmetric = np.abs(f - f[::-1]).max(axis=0) <= 1e-6 * np.abs(f).max(axis=0)

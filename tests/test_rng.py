@@ -64,6 +64,21 @@ def test_below_range_and_shuffle_permutes():
     assert items != list(range(50))
 
 
+@pytest.mark.parametrize("seed", [0, 9, 2**64 - 1])
+@pytest.mark.parametrize("n", [0, 1, 2, 30, 60, 1000])
+def test_shuffle_is_fisher_yates_over_next_u64(seed, n):
+    # the words are drawn as one array; the swaps and the end state are
+    # those of one next_u64 per item, from the top down
+    vec, scalar = SplitMix64(seed), SplitMix64(seed)
+    items, expected = list(range(n)), list(range(n))
+    vec.shuffle(items)
+    for i in range(n - 1, 0, -1):
+        j = scalar.next_u64() % (i + 1)
+        expected[i], expected[j] = expected[j], expected[i]
+    assert items == expected
+    assert vec.next_u64() == scalar.next_u64()
+
+
 @pytest.mark.parametrize("bound", [2.5, 2.0, True, "3", 0, -1])
 def test_below_bound_must_be_a_positive_integer(bound):
     # 2.5 used to give 1.0, 2.0 gave 0.0 and True gave 0

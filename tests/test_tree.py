@@ -58,8 +58,11 @@ class TestFromParents:
             T.from_parents(3, [-1, -3, 0])
 
     def test_bad_length(self):
-        with pytest.raises(ValidationError):
-            T.from_parents(3, [-1, 0])
+        # the last four, not sequences, raised TypeError or a numpy ValueError
+        for n, parent in ((3, [-1, 0]), (3, 5), (2, (p for p in (-1, 0))),
+                          (1, np.array(-1)), (2, np.array([[-1, 0], [0, 0]]))):
+            with pytest.raises(ValidationError, match="^parent array "):
+                T.from_parents(n, parent)
 
     def test_children_sorted(self):
         t = T.from_parents(5, [-1, 0, 0, 0, 2])

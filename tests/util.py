@@ -281,6 +281,24 @@ def loop_contour(tree, labels):
     return steps, [brute_depth(tree, v) for v in steps]
 
 
+def loop_bd_generator(chain):
+    """Rates and dense generator of a ``bdchain.BDChain``, one state at a
+    time from the rate rule: 1 toward the center, deg - 1 away from it.
+    Returns ``(up, down, G)``, the rows of G summing to zero."""
+    half, used, size = chain.half, chain.degrees, chain.size
+    up, down = np.zeros(size), np.zeros(size)
+    G = np.zeros((size, size))
+    for x in range(1, size + 1):
+        if x < size:
+            up[x - 1] = used[x - half] - 1 if x > half else 1.0
+            G[x - 1, x] = up[x - 1]
+        if x > 1:
+            down[x - 1] = used[half - x] - 1 if x < half else 1.0
+            G[x - 1, x - 2] = down[x - 1]
+    np.fill_diagonal(G, -(up + down))
+    return up, down, G
+
+
 def brute_max_edge_load(tree):
     best = 0
     for v in range(tree.n):

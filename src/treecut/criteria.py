@@ -25,8 +25,8 @@ import numpy as np
 from . import _kernels
 from .errors import (DegenerateInputError, ResourceLimitError, ValidationError,
                      _check_array, _check_count, _check_real)
-from .generate import (OffspringDistribution, _check_size, binary_of_size,
-                       cor15_tree, gw_conditioned_size, gw_survival_truncated,
+from .generate import (OffspringDistribution, _check_size, _conditioned_tree,
+                       binary_of_size, cor15_tree, gw_survival_truncated,
                        gw_tree, kesten_tree, peres_sousi, segment,
                        spherically_symmetric)
 from .mixing import _check_epsilon, _gap, _modes, mixing_lower_bounds, mixing_time
@@ -308,7 +308,7 @@ def _build_family_member(family: str, size: int, seed: Optional[int],
     if family == "gw_survival":
         return gw_survival_truncated(offspring, size, seed)
     if family == "gw_size":
-        return gw_conditioned_size(offspring, size, seed)[0]
+        return _conditioned_tree(offspring, size, seed)[0]
     return kesten_tree(offspring, size, seed)
 
 

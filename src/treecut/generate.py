@@ -49,7 +49,7 @@ __all__ = [
 
 DEFAULT_VERTEX_CAP = 1_000_000
 DEFAULT_ATTEMPT_CAP = 1_000_000
-HARD_VERTEX_CAP = 20_000_000  # refuse constructions beyond this outright
+HARD_VERTEX_CAP = 20_000_000  # refuse constructions beyond this, whatever max_vertices says
 # the scalar Poisson sampler gives up past k = 10_000_000 and returns this
 _POISSON_BREAK = 10_000_001
 # pmf_table stops once the tail is below this, or after this many terms
@@ -102,20 +102,18 @@ class OffspringDistribution:
     def counts(self, u: np.ndarray, cap: int) -> np.ndarray:
         """Offspring counts for uniforms ``u``, each clipped to ``cap``.
 
-        Entry i is ``min(cap, c)``, as int64, where c is the count one
-        uniform u[i] gives by inversion, one draw per count (the scalar
-        samplers in ``tests/util.py`` do it one draw at a time):
-        ``floor(log1p(-u) / log1p(-p))`` for the geometric law, the first k
-        whose running sum of probabilities reaches u for the Poisson law,
-        and the first index whose running sum exceeds u for a table.  Geometric counts come from
-        ``np.log1p``; the ratios within 1e-9 (relative) of an integer are
-        recomputed with ``math.log1p``, because the two may differ in the
-        last ulp and only there can that move the floor.  Poisson and table
-        counts are ``searchsorted`` into a cumulative table built with the
-        scalar inversion's own float operations.  (``geometric(1)`` takes no
-        draw in the scalar inversion, so array draws run ahead of it; that
-        is never seen, because with this law every tree is a lone root and
-        nothing is drawn after it.)
+        Entry i is ``min(cap, c)``, as int64, where c is the count one uniform u[i] gives
+        by inversion, one draw per count (the scalar samplers in ``tests/util.py`` do it
+        one draw at a time): ``floor(log1p(-u) / log1p(-p))`` for the geometric law, the
+        first k whose running sum of probabilities reaches u for the Poisson law, and the
+        first index whose running sum exceeds u for a table.  Geometric counts come from
+        ``np.log1p``, in place on one copy of u; ratios within 1e-9 (relative) of an
+        integer are recomputed with ``math.log1p``, as the two may differ in the last ulp
+        and only there can that move the floor.  Poisson and table counts are
+        ``searchsorted`` into a cumulative table built with the scalar inversion's own
+        float operations.  (``geometric(1)`` takes no draw in the scalar inversion, so
+        array draws run ahead of it; that is never seen, as with this law every tree is
+        a lone root and nothing is drawn after it.)
         """
         cap = _check_count(cap, "cap", 0)
         if self.kind == "geometric":
@@ -123,10 +121,11 @@ class OffspringDistribution:
             if p >= 1.0:
                 return np.zeros(u.shape, dtype=np.int64)
             denom = math.log1p(-p)
-            ratio = np.log1p(-u) / denom
-            near = np.abs(ratio - np.rint(ratio)) <= 1e-9 * np.maximum(1.0, ratio)
+            ratio = np.negative(u)
+            np.divide(np.log1p(ratio, out=ratio), denom, out=ratio)
+            near = abs(np.rint(ratio) - ratio) <= np.maximum(ratio, 1.0) * 1e-9
             ratio[near] = [math.log1p(-x) / denom for x in u[near].tolist()]
-            return np.minimum(np.floor(ratio), cap).astype(np.int64)
+            return np.minimum(np.floor(ratio, out=ratio), cap, out=ratio).astype(np.int64)
         if self.kind == "poisson":
             k = np.searchsorted(self._cumulative, u, side="left")
             k[k == self._cumulative.size] = _POISSON_BREAK
@@ -376,11 +375,11 @@ def gw_tree(dist: OffspringDistribution, max_gen: int, seed: int,
             max_vertices: int = DEFAULT_VERTEX_CAP) -> RootedTree:
     """Branching-process tree truncated at generation ``max_gen``."""
     max_gen = _check_count(max_gen, "generation cap", 0)
-    room = max(_check_count(max_vertices, "vertex cap", 0) - 1, 0)
+    cap = min(_check_count(max_vertices, "vertex cap", 0), HARD_VERTEX_CAP)
+    room = max(cap - 1, 0)
     parent = _grow_branching(_count_reader(SplitMix64(seed), dist, room + 1), max_gen, room)
     if parent is None:
-        raise ResourceLimitError(
-            f"branching process exceeded the vertex cap {max_vertices}")
+        raise ResourceLimitError(f"branching process exceeded the vertex cap {cap}")
     return from_parents(parent.size, parent)
 
 
@@ -412,32 +411,51 @@ def gw_survival_truncated(dist: OffspringDistribution, n: int, seed: int,
 
 _BLOCK = 1024  # rejection attempts scored together
 _FIRST_DRAWS = 8  # draws per live attempt in the first pass; each later pass doubles
+_PASS_DRAWS = 1 << 20  # most draws one scoring pass takes, whatever n is
 
 
-def _first_accepted(dist: OffspringDistribution, n: int, seeds: np.ndarray) -> int:
-    """Index of the first stream in ``seeds`` whose breadth-first growth
-    ends with exactly n vertices, or -1.
+def _first_accepted(dist: OffspringDistribution, n: int, seeds: np.ndarray) -> Optional[int]:
+    """The first stream in ``seeds`` whose breadth-first growth ends with
+    exactly n vertices, or None.
 
     Draw j of a stream is the child count c_j of vertex j-1.  With
     ``T_k = 1 + c_1 + ... + c_k`` vertices after k of them are processed,
     the growth stops at the first k with ``T_k = k``, so it ends with
     exactly n vertices iff ``k < T_k <= n`` for every k < n and
     ``T_n = n``; that is ``min(k, n-1) < T_k <= n`` for k = 1..n.  The rule
-    is checked a pass of columns at a time, on the rows still alive; T
-    never decreases, so its last column alone decides ``T_k <= n``.
+    is checked a pass at a time on the live attempts: a C-ordered (draws x
+    attempts) array of at most ``_PASS_DRAWS`` entries (or one row), summed
+    and tested down its columns.  T never decreases, so a pass's last row
+    alone decides ``T_k <= n``.
     """
-    rows = np.arange(seeds.size)
-    total = np.ones(seeds.size, dtype=np.int64)
+    rows, total = np.arange(seeds.size), np.ones(seeds.size, dtype=np.int64)
     k, width = 0, _FIRST_DRAWS
     while rows.size and k < n:
-        width = min(width, n - k)
-        T = total[:, None] + np.cumsum(
-            dist.counts(uniforms(seeds[rows], k + 1, width), n + 1), axis=1)
+        width = min(width, n - k, max(_PASS_DRAWS // rows.size, 1))
+        T = dist.counts(uniforms(seeds[rows], k + 1, width).T, n + 1)
+        T[0] += total
+        np.cumsum(T, axis=0, out=T)
         floor = np.minimum(np.arange(k + 1, k + width + 1), n - 1)
-        alive = (T > floor).all(axis=1) & (T[:, -1] <= n)
-        rows, total = rows[alive], T[alive, -1]
+        alive = (T > floor[:, None]).all(axis=0) & (T[-1] <= n)
+        rows, total = rows[alive], T[-1, alive]
         k, width = k + width, 2 * width
-    return int(rows[0]) if rows.size else -1
+    return int(seeds[rows[0]]) if rows.size else None
+
+
+def _conditioned_tree(dist: OffspringDistribution, n: int, seed: int,
+                      max_attempts: int = DEFAULT_ATTEMPT_CAP) -> Tuple[RootedTree, SplitMix64]:
+    """The unlabeled tree of ``gw_conditioned_size`` and its stream, past the tree's n draws."""
+    n = _check_count(n, "target size", 1)
+    max_attempts = _check_count(max_attempts, "attempt cap", 0)
+    _check_size(n)
+    for a in range(0, max_attempts, _BLOCK):
+        hit = _first_accepted(dist, n, derive_seeds(seed, a, min(a + _BLOCK, max_attempts)))
+        if hit is not None:
+            rng = SplitMix64(hit)
+            counts = dist.counts(rng.random_array(n), n)
+            return from_parents(n, np.concatenate(([-1], np.repeat(np.arange(n), counts)))), rng
+    raise RejectionCapError(f"no tree of size exactly {n} in {max_attempts} attempts",
+                            attempts=max_attempts)
 
 
 def gw_conditioned_size(dist: OffspringDistribution, n: int, seed: int,
@@ -452,32 +470,20 @@ def gw_conditioned_size(dist: OffspringDistribution, n: int, seed: int,
     attempt that ends with exactly n vertices is kept; its labels come from
     a Fisher-Yates shuffle that continues the same stream.  Attempts are
     scored as arrays, 1024 at a time, each live one only as far as it can
-    still succeed.  Acceptance decays like n^-3/2 for critical laws.
-    On a 2-vCPU Xeon host a ``geometric(0.5)`` tree of 1000 vertices (some
-    10^5 attempts) took 0.11 s, median of 10 seeds, and one of 3000
-    vertices 0.7-2.7 s; at 3000 the default cap of 10^6 attempts runs out
-    for some seeds.  The tree stays rooted at the progenitor unless
+    still succeed.  Acceptance decays like n^-3/2 for critical laws.  On a
+    2-vCPU Xeon host, one ``python -m timeit -n 1 -r 1`` call per seed 1-10
+    took a median of 0.07 s for a ``geometric(0.5)`` tree of 1000 vertices
+    and 0.78 s for one of 3000, where seeds 6 and 10 run out of the default
+    10^6 attempts.  The tree stays rooted at the progenitor unless
     ``reroot_at_label_one`` re-roots it at the vertex labeled 1.
     """
-    n = _check_count(n, "target size", 1)
-    max_attempts = _check_count(max_attempts, "attempt cap", 0)
-    for start in range(0, max_attempts, _BLOCK):
-        seeds = derive_seeds(seed, start, min(start + _BLOCK, max_attempts))
-        hit = _first_accepted(dist, n, seeds)
-        if hit < 0:
-            continue
-        rng = SplitMix64(int(seeds[hit]))
-        counts = dist.counts(rng.random_array(n), n)
-        tree = from_parents(n, np.concatenate(([-1], np.repeat(np.arange(n), counts))))
-        labels = list(range(1, n + 1))
-        rng.shuffle(labels)
-        labels = np.array(labels, dtype=np.int64)
-        if reroot_at_label_one:
-            tree = reroot(tree, int(np.nonzero(labels == 1)[0][0]))
-        return tree, labels
-    raise RejectionCapError(
-        f"no tree of size exactly {n} in {max_attempts} attempts",
-        attempts=max_attempts)
+    tree, rng = _conditioned_tree(dist, n, seed, max_attempts)
+    labels = list(range(1, tree.n + 1))
+    rng.shuffle(labels)
+    labels = np.array(labels, dtype=np.int64)
+    if reroot_at_label_one:
+        tree = reroot(tree, int(np.nonzero(labels == 1)[0][0]))
+    return tree, labels
 
 
 def kesten_tree(dist: OffspringDistribution, n: int, seed: int,
@@ -494,7 +500,7 @@ def kesten_tree(dist: OffspringDistribution, n: int, seed: int,
     if dist.mean > 1.0:
         raise ValidationError(f"needs mean <= 1, got {dist.mean}")
     n = _check_count(n, "spine depth", 0)
-    max_vertices = _check_count(max_vertices, "vertex cap", 0)
+    max_vertices = min(_check_count(max_vertices, "vertex cap", 0), HARD_VERTEX_CAP)
     spine_law = OffspringDistribution.table(dist.size_biased_table())
     rng = SplitMix64(seed)
     parent = [np.array([-1])]

@@ -40,10 +40,12 @@ def mix64(z: int) -> int:
 
 
 def mix64_array(z: np.ndarray) -> np.ndarray:
-    """``mix64`` of every entry of a uint64 array (arithmetic wraps mod 2**64)."""
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    """``mix64`` of every entry of a uint64 array (mod 2**64), in place on one copy."""
+    z, shifted = np.array(z, dtype=np.uint64), np.empty(np.shape(z), dtype=np.uint64)
+    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= np.right_shift(z, np.uint64(shift), out=shifted)
+        z *= np.uint64(factor)
+    return np.bitwise_xor(z, np.right_shift(z, np.uint64(31), out=shifted), out=z)
 
 
 def uniforms(states: np.ndarray, first: int, count: int) -> np.ndarray:
@@ -51,11 +53,11 @@ def uniforms(states: np.ndarray, first: int, count: int) -> np.ndarray:
 
     ``states`` is a uint64 array; row i holds what ``SplitMix64(states[i])``
     returns on its calls number ``first`` to ``first + count - 1`` (the
-    first call is number 1), bit for bit, as float64.
+    first call is 1), bit for bit, as float64; the transpose is C-ordered.
     """
     steps = np.arange(first, first + count, dtype=np.uint64) * np.uint64(_GOLDEN)
-    z = mix64_array(states[:, None] + steps)
-    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    z = mix64_array(steps[:, None] + states)
+    return (np.right_shift(z, np.uint64(11), out=z).view(np.int64) * 2.0**-53).T
 
 
 def derive_seed(seed: int, *keys: int) -> int:

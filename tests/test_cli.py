@@ -102,6 +102,12 @@ class TestGen:
         code, out, err = run_cli(["gen", "--family", family, "--n", n], capsys)
         assert (code, out) == (3, "") and "hard cap" in err
 
+    def test_oversized_size_conditioned_member_exits_3(self, capsys):
+        # it used to score rejection attempts for 25 million vertices
+        code, out, err = run_cli(["gen", "--family", "gw_size", "--n", "25000000",
+                                  "--offspring", "geom:0.5", "--seed", "1"], capsys)
+        assert (code, out) == (3, "") and "hard cap" in err
+
     def test_poisson_rate_too_large_exit_code(self, capsys):
         code, _, err = run_cli(["gen", "--family", "gw_size", "--n", "10",
                                 "--offspring", "poisson:800", "--seed", "1"],

@@ -338,6 +338,36 @@ class TestBranchingFamilies:
                                           reroot_at_label_one=True)
         assert labels[t.root] == 1
 
+    @pytest.mark.parametrize("build, hard_cap", [
+        (lambda: T.gw_conditioned_size(OD.geometric(0.5), 25_000_000, 1, max_attempts=20_480),
+         generate.HARD_VERTEX_CAP),
+        (lambda: T.gw_tree(OD.poisson(3.0), 40, 1, max_vertices=10**9), 100),
+        (lambda: T.gw_survival_truncated(OD.poisson(3.0), 40, 1, max_vertices=10**9), 100),
+        (lambda: T.kesten_tree(OD.table([0, 1]), 200, 1, max_vertices=10**9), 100),
+    ], ids=["gw_size", "gw", "gw_survival", "kesten"])
+    def test_random_samplers_stop_at_the_hard_cap(self, build, hard_cap, monkeypatch):
+        # the size-conditioned sampler used to score all 20,480 attempts (a
+        # 406 MB traced peak) before its RejectionCapError; the others grew
+        # up to max_vertices, and gw_tree here drew a generation of
+        # 64,902,096 vertices at the full cap before a MemoryError
+        monkeypatch.setattr(generate, "HARD_VERTEX_CAP", hard_cap)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match=r"\bcap\b"):  # not RejectionCapError
+                build()
+            assert tracemalloc.get_traced_memory()[1] < 1_000_000
+        finally:
+            tracemalloc.stop()
+
+    def test_family_member_skips_the_label_shuffle(self, monkeypatch):
+        # sweeps and the CLI keep the tree alone; they used to shuffle labels
+        # and drop them
+        dist = OD.geometric(0.5)
+        expected = [T.gw_conditioned_size(dist, 30, seed)[0].parent.tolist() for seed in range(5)]
+        monkeypatch.setattr(SplitMix64, "shuffle", lambda self, items: pytest.fail("shuffled"))
+        assert [criteria._build_family_member("gw_size", 30, seed, dist).parent.tolist()
+                for seed in range(5)] == expected
+
     def test_conditioned_size_rejection_cap(self):
         # every draft with point mass 2 blows past 9 vertices
         with pytest.raises(RejectionCapError) as info:
@@ -573,6 +603,46 @@ class TestSamplersAgainstLoop:
                 else:
                     tree = T.kesten_tree(dist, 10, seed, max_vertices=cap)
                     assert tree.parent.tolist() == expected
+
+
+def _conditioned_or_attempts(dist, n, seed):
+    """Parents and labels ``gw_conditioned_size`` gives, or the attempts its
+    ``RejectionCapError`` counts."""
+    try:
+        tree, labels = T.gw_conditioned_size(dist, n, seed, max_attempts=_ORACLE_ATTEMPTS)
+    except RejectionCapError as exc:
+        return exc.attempts
+    return tree.parent.tolist(), labels.tolist()
+
+
+class TestScoringPasses:
+    """How ``_first_accepted`` cuts attempts into blocks and draws into
+    passes moves no tree, label or attempt count."""
+
+    @pytest.mark.parametrize("dist", _SIZE_LAWS, ids=_law_id)
+    def test_block_and_pass_sizes_change_no_sample(self, dist, monkeypatch):
+        cases = [(n, seed) for n in (1, 2, 17, 60) for seed in range(3)]
+        expected = [_conditioned_or_attempts(dist, n, seed) for n, seed in cases]
+        for name, value in [("_BLOCK", 7), ("_BLOCK", 1000), ("_FIRST_DRAWS", 1),
+                            ("_FIRST_DRAWS", 3), ("_PASS_DRAWS", 64)]:
+            with monkeypatch.context() as patched:
+                patched.setattr(generate, name, value)
+                assert [_conditioned_or_attempts(dist, n, seed)
+                        for n, seed in cases] == expected, (name, value)
+
+    def test_no_pass_takes_more_draws_than_the_budget(self, monkeypatch):
+        # without the budget, one pass at each of these seeds took 1,427,160 draws
+        taken, counts = [], OD.counts
+
+        def spy(self, u, cap):
+            taken.append(u.size)
+            return counts(self, u, cap)
+
+        monkeypatch.setattr(OD, "counts", spy)
+        for seed in (10, 16, 20):
+            with pytest.raises(RejectionCapError):
+                T.gw_conditioned_size(OD.geometric(0.5), 10**6, seed, max_attempts=2048)
+        assert generate._PASS_DRAWS // 2 < max(taken) <= generate._PASS_DRAWS
 
 
 class TestContour:

@@ -7,10 +7,12 @@ Pair i (from 1) runs ``bench/run.py --workload W --seed S --seconds T
 --trace 0`` in each checkout, with S = seed + i - 1 and
 ``PYTHONDONTWRITEBYTECODE=1``: odd pairs run PARENT first, even pairs CHANGE
 first.  It prints every pair, then for each end-to-end metric of CHANGE's
-``BENCHMARK.json`` the q1/median/q3 of both sides and the number of pairs
-the change won.  It refuses to start (exit 2) if either checkout has a
-``__pycache__`` under ``src/``, since stale bytecode skews ``setup_s``, and
-exits 1 if any run fails, is not ``correct`` or has failed checks.
+``BENCHMARK.json`` the q1/median/q3 of both sides, the number of pairs the
+change won, the relative change of the medians (change / parent - 1) and
+the median of the per-pair ratios change / parent.  It refuses to start
+(exit 2) if either checkout has a ``__pycache__`` under ``src/``, since
+stale bytecode skews ``setup_s``, and exits 1 if any run fails, is not
+``correct`` or has failed checks.
 """
 
 from __future__ import annotations
@@ -87,9 +89,12 @@ def main(argv=None) -> int:
         new = [r[metric] for r in runs["change"]]
         sign = 1 if direction == "lower" else -1
         won = sum(sign * (b - a) < 0 for a, b in zip(old, new))
+        moved = statistics.median(new) / statistics.median(old) - 1
+        ratio = statistics.median(b / a for a, b in zip(old, new))
         print(f"  {metric:12s} " + "/".join(f"{q:.6g}" for q in quartiles(old)) + " vs "
               + "/".join(f"{q:.6g}" for q in quartiles(new))
-              + f"  change {direction} in {won}/{args.pairs}")
+              + f"  change {direction} in {won}/{args.pairs}"
+              + f"  medians {moved:+.2%}  pair ratio median {ratio:.4f}")
     return 1 if bad else 0
 
 

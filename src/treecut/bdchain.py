@@ -19,7 +19,8 @@ reported on the chain).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from functools import cached_property
+from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -31,7 +32,7 @@ __all__ = ["BDChain", "BDSpectrum", "LiftResult", "strip_to_first_branching",
            "project", "bd_spectrum", "lift", "cs_lower_bound"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # not a tuple: it caches its solve
 class BDChain:
     """Chain on states 1..size with size = 2*half - 1 and center state half.
 
@@ -48,6 +49,24 @@ class BDChain:
     stationary: np.ndarray
     degrees: tuple
     stripped: int
+
+    @cached_property
+    def _spectrum(self) -> BDSpectrum:
+        """What ``bd_spectrum`` returns, solved on first read."""
+        m = self.half - 1
+        up, down = self.up_rate[:m], self.down_rate[:m]
+        off = -np.sqrt(up[:-1] * down[1:])
+        S = np.diag(up + down) + np.diag(off, 1) + np.diag(off, -1)
+        vals, vecs = np.linalg.eigh(S)
+        gap = float(vals[0])
+        bound = m * np.finfo(np.float64).eps * float(np.abs(S).sum(axis=0).max())
+        if not gap > bound:
+            raise ResourceLimitError(f"chain gap {gap:.3g} is within eigh's error bound {bound:.3g}")
+        g = vecs[:, 0] / np.sqrt(self.stationary[:m])
+        g /= np.copysign(np.abs(g).max(), g[0])  # sup-norm 1, first entry positive
+        f = np.concatenate((g, [0.0], -g[::-1]))
+        f.setflags(write=False)
+        return BDSpectrum(gap=gap, eigenfunction=f)
 
 
 def strip_to_first_branching(degrees: Sequence[int]) -> Tuple[list, int]:
@@ -97,8 +116,7 @@ def project(degrees: Sequence[int], n: int) -> BDChain:
                    stationary=stationary, degrees=tuple(used), stripped=stripped)
 
 
-@dataclass(frozen=True)
-class BDSpectrum:
+class BDSpectrum(NamedTuple):
     """Gap of the chain generator with an antisymmetric eigenfunction.
 
     ``eigenfunction[i]`` is the value at state i+1, normalized to sup-norm
@@ -118,23 +136,12 @@ def bd_spectrum(chain: BDChain) -> BDSpectrum:
     off-diagonal ``-sqrt(up[i] * down[i+1])``.  Its bottom eigenvector v gives
     the eigenfunction ``(g, 0, -g[::-1])``, ``g = v / sqrt(pi)``.  A gap not
     above eigh's error bound m * eps * ||S||_1 (Weyl) raises ResourceLimitError.
+    Solved once per chain; the eigenfunction is read-only.
     """
-    m = chain.half - 1
-    up, down = chain.up_rate[:m], chain.down_rate[:m]
-    off = -np.sqrt(up[:-1] * down[1:])
-    S = np.diag(up + down) + np.diag(off, 1) + np.diag(off, -1)
-    vals, vecs = np.linalg.eigh(S)
-    gap = float(vals[0])
-    bound = m * np.finfo(np.float64).eps * float(np.abs(S).sum(axis=0).max())
-    if not gap > bound:
-        raise ResourceLimitError(f"chain gap {gap:.3g} is within eigh's error bound {bound:.3g}")
-    g = vecs[:, 0] / np.sqrt(chain.stationary[:m])
-    g /= np.copysign(np.abs(g).max(), g[0])  # sup-norm 1, first entry positive
-    return BDSpectrum(gap=gap, eigenfunction=np.concatenate((g, [0.0], -g[::-1])))
+    return chain._spectrum
 
 
-@dataclass(frozen=True)
-class LiftResult:
+class LiftResult(NamedTuple):
     """Tree eigenfunction lifted from the chain, with its generator residual."""
 
     values: np.ndarray
@@ -187,7 +194,7 @@ def lift(tree: RootedTree, chain: BDChain, f: np.ndarray) -> LiftResult:
     marked = side > 0  # side 1 reads state n - depth, side 2 state n + depth
     F[marked] = f[n - 1 + (2 * side[marked] - 3) * depth[marked]]
 
-    gap = bd_spectrum(chain).gap
+    gap = chain._spectrum.gap
     QF = tree.degrees() * F
     nonroot = np.nonzero(tree.parent >= 0)[0]
     pars = tree.parent[nonroot]

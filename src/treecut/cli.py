@@ -16,6 +16,7 @@ optional minus and ASCII digits, as in the tree format (:func:`_parse_int`).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import re
@@ -260,13 +261,7 @@ def cmd_bdchain(args) -> int:
 
 
 # the sweep row fields, in CSV column order
-_ROW_FIELDS = ("n", "sites", "mode", "t_rel", "t_mix", "ratio", "t_rel_lower",
-              "t_rel_upper", "t_mix_lower", "max_edge_load", "max_path_load",
-              "tail_max", "max_degree", "delta")
-
-
-def _row_dict(row: criteria.FamilyRow) -> dict:
-    return {k: getattr(row, k) for k in _ROW_FIELDS}
+_ROW_FIELDS = tuple(f.name for f in dataclasses.fields(criteria.FamilyRow))
 
 
 def _csv_cell(value) -> str:
@@ -295,12 +290,12 @@ def cmd_sweep(args) -> int:
     if args.format == "csv":
         lines = [",".join(_ROW_FIELDS)]
         for row in report.rows:
-            lines.append(",".join(_csv_cell(v) for v in _row_dict(row).values()))
+            lines.append(",".join(_csv_cell(v) for v in dataclasses.asdict(row).values()))
         _emit(args, "\n".join(lines) + "\n")
         return 0
     payload = {
         "schema": SCHEMA, "family": report.family, "eps": report.epsilon,
-        "rows": [_row_dict(r) for r in report.rows],
+        "rows": [dataclasses.asdict(r) for r in report.rows],
         "trends": {k: _trend_dict(v) for k, v in report.trends.items()},
     }
     _dump(args, payload)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, fields
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -46,8 +46,7 @@ SLOPE_THRESHOLD = 0.05
 MIN_TREND_POINTS = 4
 
 
-@dataclass(frozen=True)
-class TrendFit:
+class TrendFit(NamedTuple):
     slope: float
     intercept: float
     r2: float
@@ -69,8 +68,7 @@ def fit_loglog(xs: Sequence[float], ys: Sequence[float]) -> TrendFit:
     return TrendFit(float(slope), float(intercept), r2, len(xs))
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     quotient: str
     verdict: str
     fit: Optional[TrendFit]
@@ -78,7 +76,7 @@ class Diagnostic:
     values: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)  # not a tuple: read by fields() and asdict()
 class FamilyRow:
     """One family member: combinatorial loads plus exact or bounded times.
 
@@ -88,15 +86,11 @@ class FamilyRow:
     ``t_rel_lower`` and ``t_rel_upper``, and ``t_mix_lower`` bounding the
     mixing time at target level min(epsilon, delta)/2 from below (no
     numeric upper bound on mixing exists without a universal constant).
+    The fields are in the column order of ``treecut sweep --format csv``.
     """
 
     n: float
     sites: float
-    max_degree: float
-    max_edge_load: float
-    max_path_load: float
-    tail_max: float
-    delta: float
     mode: str                      # "exact" or "bounded"
     t_rel: Optional[float] = None
     t_mix: Optional[float] = None
@@ -104,10 +98,14 @@ class FamilyRow:
     t_rel_lower: Optional[float] = None
     t_rel_upper: Optional[float] = None
     t_mix_lower: Optional[float] = None
+    max_edge_load: float
+    max_path_load: float
+    tail_max: float
+    max_degree: float
+    delta: float
 
 
-@dataclass(frozen=True)
-class FamilyReport:
+class FamilyReport(NamedTuple):
     family: str
     epsilon: float
     rows: List[FamilyRow]
@@ -187,8 +185,7 @@ def tail_cutoff_check(rows: Sequence[FamilyRow],
                         "max_degree*tail_max/max_path_load", threshold, "down")
 
 
-@dataclass(frozen=True)
-class RetractionReport:
+class RetractionReport(NamedTuple):
     """Load comparators of one candidate deep vertex against the whole tree."""
 
     path_sum: float            # sum of subtree sizes along the root path of v*

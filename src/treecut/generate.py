@@ -29,7 +29,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,7 +61,7 @@ _PMF_CAP = 100_000
 # offspring distributions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # not a tuple: its cumulative table is a cached_property
 class OffspringDistribution:
     """Offspring law with finite mean and variance.
 
@@ -536,8 +536,7 @@ def kesten_tree(dist: OffspringDistribution, n: int, seed: int,
 # contour functions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Contour:
+class Contour(NamedTuple):
     """Depth-first walk of a tree: 2n-1 vertex steps, each edge crossed twice."""
 
     steps: np.ndarray

@@ -85,8 +85,7 @@ directly.  The test suite checks h against a dense solve of (D - A) h = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -303,8 +302,7 @@ class _EigenStarts:
         return self._kept(t)[1]
 
 
-@dataclass(frozen=True, eq=False)
-class _Orbits:
+class _Orbits(NamedTuple):
     """The orbit quotients of a tree (module docstring), with the start
     oracles of ``_EigenStarts``.
 
@@ -444,8 +442,7 @@ def tv_from_start(tree: RootedTree, t: float, start: int) -> float:
     return _starts(tree).tv(start, t)
 
 
-@dataclass(frozen=True)
-class MixingResult:
+class MixingResult(NamedTuple):
     """epsilon-mixing time with the evaluated points of the TV curve.
 
     ``tv_curve`` holds the (t, TV) pairs of the start the search followed
@@ -607,8 +604,7 @@ def tv_curve(tree: RootedTree, n_samples: int, t_max: Optional[float] = None,
     return np.column_stack([ts, vals])
 
 
-@dataclass(frozen=True)
-class HittingProfile:
+class HittingProfile(NamedTuple):
     """Expected times to hit ``target`` from every vertex."""
 
     target: int
@@ -631,8 +627,7 @@ def hitting_profile(tree: RootedTree, target: int) -> HittingProfile:
                           max_vertex=int(np.argmax(h)))
 
 
-@dataclass(frozen=True)
-class MixingLowerBounds:
+class MixingLowerBounds(NamedTuple):
     """Certified lower bounds: t_mix(eps/2) >= hitting_bound >= degree_bound."""
 
     epsilon: float

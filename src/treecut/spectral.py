@@ -24,8 +24,7 @@ of inertia, in one leaves-to-root elimination; it certifies that
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,8 +67,7 @@ def _over_cap(n: int, cap: int) -> ResourceLimitError:
         "use gap_iterative for gap-only queries or raise TREECUT_MAX_VERTICES")
 
 
-@dataclass(frozen=True, eq=False)
-class Eigensystem:
+class Eigensystem(NamedTuple):
     """Eigenpairs of Q = D - A, values ascending, vectors as columns.
 
     The first pair is exactly the constant mode: eigenvalue 0.0 and every
@@ -83,8 +81,7 @@ class Eigensystem:
     floor: float = np.inf
 
 
-@dataclass(frozen=True)
-class SpectrumResult:
+class SpectrumResult(NamedTuple):
     eigenvalues: np.ndarray
     gap: float
     t_rel: float
@@ -380,8 +377,7 @@ def hardy_constant(tree: RootedTree, part: Iterable[int]) -> float:
     return _hardy_top(from_parents(part.size, sub_parent))
 
 
-@dataclass(frozen=True)
-class HardyCertificate:
+class HardyCertificate(NamedTuple):
     """Two-sided enclosure of the gap from the Hardy constants of a split.
 
     ``interval = [1/A, 1/(delta*A)]`` for the split at ``vertex`` with
@@ -519,8 +515,7 @@ def _upper_bounds(tree: RootedTree) -> dict:
             "cor26": bound_path_load(tree), "tail32": bound_tail(tree)}
 
 
-@dataclass(frozen=True)
-class HardyLowerBound:
+class HardyLowerBound(NamedTuple):
     """delta * max edge load, with the explicit certificate function.
 
     ``g`` puts 1/depth(edge) on every root-path edge of the maximizing

@@ -48,7 +48,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False)  # not a tuple: a weak memo key, with repr=False fields
 class RootedTree:
     """Immutable rooted tree on vertices ``0..n-1``: parent array, depths, jumps.
 
@@ -166,8 +166,7 @@ def _per_tree(fn):
 _per_tree.table = weakref.WeakKeyDictionary()
 
 
-@dataclass(frozen=True, eq=False)
-class TreeMetrics:
+class TreeMetrics(NamedTuple):
     """Cached per-tree geometry.
 
     ``tail_size[k]`` counts the vertices at depth at least ``k`` (the union
@@ -247,7 +246,7 @@ def tail_profile(metrics: TreeMetrics) -> TailProfile:
     return TailProfile(int(table[k]), k, table) if k else TailProfile(0, None, table)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # not a tuple: its parts are cached_property
 class CenterOfMass:
     """A vertex plus a two-subtree cover of V overlapping only in it.
 
@@ -405,8 +404,10 @@ def root_orbits(tree: RootedTree) -> np.ndarray:
     (Aho, Hopcroft & Ullman, *The Design and Analysis of Computer
     Algorithms*, 1974), bottom-up one level at a time: a vertex's code
     numbers the sorted list of its children's codes within its level, by
-    ``np.unique`` over the lists padded with -1.  Lists whose lengths share
-    a bit length are padded together, so padding at most doubles them.
+    ``np.unique`` over the lists, each shifted by one and padded with 0 to
+    one opaque row of big-endian unsigned bytes: the rows sort as the lists
+    do, one byte comparison each.  Lists whose lengths share a bit length
+    are padded together, so padding at most doubles them.
     Classes are then refined top down by (class of the parent, code).
     Cached per tree.
     """
@@ -428,10 +429,11 @@ def root_orbits(tree: RootedTree) -> np.ndarray:
         level_code = np.zeros(level.size, dtype=np.int64)
         for b in np.unique(bits[bits > 0]):
             members = np.flatnonzero(bits == b)
-            padded = np.full((members.size, int(size[members].max())), -1, dtype=np.int64)
+            width = int(size[members].max())
+            padded = np.zeros((members.size, width), dtype=">u8")
             mine = bits[rows] == b
-            padded[np.searchsorted(members, rows[mine]), slot[mine]] = kid_codes[mine]
-            inverse = np.unique(padded, axis=0, return_inverse=True)[1].ravel()
+            padded[np.searchsorted(members, rows[mine]), slot[mine]] = kid_codes[mine] + 1
+            inverse = np.unique(padded.view(f"V{8 * width}").ravel(), return_inverse=True)[1]
             level_code[members] = level_code.max() + 1 + inverse
         code[level] = level_code
 

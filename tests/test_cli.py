@@ -245,6 +245,14 @@ class TestBDChain:
                                capsys)
         assert code == 2
 
+    def test_one_solve_per_chain(self, capsys, monkeypatch):
+        # bd_spectrum and lift's residual share the chain's one eigh
+        calls, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        code, out, _ = run_cli(["bdchain", "--degrees", "2,3,3,3", "--n", "5"], capsys)
+        assert code == 0 and json.loads(out)["lift_residual"] < 1e-8
+        assert calls == [(4, 4)]
+
 
 class TestSweep:
     def test_comb_two_rows_increasing_ratio(self, capsys):

@@ -395,7 +395,7 @@ class TestRootOrbits:
         by_depth = [sorted(set(orbit[tree.depth == d].tolist())) for d in range(tree.height + 1)]
         assert all(a[-1] < b[0] for a, b in zip(by_depth, by_depth[1:]))
 
-    @pytest.mark.parametrize("make", [
+    FAMILIES = [
         lambda: T.spherically_symmetric([2, 3, 3, 3]),
         lambda: T.spherically_symmetric([3, 2, 4, 2]),
         lambda: T.spherically_symmetric([40]),
@@ -403,7 +403,9 @@ class TestRootOrbits:
         lambda: T.segment(7),
         lambda: T.from_parents(1, [-1]),
         lambda: T.reroot(T.spherically_symmetric([2, 3, 3]), 5),
-    ])
+    ]
+
+    @pytest.mark.parametrize("make", FAMILIES)
     def test_families(self, make):
         self.assert_orbits(make())
 
@@ -412,6 +414,21 @@ class TestRootOrbits:
             self.assert_orbits(tree)
         for seed in range(20):
             self.assert_orbits(grafted_tree(12 + seed, seed))
+
+    def test_no_unique_over_rows(self, small_suite, monkeypatch):
+        # np.unique(axis=0) builds a structured dtype with one field per
+        # column, so a star's one root row as wide as its degree took seconds
+        unique = np.unique
+
+        def flat_unique(ar, *args, axis=None, **kwargs):
+            assert axis is None, "np.unique over rows"
+            return unique(ar, *args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", flat_unique)
+        fresh = [T.from_parents(t.n, t.parent) for t in small_suite[:20]]  # uncached
+        self.test_random_and_grafted(fresh)
+        for make in self.FAMILIES:
+            self.assert_orbits(make())
 
     def test_mixed_child_counts_share_padding(self):
         # child counts 1, 2, 3 and 9 at one level: padded blocks by bit length

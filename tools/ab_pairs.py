@@ -12,7 +12,8 @@ change won, the relative change of the medians (change / parent - 1) and
 the median of the per-pair ratios change / parent.  It refuses to start
 (exit 2) if either checkout has a ``__pycache__`` under ``src/``, since
 stale bytecode skews ``setup_s``, and exits 1 if any run fails, is not
-``correct`` or has failed checks.
+``correct`` or has failed checks.  Before the pairs it prints the line
+count of each checkout's ``src/`` Python files and the net change.
 """
 
 from __future__ import annotations
@@ -36,6 +37,11 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         sys.stderr.write(done.stderr)
         raise RuntimeError(f"{checkout}: bench/run.py exited {done.returncode}")
     return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def src_lines(checkout: Path) -> int:
+    """Lines of the Python files under the checkout's ``src/``."""
+    return sum(len(path.read_text().splitlines()) for path in (checkout / "src").rglob("*.py"))
 
 
 def quartiles(values: list) -> tuple:
@@ -64,6 +70,9 @@ def main(argv=None) -> int:
             print(f"error: {name} has bytecode caches, e.g. {stale[0]}; remove them "
                   "first", file=sys.stderr)
             return 2
+    lines = {name: src_lines(checkout) for name, checkout in sides.items()}
+    print(f"src/ lines: parent {lines['parent']}, change {lines['change']}, "
+          f"net {lines['change'] - lines['parent']:+d}", flush=True)
     spec = json.loads((sides["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
 
